@@ -20,6 +20,7 @@ here is safe for concurrent use.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -76,8 +77,10 @@ class CostProfile:
             raise NoUniversalScheme(f"profile {self.name!r} declares no schemes")
         if len(set(self.schemes)) != len(self.schemes):
             raise ParseError(f"profile {self.name!r} has duplicate scheme names")
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0):
-            raise ParseError(f"profile {self.name!r} scale must be positive")
+        if not (isinstance(self.scale, (int, float)) and 0 < self.scale < math.inf):
+            raise ParseError(
+                f"profile {self.name!r} scale must be positive and finite"
+            )
         known = set(self.schemes)
         for (op, scheme), (p, n) in self.op_costs.items():
             if op not in COMPUTE_OPS:
@@ -88,6 +91,10 @@ class CostProfile:
                 raise ParseError(
                     f"profile {self.name!r}: cost entry for undeclared "
                     f"scheme {scheme!r}"
+                )
+            if not (math.isfinite(p) and math.isfinite(n)):
+                raise ParseError(
+                    f"profile {self.name!r}: non-finite cost for ({op}, {scheme})"
                 )
             if p < 0 or n < 0:
                 raise NegativeCost(
@@ -103,6 +110,11 @@ class CostProfile:
                 raise ParseError(
                     f"profile {self.name!r}: self-conversion {src}->{dst} is "
                     f"implicit (zero) and must not be listed"
+                )
+            if not (math.isfinite(p) and math.isfinite(n)):
+                raise ParseError(
+                    f"profile {self.name!r}: non-finite conversion cost "
+                    f"{src}->{dst}"
                 )
             if p < 0 or n < 0:
                 raise NegativeCost(
@@ -505,11 +517,16 @@ def profile_to_json(profile: CostProfile) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int or float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_cost_entry(obj, where: str) -> tuple[float, float]:
     if not isinstance(obj, dict) or set(obj) != {"p", "n"}:
         raise ParseError(f"{where}: expected an object with keys 'p' and 'n'")
     p, n = obj["p"], obj["n"]
-    if not isinstance(p, (int, float)) or not isinstance(n, (int, float)):
+    if not _is_number(p) or not _is_number(n):
         raise ParseError(f"{where}: costs must be numbers")
     return float(p), float(n)
 
@@ -531,7 +548,7 @@ def profile_from_json(text: str) -> CostProfile:
     if not isinstance(name, str):
         raise ParseError("profile name must be a string")
     scale = doc["scale"]
-    if not isinstance(scale, (int, float)) or scale <= 0:
+    if not _is_number(scale) or scale <= 0:
         raise ParseError("profile scale must be a positive number")
     schemes = doc["schemes"]
     if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):

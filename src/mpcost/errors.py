@@ -92,11 +92,22 @@ class UnsupportedScheme(MpcostError):
     """A requested scheme does not support every operation it must cover."""
 
 
+def _log10_floor(n: int) -> int:
+    """``floor(log10(n))`` for a positive int, without ``str(n)`` (which
+    refuses ints longer than 4300 digits)."""
+    k = int((n.bit_length() - 1) * 0.30102999566398120)  # log10(2)
+    while 10 ** (k + 1) <= n:
+        k += 1
+    while 10**k > n:
+        k -= 1
+    return k
+
+
 class SearchSpaceTooLarge(MpcostError):
     """The exhaustive solver's enumeration space exceeds the configured cap."""
 
     def __init__(self, space: int, max_space: int):
-        shown = str(space) if space < 10**15 else f"about 10^{len(str(space)) - 1}"
+        shown = str(space) if space < 10**15 else f"about 10^{_log10_floor(space)}"
         super().__init__(
             f"search space has {shown} assignments, cap is {max_space}"
         )

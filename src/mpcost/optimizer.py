@@ -282,6 +282,52 @@ def total_cents_vector(
     return tc + tn
 
 
+#: Rows of the search space the exact solver scores together. Its arrays
+#: are sized by this, not by the search space.
+_CHUNK_ROWS = 1 << 16
+#: Cells of the ``(rows, nodes)`` scheme matrix rebuilt at once for the
+#: rows that the exact solver rescores, so circuits with many free in/out
+#: nodes stay within the same bound.
+_ROW_CELLS = 1 << 20
+
+
+def _in_objective(conv_total: np.ndarray, targets) -> np.ndarray:
+    """Summed conversion cost out of an ``in`` node under each scheme.
+
+    ``targets`` holds, per consuming edge, a scheme index or an array of
+    them (arrays share one length ``k``); the result has shape
+    ``(n_schemes, k)``, or ``(n_schemes, 1)`` when all are scalars.
+    """
+    acc = np.zeros((conv_total.shape[0], 1))
+    for t in targets:
+        acc = acc + conv_total[:, np.atleast_1d(t)]
+    return acc
+
+
+def _full_rows(
+    circuit: Circuit,
+    conv_total: np.ndarray,
+    in_edges: list[tuple[int, list[int]]],
+    op_schemes: np.ndarray,
+) -> np.ndarray:
+    """Complete rows of priced-node schemes with the best in/out schemes.
+
+    ``op_schemes`` has shape ``(k, n_priced)``. Each ``in`` node takes the
+    first scheme minimizing its summed conversions into its non-``out``
+    consumers (scheme 0 when it has none), each ``out`` node the first
+    scheme minimizing its incoming conversion.
+    """
+    rows = np.zeros((op_schemes.shape[0], len(circuit.nodes)), dtype=np.int64)
+    rows[:, list(circuit.op_node_ids)] = op_schemes
+    for i, edges in in_edges:
+        objective = _in_objective(conv_total, [rows[:, c] for c in edges])
+        rows[:, i] = np.argmin(objective, axis=0)  # first minimum wins
+    for i in circuit.out_ids:
+        src = rows[:, circuit.nodes[i].inputs[0]]
+        rows[:, i] = np.argmin(conv_total[src, :], axis=1)
+    return rows
+
+
 def exhaustive_optimal(
     circuit: Circuit,
     profile: CostProfile,
@@ -299,66 +345,151 @@ def exhaustive_optimal(
     priced nodes, e.g. ``3**k`` for ``k`` add/mul nodes under the bundled
     profiles.
 
+    The space is scanned in chunks of at most ``_CHUNK_ROWS`` rows, so
+    memory stays bounded and only the time grows with the space. A fast
+    total sums the factored cost terms: each priced node's operation, each
+    edge between priced nodes, and each ``in`` node's cheapest fan-out.
+    Both it and :func:`total_cents_vector` are float sums of the same
+    ``N`` non-negative addends, each within a relative ``N * eps`` of the
+    exact sum, so every row whose exact total ties the minimum has a fast
+    total within ``1 + 8 * N * eps`` of the smallest fast total. Only
+    those rows are rebuilt in full and rescored exactly.
+
     Ties are broken lexicographically: schemes in declaration order,
     nodes by ascending id.
     """
     limits = limits or SolverLimits()
-    m = len(circuit.nodes)
-    n_schemes = len(profile.schemes)
+    nodes = circuit.nodes
     op_ids = circuit.op_node_ids
     domains = [
-        [profile.scheme_index[s] for s in profile.schemes_for(circuit.nodes[i].op)]
+        np.array([profile.scheme_index[s] for s in profile.schemes_for(nodes[i].op)])
         for i in op_ids
     ]
     space = prod(len(d) for d in domains)
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
 
-    base = np.arange(space)
-    schemes = np.zeros((space, m), dtype=np.int64)
-    stride = space
-    for node_id, domain in zip(op_ids, domains):
-        stride //= len(domain)
-        digits = (base // stride) % len(domain)
-        schemes[:, node_id] = np.asarray(domain, dtype=np.int64)[digits]
-
-    _, _, conv_p, conv_n = profile.cent_tables()
+    op_p, op_n, conv_p, conv_n = profile.cent_tables()
+    op_total = op_p + op_n
     conv_total = conv_p + conv_n
-
+    position = {node_id: p for p, node_id in enumerate(op_ids)}
+    in_edges = []
     for i in circuit.in_ids:
         edges = [
-            c
-            for c in circuit.consumer_edges[i]
-            if circuit.nodes[c].op is not OpKind.OUT
+            c for c in circuit.consumer_edges[i] if nodes[c].op is not OpKind.OUT
         ]
-        if not edges:
-            schemes[:, i] = 0
-            continue
-        objective = np.zeros((n_schemes, space))
-        for s in range(n_schemes):
-            acc = np.zeros(space)
-            for c in edges:
-                acc = acc + conv_total[s, schemes[:, c]]
-            objective[s] = acc
-        schemes[:, i] = np.argmin(objective, axis=0)  # first minimum wins
+        if edges:
+            in_edges.append((i, edges))
 
-    for i in circuit.out_ids:
-        src = schemes[:, circuit.nodes[i].inputs[0]]
-        schemes[:, i] = np.argmin(conv_total[src, :], axis=1)
+    # The row index is mixed-radix over the priced nodes with more than one
+    # candidate, the lowest id most significant. Its trailing ("low")
+    # digits whose radix product fits a chunk are scanned inside each
+    # chunk; the leading ("high") digits stay fixed within a chunk.
+    free = [p for p, d in enumerate(domains) if len(d) > 1]
+    block, n_low = 1, 0
+    for p in reversed(free):
+        if block * len(domains[p]) > _CHUNK_ROWS:
+            break
+        block *= len(domains[p])
+        n_low += 1
+    high, low = free[: len(free) - n_low], free[len(free) - n_low :]
+    low_stride = {}
+    stride = block
+    for p in low:
+        stride //= len(domains[p])
+        low_stride[p] = stride
 
-    totals = total_cents_vector(circuit, profile, schemes)
-    best = totals.min()
-    candidates = np.nonzero(totals == best)[0]
-    if len(candidates) == 1:
-        pick = int(candidates[0])
-    else:
-        rows = schemes[candidates]
-        order = np.lexsort(rows[:, ::-1].T)  # primary key: node 0's scheme
-        pick = int(candidates[order[0]])
+    def low_digits(p, rows):
+        return (rows // low_stride[p]) % len(domains[p])
 
-    assignment = {
-        i: profile.schemes[int(schemes[pick, i])] for i in range(m)
-    }
+    # The cost terms, as (kind, positions of the priced nodes, op row).
+    terms = []
+    for i in op_ids:
+        terms.append(("op", (position[i],), profile.op_row(nodes[i].op)))
+        for j in nodes[i].inputs:
+            if j in position:
+                terms.append(("conv", (position[j], position[i]), None))
+    for _, edges in in_edges:
+        terms.append(("in", tuple(position[c] for c in edges), None))
+
+    schemes: list = [int(d[0]) for d in domains]  # high digits are set per chunk
+
+    def group_cost(group, grid_schemes):
+        total = 0.0
+        for kind, ps, row in group:
+            s = [grid_schemes.get(p, schemes[p]) for p in ps]
+            if kind == "op":
+                total = total + op_total[row, s[0]]
+            elif kind == "conv":
+                total = total + conv_total[s[0], s[1]]
+            else:
+                total = total + _in_objective(conv_total, s).min(axis=0)
+        return total
+
+    # Terms grouped by whether they touch a high digit and by the low
+    # digits they touch. A group's cost is tabulated over the joint grid
+    # of its low digits and gathered into the block's rows by grid index;
+    # groups without high digits are summed once, the others per chunk.
+    high_set, low_set = set(high), set(low)
+    groups: dict[tuple[bool, tuple[int, ...]], list] = {}
+    for kind, ps, row in terms:
+        key = (not high_set.isdisjoint(ps), tuple(sorted(low_set.intersection(ps))))
+        groups.setdefault(key, []).append((kind, ps, row))
+
+    local = np.arange(block)
+    base = np.zeros(block)
+    per_chunk = []
+    for (touches_high, grid_ps), group in groups.items():
+        size = prod(len(domains[p]) for p in grid_ps)
+        cells = np.arange(size)
+        grid_schemes, index, stride = {}, None, size
+        for p in grid_ps:
+            stride //= len(domains[p])
+            grid_schemes[p] = domains[p][(cells // stride) % len(domains[p])]
+            digits = low_digits(p, local) * stride
+            index = digits if index is None else index + digits
+        if touches_high:
+            per_chunk.append((group, grid_schemes, index))
+        else:
+            cost = group_cost(group, grid_schemes)
+            base += cost if index is None else cost[index]
+
+    n_addends = 2 * (len(op_ids) + sum(len(nodes[i].inputs) for i in op_ids))
+    band = 1.0 + 8 * n_addends * np.finfo(float).eps
+    batch = max(1, _ROW_CELLS // len(nodes))
+    fast_min = np.inf
+    best_total = None
+    best_row = None
+    for chunk in range(space // block):
+        rest = chunk
+        for p in reversed(high):
+            rest, digit = divmod(rest, len(domains[p]))
+            schemes[p] = int(domains[p][digit])
+        fast = base.copy()
+        for group, grid_schemes, index in per_chunk:
+            cost = group_cost(group, grid_schemes)
+            fast += cost if index is None else cost[index]
+        fast_min = min(fast_min, float(fast.min()))
+        near = np.flatnonzero(fast <= fast_min * band)
+        for start in range(0, len(near), batch):
+            picked = near[start : start + batch]
+            op_schemes = np.empty((len(picked), len(op_ids)), dtype=np.int64)
+            for p, d in enumerate(domains):
+                if p in low_set:
+                    op_schemes[:, p] = d[low_digits(p, picked)]
+                else:
+                    op_schemes[:, p] = schemes[p]
+            rows = _full_rows(circuit, conv_total, in_edges, op_schemes)
+            totals = total_cents_vector(circuit, profile, rows)
+            lowest = totals.min()
+            if best_total is not None and lowest > best_total:
+                continue
+            ties = rows[totals == lowest]
+            row = ties[np.lexsort(ties[:, ::-1].T)[0]].tolist()  # node 0 first
+            if best_total is None or lowest < best_total or row < best_row:
+                best_total, best_row = lowest, row
+
+    assignment = {i: profile.schemes[s] for i, s in enumerate(best_row)}
     return OptimizeResult(
         assignment, total_cost(circuit, assignment, profile), "exhaustive"
     )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -203,6 +204,44 @@ def test_profile_parse_errors():
     # in/out never carry cost entries
     with pytest.raises(ParseError):
         profile_from_json(ok.replace('"add"', '"in"'))
+
+
+_PROFILE_VALUE_PATHS = (
+    ("scale",),
+    ("ops", "add", "a", "p"),
+    ("conversions", "y->a", "n"),
+)
+
+
+def _profile_json_with(path, value):
+    """make_profile()'s JSON with the entry at ``path`` set to ``value``
+    (``json.dumps`` writes NaN and infinities as ``NaN``/``Infinity``)."""
+    doc = json.loads(profile_to_json(make_profile()))
+    *parents, leaf = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_values(bad):
+    with pytest.raises(ParseError):
+        make_profile(scale=bad)
+    with pytest.raises(ParseError):
+        make_profile(a_add=bad)
+    with pytest.raises(ParseError):
+        make_profile(conv=(0.5, bad))
+    for path in _PROFILE_VALUE_PATHS:
+        with pytest.raises(ParseError):
+            profile_from_json(_profile_json_with(path, bad))
+
+
+def test_profile_rejects_bools_posing_as_numbers():
+    for path in _PROFILE_VALUE_PATHS:
+        with pytest.raises(ParseError):
+            profile_from_json(_profile_json_with(path, True))
 
 
 def test_profile_json_round_trip_is_canonical():

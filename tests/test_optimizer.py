@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcost import (
     OpKind,
@@ -21,8 +24,11 @@ from mpcost import (
     total_cost,
 )
 from mpcost.casegen import BiometricSpec
+from mpcost.circuit import COMPUTE_OPS
+from mpcost.cost_model import CostProfile
 from mpcost.errors import SearchSpaceTooLarge, UnsupportedScheme
-from mpcost.optimizer import total_cents_vector
+from mpcost.optimizer import _CHUNK_ROWS, total_cents_vector
+from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 
 
 def brute_force_minimum(circuit, profile):
@@ -245,6 +251,119 @@ def test_exhaustive_space_cap(inter_m3_medium):
         exhaustive_optimal(c, inter_m3_medium, SolverLimits(max_space=10))
     assert info.value.space == 27
     exhaustive_optimal(c, inter_m3_medium, SolverLimits(max_space=27))
+
+
+def test_exhaustive_space_cap_names_huge_spaces(inter_m3_medium):
+    # 3**9100 has more digits than str() of an int accepts
+    assert "about 10^4341 assignments" in str(SearchSpaceTooLarge(3**9100, 10**7))
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        exhaustive_optimal(gen_chain(OpKind.ADD, 9100), inter_m3_medium)
+    assert info.value.space == 3**9100
+
+
+def _uniform_profile(like, cost):
+    """``like``'s schemes and support with every price set to ``cost``."""
+    return CostProfile(
+        f"uniform-{cost}", 1.0, like.schemes,
+        {k: (cost, cost) for k in like.op_costs},
+        {k: (cost, cost) for k in like.conversions},
+    )
+
+
+def test_exhaustive_all_zero_costs_pick_the_first_assignment(inter_m3_medium):
+    # every one of the 3**12 rows ties at zero, across several chunks
+    c = gen_chain(OpKind.ADD, 12)
+    assert 3**12 > 2 * _CHUNK_ROWS
+    zero = _uniform_profile(inter_m3_medium, 0.0)
+    result = exhaustive_optimal(c, zero)
+    assert result.report.total == 0.0
+    assert set(result.assignment.values()) == {zero.schemes[0]}
+
+
+def test_exhaustive_keeps_ties_that_rounding_splits(inter_m3_medium):
+    # Prices in tenths of a cent tie in exact arithmetic, but float sums in
+    # different orders round apart. Rows whose fast total is a rounding
+    # step above the fast minimum must still be rescored: without that
+    # slack the solver returns another assignment here.
+    c = build([
+        ("in", []), ("sub", [0, 0]), ("mul", [1, 0]), ("eq", [1, 2]),
+        ("add", [3, 1]), ("ge", [1, 3]), ("out", [4]), ("out", [5]),
+    ])
+    a, b, y = "arithmetic", "boolean", "yao"
+    prices = {
+        ("add", a): (1.0, 0.0), ("add", b): (1.0, 0.0), ("add", y): (2.0, 0.0),
+        ("sub", b): (1.0, 2.0), ("sub", y): (1.0, 2.0),
+        ("mul", a): (0.0, 1.0), ("mul", b): (1.0, 2.0), ("mul", y): (0.0, 2.0),
+        ("eq", b): (0.0, 0.0), ("eq", y): (0.0, 0.0),
+        ("ge", b): (1.0, 1.0), ("ge", y): (1.0, 1.0),
+    }
+    tenths = CostProfile(
+        "tenths", 0.1, inter_m3_medium.schemes,
+        {
+            (op, scheme): prices.get((op.value, scheme), (1.0, 1.0))
+            for op, scheme in inter_m3_medium.op_costs
+        },
+        {
+            (a, b): (0.0, 2.0), (a, y): (1.0, 2.0), (b, a): (2.0, 0.0),
+            (b, y): (1.0, 0.0), (y, a): (1.0, 0.0), (y, b): (2.0, 2.0),
+        },
+    )
+    got = exhaustive_optimal(c, tenths)
+    want_asg, want_total = brute_force_minimum(c, tenths)
+    assert got.report.total == want_total
+    assert got.assignment == want_asg
+
+
+def test_exhaustive_memory_is_bounded(inter_m3_medium):
+    c = gen_chain(OpKind.ADD, 12)  # 3**12 rows of 26 nodes
+    tracemalloc.start()
+    try:
+        exhaustive_optimal(c, inter_m3_medium)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@st.composite
+def small_circuits(draw):
+    """DAGs of 1-2 inputs, at most 6 priced ops and one output: at most 8
+    nodes, so brute force over every node stays affordable."""
+    n_in = draw(st.integers(1, 2))
+    entries = [("in", [])] * n_in
+    for _ in range(draw(st.integers(1, 7 - n_in))):
+        op = draw(st.sampled_from(COMPUTE_OPS))
+        inputs = [draw(st.integers(0, len(entries) - 1)) for _ in range(op.arity)]
+        entries.append((op.value, inputs))
+    entries.append(("out", [len(entries) - 1]))
+    return build(entries)
+
+
+_BUNDLED = [load_builtin(name) for name in BUILTIN_PROFILES]
+# the uniform profiles make every row, or many rows, tie
+_PROPERTY_PROFILES = _BUNDLED + [
+    _uniform_profile(_BUNDLED[0], 0.0),
+    _uniform_profile(_BUNDLED[0], 1.0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=small_circuits(), prof=st.sampled_from(_PROPERTY_PROFILES))
+def test_exhaustive_is_the_true_minimum(circuit, prof):
+    got = exhaustive_optimal(circuit, prof)
+    want_asg, want_total = brute_force_minimum(circuit, prof)
+    assert got.report.total == want_total
+    assert got.assignment == want_asg
+    universal = prof.universal_schemes(circuit.ops_present())
+    heuristics = [fixed_sharing(circuit, prof, s) for s in universal]
+    heuristics += [
+        bottom_up(circuit, prof),
+        top_down(circuit, prof),
+        hill_climbing(circuit, prof, universal[0]),
+        best_of(circuit, prof),
+    ]
+    for result in heuristics:
+        assert got.report.total <= result.report.total, result.heuristic
 
 
 def test_exhaustive_dominates_heuristics(all_profiles):
