@@ -46,6 +46,11 @@ class OpKind(Enum):
     IN = "in"
     OUT = "out"
 
+    # Members are singletons that compare by identity, so an identity hash
+    # is consistent with equality and skips Enum's Python-level __hash__ on
+    # every cost-table lookup.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return _ARITY[self]
@@ -317,6 +322,11 @@ def inputs_by_name(circuit: Circuit) -> dict[str, int]:
 _NODE_KEYS = {"id", "op", "inputs", "party", "name"}
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     nodes = []
     for n in circuit.nodes:
@@ -341,7 +351,7 @@ def circuit_from_json(text: str) -> Circuit:
     if extra:
         raise ParseError(f"unexpected circuit key(s): {sorted(extra)}")
     bitwidth = doc.get("bitwidth", 32)
-    if not isinstance(bitwidth, int) or bitwidth < 1:
+    if not _is_int(bitwidth) or bitwidth < 1:
         raise ParseError(f"bitwidth must be a positive integer, got {bitwidth!r}")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
@@ -357,7 +367,7 @@ def circuit_from_json(text: str) -> Circuit:
         for key in ("id", "op", "inputs"):
             if key not in obj:
                 raise ParseError(f"node {i}: missing {key!r}")
-        if obj["id"] != i:
+        if not _is_int(obj["id"]) or obj["id"] != i:
             raise ParseError(
                 f"node ids must be dense and ascending; "
                 f"expected {i}, got {obj['id']!r}"
@@ -367,7 +377,7 @@ def circuit_from_json(text: str) -> Circuit:
         op = op_from_name(obj["op"])
         raw_inputs = obj["inputs"]
         if not isinstance(raw_inputs, list) or not all(
-            isinstance(j, int) for j in raw_inputs
+            _is_int(j) for j in raw_inputs
         ):
             raise ParseError(f"node {i}: inputs must be a list of ids")
         party = obj.get("party")

@@ -57,6 +57,7 @@ from .optimizer import (
     SolverLimits,
     best_of,
     bottom_up,
+    default_scheme,
     exhaustive_optimal,
     fixed_sharing,
     hill_climbing,
@@ -82,7 +83,7 @@ class CompareRow:
     compute: float
     network: float
     total: float
-    reduction: float  # vs pure-yao, in [0, 1]
+    reduction: float  # vs the pure baseline, in [0, 1]
     winner: bool = False
 
 
@@ -103,11 +104,6 @@ def _emit(text: str, out_path: str | None) -> None:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _default_hill_init(circuit: Circuit, profile: CostProfile) -> str:
-    universal = profile.universal_schemes(circuit.ops_present())
-    return "yao" if "yao" in universal else universal[0]
 
 
 def _report_dict(report: CostReport, factor: float, per_node: bool) -> dict:
@@ -136,13 +132,14 @@ def _run_heuristic(args, circuit: Circuit, profile: CostProfile):
     )
     name = args.heuristic
     if name == "pure":
-        return fixed_sharing(circuit, profile, args.scheme or "yao")
+        scheme = args.scheme or default_scheme(circuit, profile)
+        return fixed_sharing(circuit, profile, scheme)
     if name == "bottom-up":
         return bottom_up(circuit, profile)
     if name == "top-down":
         return top_down(circuit, profile)
     if name == "hill":
-        init = args.scheme or _default_hill_init(circuit, profile)
+        init = args.scheme or default_scheme(circuit, profile)
         return hill_climbing(circuit, profile, init, limits)
     if name == "exhaustive":
         return exhaustive_optimal(circuit, profile, limits)
@@ -185,10 +182,10 @@ def cmd_compare(args) -> int:
     circuit = load_circuit(args.circuit)
     profile = _resolve_profile(args.profile)
     limits = SolverLimits(max_space=args.max_space, max_passes=args.max_passes)
-    init = _default_hill_init(circuit, profile)
+    baseline = default_scheme(circuit, profile)
     runs = [
-        ("pure-yao", fixed_sharing(circuit, profile, "yao")),
-        ("hill-climbing", hill_climbing(circuit, profile, init, limits)),
+        (f"pure-{baseline}", fixed_sharing(circuit, profile, baseline)),
+        ("hill-climbing", hill_climbing(circuit, profile, baseline, limits)),
         ("top-down", top_down(circuit, profile)),
         ("bottom-up", bottom_up(circuit, profile)),
     ]
@@ -226,7 +223,7 @@ def cmd_compare(args) -> int:
         return 0
     header = (
         f"{'technique':<16}{'compute':>16}{'network':>16}{'total':>16}"
-        f"{'vs pure-yao':>14}"
+        f"{'vs pure-' + baseline:>14}"
     )
     lines = [f"unit: {args.unit}", header]
     for r in rows:

@@ -13,6 +13,11 @@ a scheme to itself is free. ``in`` and ``out`` nodes run under any
 scheme at zero operation cost; they still pay (or cause) conversions
 like any other node.
 
+Strategies price many assignments of one circuit, so they first compile
+the circuit and the profile into a :class:`Compiled` form: plain Python
+float rows per node and conversion matrices, indexed by scheme position.
+Only the exact solver needs numpy, and it imports it itself.
+
 All cost functions are pure and profiles are immutable, so everything
 here is safe for concurrent use.
 """
@@ -24,8 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .circuit import COMPUTE_OPS, Circuit, OpKind, op_from_name
 from .errors import (
@@ -158,28 +161,28 @@ class CostProfile:
 
     # -- cent-denominated lookup tables ----------------------------------
     #
-    # Dense numpy tables are the single source of cost values for both the
-    # scalar accessors below and the vectorized solver, so the same
-    # assignment always yields bit-identical sums on either path.
+    # Dense tables of Python floats are the single source of cost values
+    # for the scalar accessors below, the compiled form and the exact
+    # solver, so the same assignment always yields bit-identical sums.
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _tables(self) -> tuple[list, list, list, list]:
         ns = len(self.schemes)
-        op_p = np.full((_N_OP_ROWS, ns), np.inf)
-        op_n = np.full((_N_OP_ROWS, ns), np.inf)
-        op_p[_OP_INDEX[OpKind.IN], :] = 0.0
-        op_n[_OP_INDEX[OpKind.IN], :] = 0.0
-        op_p[_OP_INDEX[OpKind.OUT], :] = 0.0
-        op_n[_OP_INDEX[OpKind.OUT], :] = 0.0
+        scale = float(self.scale)
+        op_p = [[math.inf] * ns for _ in range(_N_OP_ROWS)]
+        op_n = [[math.inf] * ns for _ in range(_N_OP_ROWS)]
+        for op in (OpKind.IN, OpKind.OUT):
+            op_p[_OP_INDEX[op]] = [0.0] * ns
+            op_n[_OP_INDEX[op]] = [0.0] * ns
         for (op, scheme), (p, n) in self.op_costs.items():
-            op_p[_OP_INDEX[op], self.scheme_index[scheme]] = p
-            op_n[_OP_INDEX[op], self.scheme_index[scheme]] = n
-        conv_p = np.zeros((ns, ns))
-        conv_n = np.zeros((ns, ns))
+            op_p[_OP_INDEX[op]][self.scheme_index[scheme]] = float(p) * scale
+            op_n[_OP_INDEX[op]][self.scheme_index[scheme]] = float(n) * scale
+        conv_p = [[0.0] * ns for _ in range(ns)]
+        conv_n = [[0.0] * ns for _ in range(ns)]
         for (src, dst), (p, n) in self.conversions.items():
-            conv_p[self.scheme_index[src], self.scheme_index[dst]] = p
-            conv_n[self.scheme_index[src], self.scheme_index[dst]] = n
-        return op_p * self.scale, op_n * self.scale, conv_p * self.scale, conv_n * self.scale
+            conv_p[self.scheme_index[src]][self.scheme_index[dst]] = float(p) * scale
+            conv_n[self.scheme_index[src]][self.scheme_index[dst]] = float(n) * scale
+        return op_p, op_n, conv_p, conv_n
 
     def op_cost_cents(self, op: OpKind, scheme: str) -> tuple[float, float]:
         """(compute, network) cents for running ``op`` under ``scheme``."""
@@ -190,7 +193,7 @@ class CostProfile:
             )
         op_p, op_n, _, _ = self._tables
         j = self.scheme_index[scheme]
-        return float(op_p[_OP_INDEX[op], j]), float(op_n[_OP_INDEX[op], j])
+        return op_p[_OP_INDEX[op]][j], op_n[_OP_INDEX[op]][j]
 
     def conv_cost_cents(self, src: str, dst: str) -> tuple[float, float]:
         """(compute, network) cents for re-sharing a value from ``src`` to
@@ -202,10 +205,11 @@ class CostProfile:
                 f"scheme {e.args[0]!r} is not declared by profile {self.name!r}"
             ) from None
         _, _, conv_p, conv_n = self._tables
-        return float(conv_p[i, j]), float(conv_n[i, j])
+        return conv_p[i][j], conv_n[i][j]
 
-    def cent_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense cent tables ``(op_p, op_n, conv_p, conv_n)``.
+    def cent_tables(self) -> tuple[list, list, list, list]:
+        """Dense cent tables ``(op_p, op_n, conv_p, conv_n)`` as lists of
+        float lists.
 
         Op rows follow :data:`mpcost.circuit.COMPUTE_OPS` with in/out
         appended; columns and conversion axes follow the profile's scheme
@@ -291,23 +295,122 @@ def node_cost(
     return NodeCost(op_p, op_n, conv_p, conv_n)
 
 
+class Compiled:
+    """A circuit priced under one profile, for work on scheme indices.
+
+    An assignment here is a list holding, per node id, the position of
+    its scheme in ``profile.schemes``. Per node, ``op_p``, ``op_n`` and
+    ``op_t`` hold the cent rows of its operation's compute, network and
+    summed cost (one shared list per op kind) and ``cands`` the indices of
+    the schemes supporting it, ascending. ``cp``, ``cn`` and ``ct`` are the
+    conversion matrices ``[src][dst]`` of compute, network and summed
+    cost. ``inputs`` and ``consumers`` give each node's input ids and its
+    consumers' ids, one entry per edge.
+
+    Every total sums its terms in the order of :class:`NodeCost`, so the
+    same assignment gives the same floats however it is evaluated.
+    """
+
+    __slots__ = ("circuit", "profile", "op_p", "op_n", "op_t", "cands",
+                 "cp", "cn", "ct", "inputs", "consumers")
+
+    def __init__(self, circuit: Circuit, profile: CostProfile):
+        op_p, op_n, cp, cn = profile.cent_tables()
+        op_t = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(op_p, op_n)]
+        index = profile.scheme_index
+        cands = {
+            op: tuple(index[s] for s in profile.schemes_for(op)) for op in OpKind
+        }
+        ops = [node.op for node in circuit.nodes]
+        rows = [_OP_INDEX[op] for op in ops]
+        self.circuit = circuit
+        self.profile = profile
+        self.op_p = [op_p[r] for r in rows]
+        self.op_n = [op_n[r] for r in rows]
+        self.op_t = [op_t[r] for r in rows]
+        self.cands = [cands[op] for op in ops]
+        self.cp = cp
+        self.cn = cn
+        self.ct = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(cp, cn)]
+        self.inputs = tuple(node.inputs for node in circuit.nodes)
+        self.consumers = circuit.consumer_edges
+
+    def indices(self, assignment: Mapping[int, str]) -> list[int]:
+        """Scheme indices of a name assignment; raises
+        :class:`InfeasibleAssignment` on the first node that is unassigned
+        or whose scheme does not support its operation."""
+        index = self.profile.scheme_index
+        out = []
+        for node, cands in zip(self.circuit.nodes, self.cands):
+            try:
+                scheme = assignment[node.id]
+            except KeyError:
+                raise InfeasibleAssignment(
+                    f"node {node.id} has no assigned scheme"
+                ) from None
+            s = index.get(scheme)
+            if s not in cands:
+                raise InfeasibleAssignment(
+                    f"scheme {scheme!r} does not support op {node.op} "
+                    f"in profile {self.profile.name!r}"
+                )
+            out.append(s)
+        return out
+
+    def assignment(self, idx: Sequence[int]) -> Assignment:
+        schemes = self.profile.schemes
+        return {i: schemes[s] for i, s in enumerate(idx)}
+
+    def total(self, idx: Sequence[int]) -> float:
+        """Total cost in cents of ``idx``, without the per-node breakdown."""
+        cp, cn = self.cp, self.cn
+        tc = 0.0
+        tn = 0.0
+        for s, rp, rn, ins in zip(idx, self.op_p, self.op_n, self.inputs):
+            conv_p = 0.0
+            conv_n = 0.0
+            for j in ins:
+                r = idx[j]
+                conv_p += cp[r][s]
+                conv_n += cn[r][s]
+            tc += rp[s]
+            tc += conv_p
+            tn += rn[s]
+            tn += conv_n
+        return tc + tn
+
+    def report(self, idx: Sequence[int]) -> CostReport:
+        """Total and per-node cost of ``idx``, summed like :meth:`total`."""
+        cp, cn = self.cp, self.cn
+        per_node: dict[int, NodeCost] = {}
+        tc = 0.0
+        tn = 0.0
+        for i, (s, rp, rn, ins) in enumerate(
+            zip(idx, self.op_p, self.op_n, self.inputs)
+        ):
+            conv_p = 0.0
+            conv_n = 0.0
+            for j in ins:
+                r = idx[j]
+                conv_p += cp[r][s]
+                conv_n += cn[r][s]
+            per_node[i] = NodeCost(rp[s], rn[s], conv_p, conv_n)
+            tc += rp[s]
+            tc += conv_p
+            tn += rn[s]
+            tn += conv_n
+        return CostReport(per_node, tc, tn, tc + tn)
+
+
 def total_cost(
     circuit: Circuit,
     assignment: Mapping[int, str],
     profile: CostProfile,
 ) -> CostReport:
-    """Sum :func:`node_cost` over every node of the circuit."""
-    per_node: dict[int, NodeCost] = {}
-    tc = 0.0
-    tn = 0.0
-    for node in circuit.nodes:
-        rec = node_cost(circuit, node.id, assignment, profile)
-        per_node[node.id] = rec
-        tc += rec.op_compute
-        tc += rec.conv_compute
-        tn += rec.op_network
-        tn += rec.conv_network
-    return CostReport(per_node, tc, tn, tc + tn)
+    """Total and per-node cost (:func:`node_cost` for every node) of an
+    assigned circuit."""
+    compiled = Compiled(circuit, profile)
+    return compiled.report(compiled.indices(assignment))
 
 
 def check_feasible(
@@ -381,7 +484,10 @@ class PriceSpec:
     gb_bytes: int = 10**9
 
     def __post_init__(self):
-        if self.vm_rate_a < 0 or self.vm_rate_b < 0 or self.net_rate < 0:
+        rates = (self.vm_rate_a, self.vm_rate_b, self.net_rate)
+        if not all(math.isfinite(r) for r in rates):
+            raise ParseError("price rates must be finite")
+        if min(rates) < 0:
             raise NegativeInput("price rates must be non-negative")
         if self.gb_bytes <= 0:
             raise NegativeInput("gb_bytes must be positive")
@@ -411,6 +517,9 @@ class RawMeasurement:
             raise ValueError(
                 "measurement must set either (op, scheme) or (source, target)"
             )
+        if not (math.isfinite(self.seconds_per_op)
+                and math.isfinite(self.bytes_per_op)):
+            raise ParseError("measured seconds and bytes must be finite")
         if self.seconds_per_op < 0 or self.bytes_per_op < 0:
             raise NegativeInput("measured seconds and bytes must be non-negative")
 
@@ -522,6 +631,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
 def _parse_cost_entry(obj, where: str) -> tuple[float, float]:
     if not isinstance(obj, dict) or set(obj) != {"p", "n"}:
         raise ParseError(f"{where}: expected an object with keys 'p' and 'n'")
@@ -621,13 +734,14 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
     for i, obj in enumerate(doc["measurements"]):
         if not isinstance(obj, dict):
             raise ParseError(f"measurement {i} is not an object")
-        try:
-            seconds = float(obj["seconds_per_op"])
-            nbytes = float(obj["bytes_per_op"])
-        except (KeyError, TypeError, ValueError):
+        seconds = obj.get("seconds_per_op")
+        nbytes = obj.get("bytes_per_op")
+        if not (_is_finite_number(seconds) and _is_finite_number(nbytes)):
             raise ParseError(
-                f"measurement {i}: needs numeric seconds_per_op and bytes_per_op"
-            ) from None
+                f"measurement {i}: needs finite numeric seconds_per_op and "
+                f"bytes_per_op"
+            )
+        seconds, nbytes = float(seconds), float(nbytes)
         try:
             if "conversion" in obj:
                 src, dst = obj["conversion"]
@@ -659,15 +773,19 @@ def prices_from_json(text: str) -> PriceSpec:
     extra = set(doc) - {"vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"}
     if extra:
         raise ParseError(f"unexpected price key(s): {sorted(extra)}")
-    try:
-        return PriceSpec(
-            vm_rate_a=float(doc["vm_rate_a"]),
-            vm_rate_b=float(doc["vm_rate_b"]),
-            net_rate=float(doc["net_rate"]),
-            gb_bytes=int(doc.get("gb_bytes", 10**9)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"invalid price sheet: {e}") from None
+    rates = {}
+    for key in ("vm_rate_a", "vm_rate_b", "net_rate"):
+        if key not in doc:
+            raise ParseError(f"invalid price sheet: missing {key!r}")
+        if not _is_finite_number(doc[key]):
+            raise ParseError(f"invalid price sheet: {key} must be a finite number")
+        rates[key] = float(doc[key])
+    gb_bytes = doc.get("gb_bytes", 10**9)
+    if isinstance(gb_bytes, float) and gb_bytes.is_integer():
+        gb_bytes = int(gb_bytes)
+    if isinstance(gb_bytes, bool) or not isinstance(gb_bytes, int):
+        raise ParseError("invalid price sheet: gb_bytes must be an integer")
+    return PriceSpec(**rates, gb_bytes=gb_bytes)
 
 
 def load_measurements(path) -> tuple[list[RawMeasurement], list[str] | None]:

@@ -5,28 +5,36 @@ meta-selector that keeps the cheapest of their results, and an exact
 enumeration solver that serves as the correctness oracle on small
 circuits.
 
+The heuristics work on scheme indices over a
+:class:`mpcost.cost_model.Compiled` form of the circuit and profile.
+Only the exact solver uses numpy, and it imports it once the search
+space has passed its cap.
+
 Determinism: every strategy breaks ties the same way, schemes in the
-profile's declaration order first, then ascending node id. Reports are
-always recomputed with :func:`mpcost.cost_model.total_cost`, so totals
-from different strategies (including the exact solver) compare without
-tolerance.
+profile's declaration order first, then ascending node id. Reports sum
+their terms in one fixed order, so totals from different strategies
+(including the exact solver) compare without tolerance.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import Circuit, OpKind
 from .cost_model import (
     Assignment,
+    Compiled,
     CostProfile,
     CostReport,
     total_cost,
 )
 from .errors import SearchSpaceTooLarge, UnsupportedScheme
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,16 +74,36 @@ class OptimizeResult:
     sweep_totals: tuple[float, ...] = ()
 
 
-def _require_support(circuit: Circuit, profile: CostProfile, scheme: str) -> None:
-    if scheme not in profile.scheme_index:
+def default_scheme(circuit: Circuit, profile: CostProfile) -> str:
+    """The uniform scheme used as the pure baseline and as the default
+    hill-climbing start: ``"yao"`` when it supports every operation in the
+    circuit, otherwise the first declared scheme that does."""
+    universal = profile.universal_schemes(circuit.ops_present())
+    return "yao" if "yao" in universal else universal[0]
+
+
+def _require_support(compiled: Compiled, scheme: str) -> int:
+    """Index of ``scheme``, which must support every node's operation."""
+    profile = compiled.profile
+    s = profile.scheme_index.get(scheme)
+    if s is None:
         raise UnsupportedScheme(
             f"scheme {scheme!r} is not declared by profile {profile.name!r}"
         )
-    for node in circuit.nodes:
-        if not profile.supports(node.op, scheme):
+    for node, cands in zip(compiled.circuit.nodes, compiled.cands):
+        if s not in cands:
             raise UnsupportedScheme(
                 f"scheme {scheme!r} does not support op {node.op} (node {node.id})"
             )
+    return s
+
+
+def _result(
+    compiled: Compiled, idx: list[int], heuristic: str, **extra
+) -> OptimizeResult:
+    return OptimizeResult(
+        compiled.assignment(idx), compiled.report(idx), heuristic, **extra
+    )
 
 
 def fixed_sharing(
@@ -87,11 +115,9 @@ def fixed_sharing(
     scheme there are no conversions, so the report's conversion columns
     are exactly zero.
     """
-    _require_support(circuit, profile, scheme)
-    assignment = {node.id: scheme for node in circuit.nodes}
-    return OptimizeResult(
-        assignment, total_cost(circuit, assignment, profile), f"fixed:{scheme}"
-    )
+    compiled = Compiled(circuit, profile)
+    s = _require_support(compiled, scheme)
+    return _result(compiled, [s] * len(circuit.nodes), f"fixed:{scheme}")
 
 
 def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -103,33 +129,34 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     so they are left open and adopt the scheme of the first consumer that
     gets processed, which makes that edge conversion-free.
     """
-    assignment: Assignment = {}
+    compiled = Compiled(circuit, profile)
+    ct = compiled.ct
+    idx: list = [None] * len(circuit.nodes)
     for node in circuit.nodes:  # node order is topological
         if node.op is OpKind.IN:
             continue
+        i = node.id
+        row = compiled.op_t[i]
+        ins = compiled.inputs[i]
         best_scheme = None
         best_cost = None
-        for scheme in profile.schemes_for(node.op):
-            p, n = profile.op_cost_cents(node.op, scheme)
-            cost = p + n
-            for j in node.inputs:
-                src = assignment.get(j)
+        for s in compiled.cands[i]:
+            cost = row[s]
+            for j in ins:
+                src = idx[j]
                 if src is not None:
-                    cp, cn = profile.conv_cost_cents(src, scheme)
-                    cost += cp + cn
+                    cost += ct[src][s]
             if best_cost is None or cost < best_cost:
                 best_cost = cost
-                best_scheme = scheme
-        assignment[node.id] = best_scheme
-        for j in node.inputs:
-            if j not in assignment:  # a still-open in node
-                assignment[j] = best_scheme
+                best_scheme = s
+        idx[i] = best_scheme
+        for j in ins:
+            if idx[j] is None:  # a still-open in node
+                idx[j] = best_scheme
     for i in circuit.in_ids:  # ins nobody consumes
-        if i not in assignment:
-            assignment[i] = profile.schemes[0]
-    return OptimizeResult(
-        assignment, total_cost(circuit, assignment, profile), "bottom-up"
-    )
+        if idx[i] is None:
+            idx[i] = 0
+    return _result(compiled, idx, "bottom-up")
 
 
 def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -140,29 +167,31 @@ def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     so far. ``out`` nodes are skipped during the pass and finalized to
     their input's scheme at the end (which makes that edge free).
     """
-    assignment: Assignment = {}
+    compiled = Compiled(circuit, profile)
+    ct = compiled.ct
+    idx: list = [None] * len(circuit.nodes)
     for node in reversed(circuit.nodes):
         if node.op is OpKind.OUT:
             continue
+        i = node.id
+        row = compiled.op_t[i]
+        consumers = compiled.consumers[i]
         best_scheme = None
         best_cost = None
-        for scheme in profile.schemes_for(node.op):
-            p, n = profile.op_cost_cents(node.op, scheme)
-            cost = p + n
-            for c in circuit.consumer_edges[node.id]:
-                dst = assignment.get(c)
+        for s in compiled.cands[i]:
+            cost = row[s]
+            conv = ct[s]
+            for c in consumers:
+                dst = idx[c]
                 if dst is not None:
-                    cp, cn = profile.conv_cost_cents(scheme, dst)
-                    cost += cp + cn
+                    cost += conv[dst]
             if best_cost is None or cost < best_cost:
                 best_cost = cost
-                best_scheme = scheme
-        assignment[node.id] = best_scheme
+                best_scheme = s
+        idx[i] = best_scheme
     for i in circuit.out_ids:
-        assignment[i] = assignment[circuit.nodes[i].inputs[0]]
-    return OptimizeResult(
-        assignment, total_cost(circuit, assignment, profile), "top-down"
-    )
+        idx[i] = idx[compiled.inputs[i][0]]
+    return _result(compiled, idx, "top-down")
 
 
 def hill_climbing(
@@ -170,79 +199,69 @@ def hill_climbing(
     profile: CostProfile,
     init_scheme: str,
     limits: SolverLimits | None = None,
-    objective: str = "delta",
 ) -> OptimizeResult:
     """Local search from a uniform starting assignment.
 
     Every node starts on ``init_scheme`` (which must support all ops in
     the circuit). Sweeps visit nodes in ascending id order; a node moves
-    to the scheme minimizing the cost terms it participates in, and only
-    on strict improvement. The search stops after a sweep with no change
-    or after ``max_passes`` sweeps.
-
-    ``objective`` selects the per-node score:
-
-    * ``"delta"`` (default): operation cost, conversions from inputs and
-      conversions into consumers. A move then changes the circuit total
-      by exactly the score difference, so the total is non-increasing
-      across sweeps.
-    * ``"node"``: operation cost and input-side conversions only. Cheaper
-      per step but blind to the conversions a move inflicts on consumers,
-      so the total may go up; kept for comparison experiments.
+    to the scheme minimizing the cost terms it participates in (its
+    operation cost, conversions from its inputs and conversions into its
+    consumers), and only on strict improvement. A move then changes the
+    circuit total by exactly the score difference, so the total is
+    non-increasing across sweeps. The search stops after a sweep with no
+    change or after ``max_passes`` sweeps.
     """
-    if objective not in ("delta", "node"):
-        raise ValueError(f"unknown objective {objective!r}")
     limits = limits or SolverLimits()
-    _require_support(circuit, profile, init_scheme)
+    compiled = Compiled(circuit, profile)
+    init = _require_support(compiled, init_scheme)
     max_passes = limits.max_passes
     if max_passes is None:
         max_passes = max(1, len(circuit.nodes) * len(profile.schemes))
 
-    assignment: Assignment = {n.id: init_scheme for n in circuit.nodes}
-    consumers = circuit.consumer_edges
+    idx = [init] * len(circuit.nodes)
+    ct = compiled.ct
+    nodes = list(zip(
+        range(len(idx)), compiled.op_t, compiled.cands, compiled.inputs,
+        compiled.consumers,
+    ))
 
-    def score(node, scheme: str) -> float:
-        p, n = profile.op_cost_cents(node.op, scheme)
-        cost = p + n
-        for j in node.inputs:
-            cp, cn = profile.conv_cost_cents(assignment[j], scheme)
-            cost += cp + cn
-        if objective == "delta":
-            for c in consumers[node.id]:
-                cp, cn = profile.conv_cost_cents(scheme, assignment[c])
-                cost += cp + cn
+    def score(s: int, row, ins, consumers) -> float:
+        cost = row[s]
+        for j in ins:
+            cost += ct[idx[j]][s]
+        conv = ct[s]
+        for c in consumers:
+            cost += conv[idx[c]]
         return cost
 
-    sweep_totals = [total_cost(circuit, assignment, profile).total]
+    sweep_totals = [compiled.total(idx)]
     sweeps = 0
     limit_exceeded = False
     while True:
         sweeps += 1
         changed = False
-        for node in circuit.nodes:
-            current = assignment[node.id]
+        for i, row, cands, ins, consumers in nodes:
+            current = idx[i]
             best_scheme = current
-            best_cost = score(node, current)
-            for scheme in profile.schemes_for(node.op):
-                if scheme == current:
+            best_cost = score(current, row, ins, consumers)
+            for s in cands:
+                if s == current:
                     continue
-                cost = score(node, scheme)
+                cost = score(s, row, ins, consumers)
                 if cost < best_cost:
                     best_cost = cost
-                    best_scheme = scheme
+                    best_scheme = s
             if best_scheme != current:
-                assignment[node.id] = best_scheme
+                idx[i] = best_scheme
                 changed = True
-        sweep_totals.append(total_cost(circuit, assignment, profile).total)
+        sweep_totals.append(compiled.total(idx))
         if not changed:
             break
         if sweeps >= max_passes:
             limit_exceeded = True
             break
-    return OptimizeResult(
-        assignment,
-        total_cost(circuit, assignment, profile),
-        "hill-climbing",
+    return _result(
+        compiled, idx, "hill-climbing",
         iterations=sweeps,
         limit_exceeded=limit_exceeded,
         sweep_totals=tuple(sweep_totals),
@@ -259,10 +278,12 @@ def total_cents_vector(
 
     ``schemes`` has shape ``(k, m)`` holding a scheme index per node for
     each of ``k`` assignments (all must be feasible). The accumulation
-    order per assignment matches :func:`mpcost.cost_model.total_cost`
+    order per assignment matches :meth:`mpcost.cost_model.Compiled.total`
     term for term, so the results are bit-identical to the scalar path.
     """
-    op_p, op_n, conv_p, conv_n = profile.cent_tables()
+    import numpy as np
+
+    op_p, op_n, conv_p, conv_n = (np.array(t) for t in profile.cent_tables())
     k = schemes.shape[0]
     tc = np.zeros(k)
     tn = np.zeros(k)
@@ -298,6 +319,8 @@ def _in_objective(conv_total: np.ndarray, targets) -> np.ndarray:
     them (arrays share one length ``k``); the result has shape
     ``(n_schemes, k)``, or ``(n_schemes, 1)`` when all are scalars.
     """
+    import numpy as np
+
     acc = np.zeros((conv_total.shape[0], 1))
     for t in targets:
         acc = acc + conv_total[:, np.atleast_1d(t)]
@@ -317,6 +340,8 @@ def _full_rows(
     consumers (scheme 0 when it has none), each ``out`` node the first
     scheme minimizing its incoming conversion.
     """
+    import numpy as np
+
     rows = np.zeros((op_schemes.shape[0], len(circuit.nodes)), dtype=np.int64)
     rows[:, list(circuit.op_node_ids)] = op_schemes
     for i, edges in in_edges:
@@ -362,14 +387,17 @@ def exhaustive_optimal(
     nodes = circuit.nodes
     op_ids = circuit.op_node_ids
     domains = [
-        np.array([profile.scheme_index[s] for s in profile.schemes_for(nodes[i].op)])
+        [profile.scheme_index[s] for s in profile.schemes_for(nodes[i].op)]
         for i in op_ids
     ]
-    space = prod(len(d) for d in domains)
+    space = math.prod(len(d) for d in domains)
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
 
-    op_p, op_n, conv_p, conv_n = profile.cent_tables()
+    import numpy as np  # only the enumeration needs it
+
+    domains = [np.array(d) for d in domains]
+    op_p, op_n, conv_p, conv_n = (np.array(t) for t in profile.cent_tables())
     op_total = op_p + op_n
     conv_total = conv_p + conv_n
     position = {node_id: p for p, node_id in enumerate(op_ids)}
@@ -440,7 +468,7 @@ def exhaustive_optimal(
     base = np.zeros(block)
     per_chunk = []
     for (touches_high, grid_ps), group in groups.items():
-        size = prod(len(domains[p]) for p in grid_ps)
+        size = math.prod(len(domains[p]) for p in grid_ps)
         cells = np.arange(size)
         grid_schemes, index, stride = {}, None, size
         for p in grid_ps:
@@ -455,9 +483,9 @@ def exhaustive_optimal(
             base += cost if index is None else cost[index]
 
     n_addends = 2 * (len(op_ids) + sum(len(nodes[i].inputs) for i in op_ids))
-    band = 1.0 + 8 * n_addends * np.finfo(float).eps
+    band = 1.0 + 8 * n_addends * sys.float_info.epsilon
     batch = max(1, _ROW_CELLS // len(nodes))
-    fast_min = np.inf
+    fast_min = math.inf
     best_total = None
     best_row = None
     for chunk in range(space // block):
@@ -508,19 +536,17 @@ def best_of(
 
     Candidates, in tie-break order: a fixed assignment for each scheme
     that supports every operation in the circuit, bottom-up, top-down,
-    and hill climbing. Hill climbing starts from ``hill_init``; the
-    default is ``"yao"`` when it covers the circuit, otherwise the first
-    declared scheme that does. The winning candidate's result (including
-    its ``heuristic`` label) is returned unchanged.
+    and hill climbing. Hill climbing starts from ``hill_init``, by default
+    :func:`default_scheme`. The winning candidate's result (including its
+    ``heuristic`` label) is returned unchanged.
     """
     limits = limits or SolverLimits()
-    circuit_ops = circuit.ops_present()
-    universal = profile.universal_schemes(circuit_ops)
+    universal = profile.universal_schemes(circuit.ops_present())
     results = [fixed_sharing(circuit, profile, s) for s in universal]
     results.append(bottom_up(circuit, profile))
     results.append(top_down(circuit, profile))
     if hill_init is None:
-        hill_init = "yao" if "yao" in universal else universal[0]
+        hill_init = default_scheme(circuit, profile)
     results.append(hill_climbing(circuit, profile, hill_init, limits))
     best = results[0]
     for r in results[1:]:

@@ -233,3 +233,19 @@ def test_parse_rejects_unknown_keys():
 def test_parse_rejects_malformed_json():
     with pytest.raises(ParseError):
         circuit_from_json("{not json")
+
+
+@pytest.mark.parametrize("field", ["bitwidth", "id", "inputs"])
+def test_parse_rejects_bools_posing_as_ints(field):
+    doc = {"bitwidth": 32, "nodes": [
+        {"id": 0, "op": "in", "inputs": []},
+        {"id": 1, "op": "out", "inputs": [0]},
+    ]}
+    if field == "bitwidth":
+        doc["bitwidth"] = True
+    elif field == "id":
+        doc["nodes"][0]["id"] = False
+    else:
+        doc["nodes"][1]["inputs"] = [False]
+    with pytest.raises(ParseError):
+        circuit_from_json(json.dumps(doc))

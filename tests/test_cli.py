@@ -363,3 +363,47 @@ def test_no_command_exits_1(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert "usage" in err
+
+
+def _no_yao_profile(tmp_path):
+    """A derived profile without yao: arithmetic runs add/mul only,
+    boolean runs everything."""
+    from mpcost import PriceSpec, RawMeasurement, derive_profile, save_profile
+    from mpcost.circuit import COMPUTE_OPS, OpKind
+
+    ms = [RawMeasurement.for_op(op, "boolean", 1.0, 100) for op in COMPUTE_OPS]
+    ms += [RawMeasurement.for_op(op, "arithmetic", 0.5, 0)
+           for op in (OpKind.ADD, OpKind.MUL)]
+    ms += [RawMeasurement.for_conversion("arithmetic", "boolean", 0.1, 10),
+           RawMeasurement.for_conversion("boolean", "arithmetic", 0.1, 10)]
+    path = tmp_path / "ab.json"
+    save_profile(derive_profile(ms, PriceSpec(7.0, 7.0, 6.5), "ab"), path)
+    return str(path)
+
+
+def test_compare_without_yao_uses_the_first_universal_scheme(capsys, tmp_path):
+    profile = _no_yao_profile(tmp_path)
+    mm2 = tmp_path / "mm2.json"
+    save_circuit(gen_matmul(MatMulSpec(2)), mm2)
+    bio = tmp_path / "bio.json"
+    save_circuit(gen_biometric(BiometricSpec(2, 2)), bio)
+    # arithmetic covers matmul's add/mul; biometric needs boolean
+    for path, baseline in ((mm2, "arithmetic"), (bio, "boolean")):
+        code, out, err = run(capsys, "compare", str(path), profile, "--json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert rows[0]["heuristic"] == f"pure-{baseline}"
+        assert rows[0]["reduction"] == 0.0
+        code, out, _ = run(capsys, "compare", str(path), profile)
+        assert code == 0
+        assert f"vs pure-{baseline}" in out
+        code, out, err = run(
+            capsys, "optimize", str(path), profile, "--heuristic", "pure", "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["heuristic"] == f"fixed:{baseline}"
+        for heuristic in ("hill", "best"):
+            code, _, err = run(
+                capsys, "optimize", str(path), profile, "--heuristic", heuristic
+            )
+            assert code == 0, err

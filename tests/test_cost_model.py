@@ -21,7 +21,7 @@ from mpcost import (
     total_cost,
 )
 from mpcost.circuit import COMPUTE_OPS
-from mpcost.cost_model import CostProfile
+from mpcost.cost_model import CostProfile, measurements_from_json, prices_from_json
 from mpcost.errors import (
     DuplicateMeasurement,
     InfeasibleAssignment,
@@ -321,3 +321,49 @@ def test_derive_profile_rejects_duplicates_and_negatives():
 def test_derive_profile_empty_measurements_fail_validation():
     with pytest.raises(NoUniversalScheme):
         derive_profile([], PriceSpec(7.0, 7.0, 6.5), "empty")
+
+
+# --- measurement and price files ---------------------------------------------------
+
+_PRICES = {"vm_rate_a": 7.0, "vm_rate_b": 7.0, "net_rate": 6.5}
+
+
+@pytest.mark.parametrize("key", ["vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true"])
+def test_prices_reject_non_finite_and_bool_values(key, value):
+    fields = {k: json.dumps(v) for k, v in _PRICES.items()}
+    fields[key] = value
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    with pytest.raises(ParseError):
+        prices_from_json(text)
+
+
+def test_prices_accept_integral_gb_bytes():
+    assert prices_from_json(json.dumps({**_PRICES, "gb_bytes": 1e9})).gb_bytes == 10**9
+    with pytest.raises(ParseError):
+        prices_from_json(json.dumps({**_PRICES, "gb_bytes": 1.5}))
+    with pytest.raises(ParseError, match="net_rate"):
+        prices_from_json(json.dumps({"vm_rate_a": 7.0, "vm_rate_b": 7.0}))
+
+
+@pytest.mark.parametrize("key", ["seconds_per_op", "bytes_per_op"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true"])
+def test_measurements_reject_non_finite_and_bool_values(key, value):
+    fields = {"seconds_per_op": "1.0", "bytes_per_op": "100"}
+    fields[key] = value
+    text = (
+        '{"measurements": [{"op": "add", "scheme": "y", '
+        + ", ".join(f'"{k}": {v}' for k, v in fields.items())
+        + "}]}"
+    )
+    with pytest.raises(ParseError):
+        measurements_from_json(text)
+
+
+def test_direct_construction_rejects_non_finite_inputs():
+    with pytest.raises(ParseError):
+        RawMeasurement.for_op(OpKind.ADD, "y", math.nan, 0.0)
+    with pytest.raises(ParseError):
+        RawMeasurement.for_conversion("a", "y", 1.0, math.inf)
+    with pytest.raises(ParseError):
+        PriceSpec(7.0, math.nan, 6.5)

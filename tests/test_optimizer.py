@@ -204,17 +204,6 @@ def test_hill_climbing_pass_cap_sets_flag(inter_m3_medium):
     assert check_feasible(c, capped.assignment, inter_m3_medium) == []
 
 
-def test_hill_climbing_node_objective_variant(inter_m3_medium):
-    # the reduced per-node objective ignores consumer-side conversions;
-    # it must still terminate and return a feasible assignment
-    for seed in range(10):
-        c = gen_random(seed, n_ops=6)
-        result = hill_climbing(c, inter_m3_medium, "yao", objective="node")
-        assert check_feasible(c, result.assignment, inter_m3_medium) == []
-    with pytest.raises(ValueError):
-        hill_climbing(c, inter_m3_medium, "yao", objective="bogus")
-
-
 # --- exhaustive --------------------------------------------------------------------
 
 
