@@ -4,8 +4,8 @@ secure computation circuits.
 The package models a protocol as a DAG of word-level operations, prices
 each (operation, scheme) pair and each scheme conversion with a cost
 profile, and searches for the node-to-scheme assignment with the lowest
-total monetary cost. Several heuristics and an exact enumeration solver
-are provided, together with bundled cloud-derived profiles and the
+total monetary cost. Several heuristics and an exact solver for small
+circuits are provided, together with bundled cloud-derived profiles and the
 case-study circuit generators.
 """
 

@@ -16,7 +16,8 @@ like any other node.
 Strategies price many assignments of one circuit, so they first compile
 the circuit and the profile into a :class:`Compiled` form: plain Python
 float rows per node and conversion matrices, indexed by scheme position.
-Only the exact solver needs numpy, and it imports it itself.
+:meth:`Compiled.total` is the one evaluator of a total that every
+strategy, the exact solver included, scores assignments with.
 
 All cost functions are pure and profiles are immutable, so everything
 here is safe for concurrent use.
@@ -216,11 +217,6 @@ class CostProfile:
         order. Unsupported pairs hold ``inf``. Treat as read-only.
         """
         return self._tables
-
-    @staticmethod
-    def op_row(op: OpKind) -> int:
-        """Row index of ``op`` inside the cent tables."""
-        return _OP_INDEX[op]
 
 
 # --- per-node and total cost ------------------------------------------------

@@ -104,7 +104,7 @@ def _log10_floor(n: int) -> int:
 
 
 class SearchSpaceTooLarge(MpcostError):
-    """The exhaustive solver's enumeration space exceeds the configured cap."""
+    """The exhaustive solver's search space exceeds the configured cap."""
 
     def __init__(self, space: int, max_space: int):
         shown = str(space) if space < 10**15 else f"about 10^{_log10_floor(space)}"

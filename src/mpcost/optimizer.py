@@ -2,13 +2,13 @@
 
 Four heuristics (fixed scheme, bottom-up, top-down, hill climbing), a
 meta-selector that keeps the cheapest of their results, and an exact
-enumeration solver that serves as the correctness oracle on small
-circuits.
+solver (variable elimination plus a bounded depth-first search) that
+serves as the correctness oracle on small circuits.
 
-The heuristics work on scheme indices over a
-:class:`mpcost.cost_model.Compiled` form of the circuit and profile.
-Only the exact solver uses numpy, and it imports it once the search
-space has passed its cap.
+Every strategy works on scheme indices over a
+:class:`mpcost.cost_model.Compiled` form of the circuit and profile, in
+plain Python, and scores assignments with its one evaluator,
+:meth:`~mpcost.cost_model.Compiled.total`.
 
 Determinism: every strategy breaks ties the same way, schemes in the
 profile's declaration order first, then ascending node id. Reports sum
@@ -18,10 +18,10 @@ their terms in one fixed order, so totals from different strategies
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .circuit import Circuit, OpKind
 from .cost_model import (
@@ -33,15 +33,12 @@ from .cost_model import (
 )
 from .errors import SearchSpaceTooLarge, UnsupportedScheme
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 @dataclass(frozen=True)
 class SolverLimits:
     """Caps that keep the solvers bounded.
 
-    ``max_space`` limits the exact solver's enumeration (the product of
+    ``max_space`` limits the exact solver's search space (the product of
     the candidate-scheme counts over the priced nodes). ``max_passes``
     caps hill-climbing sweeps; ``None`` means ``m * len(schemes)``.
     """
@@ -271,86 +268,9 @@ def hill_climbing(
 # --- exact solver ------------------------------------------------------------
 
 
-def total_cents_vector(
-    circuit: Circuit, profile: CostProfile, schemes: np.ndarray
-) -> np.ndarray:
-    """Total cost in cents for a batch of assignments.
-
-    ``schemes`` has shape ``(k, m)`` holding a scheme index per node for
-    each of ``k`` assignments (all must be feasible). The accumulation
-    order per assignment matches :meth:`mpcost.cost_model.Compiled.total`
-    term for term, so the results are bit-identical to the scalar path.
-    """
-    import numpy as np
-
-    op_p, op_n, conv_p, conv_n = (np.array(t) for t in profile.cent_tables())
-    k = schemes.shape[0]
-    tc = np.zeros(k)
-    tn = np.zeros(k)
-    for node in circuit.nodes:
-        gi = schemes[:, node.id]
-        row = profile.op_row(node.op)
-        cc = np.zeros(k)
-        cn = np.zeros(k)
-        for j in node.inputs:
-            gj = schemes[:, j]
-            cc = cc + conv_p[gj, gi]
-            cn = cn + conv_n[gj, gi]
-        tc = tc + op_p[row, gi]
-        tc = tc + cc
-        tn = tn + op_n[row, gi]
-        tn = tn + cn
-    return tc + tn
-
-
-#: Rows of the search space the exact solver scores together. Its arrays
-#: are sized by this, not by the search space.
-_CHUNK_ROWS = 1 << 16
-#: Cells of the ``(rows, nodes)`` scheme matrix rebuilt at once for the
-#: rows that the exact solver rescores, so circuits with many free in/out
-#: nodes stay within the same bound.
-_ROW_CELLS = 1 << 20
-
-
-def _in_objective(conv_total: np.ndarray, targets) -> np.ndarray:
-    """Summed conversion cost out of an ``in`` node under each scheme.
-
-    ``targets`` holds, per consuming edge, a scheme index or an array of
-    them (arrays share one length ``k``); the result has shape
-    ``(n_schemes, k)``, or ``(n_schemes, 1)`` when all are scalars.
-    """
-    import numpy as np
-
-    acc = np.zeros((conv_total.shape[0], 1))
-    for t in targets:
-        acc = acc + conv_total[:, np.atleast_1d(t)]
-    return acc
-
-
-def _full_rows(
-    circuit: Circuit,
-    conv_total: np.ndarray,
-    in_edges: list[tuple[int, list[int]]],
-    op_schemes: np.ndarray,
-) -> np.ndarray:
-    """Complete rows of priced-node schemes with the best in/out schemes.
-
-    ``op_schemes`` has shape ``(k, n_priced)``. Each ``in`` node takes the
-    first scheme minimizing its summed conversions into its non-``out``
-    consumers (scheme 0 when it has none), each ``out`` node the first
-    scheme minimizing its incoming conversion.
-    """
-    import numpy as np
-
-    rows = np.zeros((op_schemes.shape[0], len(circuit.nodes)), dtype=np.int64)
-    rows[:, list(circuit.op_node_ids)] = op_schemes
-    for i, edges in in_edges:
-        objective = _in_objective(conv_total, [rows[:, c] for c in edges])
-        rows[:, i] = np.argmin(objective, axis=0)  # first minimum wins
-    for i in circuit.out_ids:
-        src = rows[:, circuit.nodes[i].inputs[0]]
-        rows[:, i] = np.argmin(conv_total[src, :], axis=1)
-    return rows
+def _first_min(values) -> int:
+    """Position of the first smallest of ``values``."""
+    return min(range(len(values)), key=values.__getitem__)
 
 
 def exhaustive_optimal(
@@ -358,166 +278,226 @@ def exhaustive_optimal(
     profile: CostProfile,
     limits: SolverLimits | None = None,
 ) -> OptimizeResult:
-    """Exact minimum-cost assignment by enumeration.
+    """Exact minimum-cost assignment.
 
-    The enumeration ranges over the priced nodes only: ``in`` and ``out``
-    nodes are free under every scheme and their cost terms touch nothing
-    but their own edges, so for any fixed choice on the priced nodes each
-    of them can be settled independently and exactly (an ``in`` node
-    minimizes its summed conversions into consumers, an ``out`` node its
-    single incoming conversion). The search-space size checked against
-    ``max_space`` is therefore the product of candidate counts over
-    priced nodes, e.g. ``3**k`` for ``k`` add/mul nodes under the bundled
-    profiles.
+    Contract. A full row holds a scheme index per node id. For each choice
+    of schemes on the priced nodes, the row is completed by settling every
+    ``in`` node to the first scheme minimizing its summed conversions into
+    its non-``out`` consumers (in edge order; scheme 0 when it has none),
+    then every ``out`` node to the first scheme minimizing its incoming
+    conversion. In/out nodes cost nothing themselves and touch only their
+    own edges, so the cheapest such row costs the minimum of
+    :meth:`~mpcost.cost_model.Compiled.total` over every feasible full
+    assignment. That row is the result; ties go to the lexicographically
+    first row (scheme index, node 0 first). The search space checked
+    against ``max_space``, before any other work, is the product of the
+    candidate counts over the priced nodes, e.g. ``3**k`` for ``k``
+    add/mul nodes under the bundled profiles.
 
-    The space is scanned in chunks of at most ``_CHUNK_ROWS`` rows, so
-    memory stays bounded and only the time grows with the space. A fast
-    total sums the factored cost terms: each priced node's operation, each
-    edge between priced nodes, and each ``in`` node's cheapest fan-out.
-    Both it and :func:`total_cents_vector` are float sums of the same
-    ``N`` non-negative addends, each within a relative ``N * eps`` of the
-    exact sum, so every row whose exact total ties the minimum has a fast
-    total within ``1 + 8 * N * eps`` of the smallest fast total. Only
-    those rows are rebuilt in full and rescored exactly.
+    Method. The variables are the priced nodes with more than one
+    candidate, in id order, each followed by the ``in`` nodes it is the
+    first such consumer of; every other node is settled up front. The
+    cost is a sum of factors: each priced node's operation and each
+    conversion into a priced node (``out`` nodes settle at no cost).
+    Min-sum variable elimination, last variable first, gives the exact
+    cost-to-go of every prefix: the factors whose last variable lies in it
+    plus the messages that later variables sent into it. An ``in`` node
+    placed right after its first consumer is absorbed into the messages of
+    its later consumers one at a time, so no table grows with its fan-out.
+    A depth-first search extends the prefix cheapest bound first, drops an
+    ``in`` node's branch once its consumers are set and it is not the
+    settled scheme (so each row is reached once), and scores each leaf row
+    with ``Compiled.total``.
 
-    Ties are broken lexicographically: schemes in declaration order,
-    nodes by ascending id.
+    Pruning. Prices are non-negative, and rounded ``+`` and ``min`` are
+    monotone. A subtree's float bound ``b`` is thus at most the float sum
+    of the factors of any row ``r`` in it, within ``1 + N*eps`` of the
+    exact sum of the ``N`` addends of ``Compiled.total(r)``, which is
+    itself within ``1 + N*eps`` of that exact sum. So ``b > best * band``
+    with ``band = 1 + 8*N*eps`` (slack included for rounding the product)
+    proves that every row in the subtree costs more than the incumbent
+    ``best``, and the subtree goes. Otherwise a subtree goes when a key
+    no row in it can undercut is not below the incumbent's
+    ``(total, row)``: the key's total runs ``Compiled.total``'s own float
+    sums over each addend's least possible value, and its row takes each
+    node's least possible scheme. This settles degenerate ties, such as an
+    all-zero profile, without visiting every tied row.
     """
     limits = limits or SolverLimits()
     nodes = circuit.nodes
-    op_ids = circuit.op_node_ids
-    domains = [
-        [profile.scheme_index[s] for s in profile.schemes_for(nodes[i].op)]
-        for i in op_ids
-    ]
-    space = math.prod(len(d) for d in domains)
+    space = math.prod(
+        len(profile.schemes_for(nodes[i].op)) for i in circuit.op_node_ids
+    )
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
 
-    import numpy as np  # only the enumeration needs it
+    compiled = Compiled(circuit, profile)
+    ct, inputs, cands = compiled.ct, compiled.inputs, compiled.cands
+    # The current path's row; nodes that are no variable keep their scheme.
+    row = [cands[i][0] for i in range(len(nodes))]
+    free = {p for p in circuit.op_node_ids if len(cands[p]) > 1}
+    fanout = {}  # in node -> its non-out consumers, one per edge, ascending
 
-    domains = [np.array(d) for d in domains]
-    op_p, op_n, conv_p, conv_n = (np.array(t) for t in profile.cent_tables())
-    op_total = op_p + op_n
-    conv_total = conv_p + conv_n
-    position = {node_id: p for p, node_id in enumerate(op_ids)}
-    in_edges = []
+    def settle(i: int) -> int:
+        """The scheme ``in`` node ``i`` settles to under the current row."""
+        objective = []
+        for conv in ct:
+            cost = 0.0
+            for c in fanout[i]:
+                cost += conv[row[c]]
+            objective.append(cost)
+        return _first_min(objective)
+
+    order = []  # the variables' node ids
     for i in circuit.in_ids:
-        edges = [
-            c for c in circuit.consumer_edges[i] if nodes[c].op is not OpKind.OUT
-        ]
-        if edges:
-            in_edges.append((i, edges))
+        fanout[i] = [c for c in compiled.consumers[i] if nodes[c].op is not OpKind.OUT]
+        row[i] = settle(i) if fanout[i] else 0
+    for p in circuit.op_node_ids:
+        if p in free:
+            order.append(p)
+            order += sorted({
+                i for i in inputs[p]
+                if i in fanout and min(set(fanout[i]) & free) == p
+            })
+    pos = {node: v for v, node in enumerate(order)}
+    dom = [cands[node] for node in order]
+    n = len(order)
+    a = [0] * n  # per variable, the position of its scheme in its domain
 
-    # The row index is mixed-radix over the priced nodes with more than one
-    # candidate, the lowest id most significant. Its trailing ("low")
-    # digits whose radix product fits a chunk are scanned inside each
-    # chunk; the leading ("high") digits stay fixed within a chunk.
-    free = [p for p, d in enumerate(domains) if len(d) > 1]
-    block, n_low = 1, 0
-    for p in reversed(free):
-        if block * len(domains[p]) > _CHUNK_ROWS:
-            break
-        block *= len(domains[p])
-        n_low += 1
-    high, low = free[: len(free) - n_low], free[len(free) - n_low :]
-    low_stride = {}
-    stride = block
-    for p in low:
-        stride //= len(domains[p])
-        low_stride[p] = stride
+    def factor(scope: tuple, table: list) -> tuple:
+        strides, size = [], 1
+        for v in reversed(scope):
+            strides.insert(0, size)
+            size *= len(dom[v])
+        return scope, strides, table
 
-    def low_digits(p, rows):
-        return (rows // low_stride[p]) % len(domains[p])
+    def value(f: tuple) -> float:
+        scope, strides, table = f
+        k = 0
+        for v, stride in zip(scope, strides):
+            k += a[v] * stride
+        return table[k]
 
-    # The cost terms, as (kind, positions of the priced nodes, op row).
-    terms = []
-    for i in op_ids:
-        terms.append(("op", (position[i],), profile.op_row(nodes[i].op)))
-        for j in nodes[i].inputs:
-            if j in position:
-                terms.append(("conv", (position[j], position[i]), None))
-    for _, edges in in_edges:
-        terms.append(("in", tuple(position[c] for c in edges), None))
+    def spread(f: tuple, joint: tuple) -> list:
+        """``f``'s table laid out over ``joint``, a superset of its scope."""
+        where = dict(zip(f[0], f[1]))
+        offsets = [0]
+        for w in joint:
+            steps = [k * where.get(w, 0) for k in range(len(dom[w]))]
+            offsets = [o + step for o in offsets for step in steps]
+        return [f[2][o] for o in offsets]
 
-    schemes: list = [int(d[0]) for d in domains]  # high digits are set per chunk
+    own = [[] for _ in range(n)]  # the cost's factors, by last variable
+    fixed_cost = 0.0  # the factors without a variable
 
-    def group_cost(group, grid_schemes):
-        total = 0.0
-        for kind, ps, row in group:
-            s = [grid_schemes.get(p, schemes[p]) for p in ps]
-            if kind == "op":
-                total = total + op_total[row, s[0]]
-            elif kind == "conv":
-                total = total + conv_total[s[0], s[1]]
-            else:
-                total = total + _in_objective(conv_total, s).min(axis=0)
-        return total
-
-    # Terms grouped by whether they touch a high digit and by the low
-    # digits they touch. A group's cost is tabulated over the joint grid
-    # of its low digits and gathered into the block's rows by grid index;
-    # groups without high digits are summed once, the others per chunk.
-    high_set, low_set = set(high), set(low)
-    groups: dict[tuple[bool, tuple[int, ...]], list] = {}
-    for kind, ps, row in terms:
-        key = (not high_set.isdisjoint(ps), tuple(sorted(low_set.intersection(ps))))
-        groups.setdefault(key, []).append((kind, ps, row))
-
-    local = np.arange(block)
-    base = np.zeros(block)
-    per_chunk = []
-    for (touches_high, grid_ps), group in groups.items():
-        size = math.prod(len(domains[p]) for p in grid_ps)
-        cells = np.arange(size)
-        grid_schemes, index, stride = {}, None, size
-        for p in grid_ps:
-            stride //= len(domains[p])
-            grid_schemes[p] = domains[p][(cells // stride) % len(domains[p])]
-            digits = low_digits(p, local) * stride
-            index = digits if index is None else index + digits
-        if touches_high:
-            per_chunk.append((group, grid_schemes, index))
+    def term(cell, *members) -> None:
+        nonlocal fixed_cost
+        options = [dom[pos[x]] if x in pos else (row[x],) for x in members]
+        table = [cell(*args) for args in itertools.product(*options)]
+        scope = tuple(pos[x] for x in members if x in pos)
+        if scope:
+            own[max(scope)].append(factor(scope, table))
         else:
-            cost = group_cost(group, grid_schemes)
-            base += cost if index is None else cost[index]
+            fixed_cost += table[0]
 
-    n_addends = 2 * (len(op_ids) + sum(len(nodes[i].inputs) for i in op_ids))
+    for p in circuit.op_node_ids:
+        term(compiled.op_t[p].__getitem__, p)
+        for j in inputs[p]:
+            term(lambda s, t: ct[s][t], j, p)
+
+    # Eliminate the last variable first; it is the largest in every scope
+    # in its bucket. A message belongs to the cost-to-go at every depth from
+    # its scope's last variable (or 0) up to, not including, its sender.
+    inbox = [list(fs) for fs in own]
+    togo = [[] for _ in range(n)]
+    for v in reversed(range(n)):
+        scope = tuple(sorted({w for f in inbox[v] for w in f[0]} - {v}))
+        joint = scope + (v,)
+        total = spread(inbox[v][0], joint)
+        for f in inbox[v][1:]:
+            total = [x + y for x, y in zip(total, spread(f, joint))]
+        m = len(dom[v])
+        message = factor(scope, [min(total[k:k + m]) for k in range(0, len(total), m)])
+        if scope:
+            inbox[scope[-1]].append(message)
+        for d in range(scope[-1] if scope else 0, v):
+            togo[d].append(message)
+
+    n_addends = 2 * (len(nodes) + sum(map(len, inputs)))
     band = 1.0 + 8 * n_addends * sys.float_info.epsilon
-    batch = max(1, _ROW_CELLS // len(nodes))
-    fast_min = math.inf
-    best_total = None
-    best_row = None
-    for chunk in range(space // block):
-        rest = chunk
-        for p in reversed(high):
-            rest, digit = divmod(rest, len(domains[p]))
-            schemes[p] = int(domains[p][digit])
-        fast = base.copy()
-        for group, grid_schemes, index in per_chunk:
-            cost = group_cost(group, grid_schemes)
-            fast += cost if index is None else cost[index]
-        fast_min = min(fast_min, float(fast.min()))
-        near = np.flatnonzero(fast <= fast_min * band)
-        for start in range(0, len(near), batch):
-            picked = near[start : start + batch]
-            op_schemes = np.empty((len(picked), len(op_ids)), dtype=np.int64)
-            for p, d in enumerate(domains):
-                if p in low_set:
-                    op_schemes[:, p] = d[low_digits(p, picked)]
-                else:
-                    op_schemes[:, p] = schemes[p]
-            rows = _full_rows(circuit, conv_total, in_edges, op_schemes)
-            totals = total_cents_vector(circuit, profile, rows)
-            lowest = totals.min()
-            if best_total is not None and lowest > best_total:
-                continue
-            ties = rows[totals == lowest]
-            row = ties[np.lexsort(ties[:, ::-1].T)[0]].tolist()  # node 0 first
-            if best_total is None or lowest < best_total or row < best_row:
-                best_total, best_row = lowest, row
+    checks = [[] for _ in range(n)]  # in nodes to test once a depth is set
+    for i in order:
+        if i in fanout:
+            checks[max(pos[c] for c in [i, *fanout[i]] if c in pos)].append(i)
+    every = tuple(range(len(profile.schemes)))
+    best_total, best_row = math.inf, None
 
-    assignment = {i: profile.schemes[s] for i, s in enumerate(best_row)}
+    def expand(d: int, path_cost: float) -> list:
+        """Children of variable ``d`` as ``(bound, position, path cost)``,
+        cheapest last."""
+        children = []
+        for k, s in enumerate(dom[d]):
+            a[d] = k
+            row[order[d]] = s
+            if all(row[i] == settle(i) for i in checks[d]):
+                cost = path_cost
+                for f in own[d]:
+                    cost += value(f)
+                bound = cost
+                for f in togo[d]:
+                    bound += value(f)
+                children.append((bound, k, cost))
+        children.sort(reverse=True)
+        return children
+
+    def lower_key(d: int) -> tuple:
+        """``(total, row)`` no row below the depth-``d`` path undercuts."""
+        options = [(s,) for s in row]
+        for v in range(d + 1, n):
+            options[order[v]] = dom[v]
+        for o in circuit.out_ids:
+            src = inputs[o][0]
+            known = pos.get(src, -1) <= d
+            options[o] = (_first_min(ct[row[src]]),) if known else every
+        tc = 0.0
+        tn = 0.0
+        for opts, rp, rn, ins in zip(options, compiled.op_p, compiled.op_n, inputs):
+            conv_p = 0.0
+            conv_n = 0.0
+            for j in ins:
+                conv_p += min(compiled.cp[r][s] for r in options[j] for s in opts)
+                conv_n += min(compiled.cn[r][s] for r in options[j] for s in opts)
+            tc += min(rp[s] for s in opts)
+            tc += conv_p
+            tn += min(rn[s] for s in opts)
+            tn += conv_n
+        return tc + tn, [opts[0] for opts in options]
+
+    stack = [expand(0, fixed_cost)] if n else [[(fixed_cost, 0, fixed_cost)]]
+    while stack:
+        d = len(stack) - 1
+        if not stack[-1]:
+            stack.pop()
+            continue
+        bound, k, cost = stack[-1].pop()
+        if bound > best_total * band:
+            stack.pop()  # its remaining siblings cost at least as much
+            continue
+        if n:
+            a[d] = k
+            row[order[d]] = dom[d][k]
+        if best_row is not None and lower_key(d) >= (best_total, best_row):
+            continue
+        if d + 1 < n:
+            stack.append(expand(d + 1, cost))
+        else:
+            for o in circuit.out_ids:
+                row[o] = _first_min(ct[row[inputs[o][0]]])
+            total = compiled.total(row)
+            if best_row is None or (total, row) < (best_total, best_row):
+                best_total, best_row = total, row[:]
+
+    assignment = compiled.assignment(best_row)
     return OptimizeResult(
         assignment, total_cost(circuit, assignment, profile), "exhaustive"
     )

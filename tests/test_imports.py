@@ -1,8 +1,8 @@
-"""numpy stays off the start-up path.
+"""mpcost never loads numpy.
 
-Only the exact solver's enumeration uses numpy, and it imports it after
-the search-space check. Each case runs in a fresh interpreter, so no
-earlier import in the test session can hide a module-level one.
+Every strategy, the exact solver included, runs in plain Python. Each
+case runs in a fresh interpreter, so no earlier import in the test session
+can hide a module-level one; one case makes ``import numpy`` fail outright.
 """
 
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mpcost import MatMulSpec, gen_matmul, save_circuit
+from mpcost import MatMulSpec, OpKind, gen_chain, gen_matmul, save_circuit
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,12 +59,38 @@ def run_child(case, circuit, tmp_path):
 
 @pytest.mark.parametrize(
     "case, code",
-    [("import", None), ("optimize", 0), ("compare", 0), ("exact-over-cap", 3)],
+    [("import", None), ("optimize", 0), ("compare", 0), ("exact-over-cap", 3),
+     ("exact", 0)],
 )
 def test_numpy_is_not_loaded(case, code, matmul5, tmp_path):
     assert run_child(case, matmul5, tmp_path) == {"code": code, "numpy": False}
 
 
-def test_the_enumerator_loads_numpy(matmul5, tmp_path):
-    # the control case: the child does see numpy once it is imported
-    assert run_child("exact", matmul5, tmp_path) == {"code": 0, "numpy": True}
+WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import mpcost, mpcost.cli
+from mpcost import exhaustive_optimal, load_builtin, load_circuit
+
+path, out = sys.argv[1:]
+codes = [mpcost.cli.main([cmd, path, "inter-m3.medium", "--json", "--out", out])
+         for cmd in ("optimize", "compare")]
+codes.append(mpcost.cli.main(["optimize", path, "inter-m3.medium",
+                              "--heuristic", "exhaustive", "--out", out]))
+exhaustive_optimal(load_circuit(path), load_builtin("inter-m3.medium"))
+print(codes)
+"""
+
+
+def test_runs_where_numpy_cannot_be_imported(tmp_path):
+    # an exact-small circuit: compare runs the exact solver on it
+    path = tmp_path / "chain.json"
+    save_circuit(gen_chain(OpKind.ADD, 12), path)
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, str(path), str(tmp_path / "out.json")],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0]"]

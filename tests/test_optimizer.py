@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,6 @@ from mpcost.casegen import BiometricSpec
 from mpcost.circuit import COMPUTE_OPS
 from mpcost.cost_model import CostProfile
 from mpcost.errors import SearchSpaceTooLarge, UnsupportedScheme
-from mpcost.optimizer import _CHUNK_ROWS, total_cents_vector
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 
 
@@ -259,10 +257,10 @@ def _uniform_profile(like, cost):
     )
 
 
-def test_exhaustive_all_zero_costs_pick_the_first_assignment(inter_m3_medium):
-    # every one of the 3**12 rows ties at zero, across several chunks
-    c = gen_chain(OpKind.ADD, 12)
-    assert 3**12 > 2 * _CHUNK_ROWS
+@pytest.mark.parametrize("length", [12, 14])
+def test_exhaustive_all_zero_costs_pick_the_first_assignment(inter_m3_medium, length):
+    # every one of the 3**length rows ties at zero
+    c = gen_chain(OpKind.ADD, length)
     zero = _uniform_profile(inter_m3_medium, 0.0)
     result = exhaustive_optimal(c, zero)
     assert result.report.total == 0.0
@@ -303,15 +301,106 @@ def test_exhaustive_keeps_ties_that_rounding_splits(inter_m3_medium):
     assert got.assignment == want_asg
 
 
-def test_exhaustive_memory_is_bounded(inter_m3_medium):
-    c = gen_chain(OpKind.ADD, 12)  # 3**12 rows of 26 nodes
+def test_exhaustive_prunes_only_outside_the_rounding_band(inter_m3_medium):
+    # All-boolean and all-yao both cost 7 tenths of a cent. Summed as
+    # floats, all-boolean reads 0.7000000000000001 and all-yao 0.7, and the
+    # search's bound for the yao subtree rounds above 0.7000000000000001:
+    # a solver that prunes on the bare float comparison keeps all-boolean.
+    c = build([("in", []), ("in", []), ("eq", [0, 0]), ("sub", [1, 2]), ("out", [3])])
+    a, b, y = inter_m3_medium.schemes
+    prices = {
+        ("sub", b): (0.0, 2.0), ("sub", y): (2.0, 1.0),
+        ("eq", b): (3.0, 2.0), ("eq", y): (3.0, 1.0),
+    }
+    tenths = CostProfile(
+        "tenths", 0.1, inter_m3_medium.schemes,
+        {
+            (op, scheme): prices.get((op.value, scheme), (1.0, 1.0))
+            for op, scheme in inter_m3_medium.op_costs
+        },
+        {
+            (a, b): (2.0, 2.0), (a, y): (0.0, 3.0), (b, a): (2.0, 0.0),
+            (b, y): (1.0, 2.0), (y, a): (2.0, 1.0), (y, b): (3.0, 1.0),
+        },
+    )
+    got = exhaustive_optimal(c, tenths)
+    want_asg, want_total = brute_force_minimum(c, tenths)
+    assert got.report.total == want_total == 0.7
+    assert got.assignment == want_asg
+
+
+def _fan_out(n_adds):
+    """One in node feeding each of a chain of ``n_adds`` adds."""
+    entries = [("in", []), ("in", []), ("add", [0, 1])]
+    entries += [("add", [k, 0]) for k in range(2, n_adds + 1)]
+    return build(entries + [("out", [n_adds + 1])])
+
+
+def _ladder(n_adds):
+    """All ``n_adds + 1`` in nodes first, then a chain of adds taking one
+    new in node each."""
+    entries = [("in", [])] * (n_adds + 1) + [("add", [0, 1])]
+    entries += [("add", [n_adds + k, k + 1]) for k in range(1, n_adds)]
+    return build(entries + [("out", [2 * n_adds])])
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [gen_chain(OpKind.ADD, 12), _fan_out(14), _ladder(14)],
+    ids=["chain-add-12", "fan-out-14", "ladder-14"],
+)
+def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit):
     tracemalloc.start()
     try:
-        exhaustive_optimal(c, inter_m3_medium)
+        result = exhaustive_optimal(circuit, inter_m3_medium)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+    # arithmetic has the cheapest add and conversions cost extra, so
+    # all-arithmetic is the optimum term by term
+    want = fixed_sharing(circuit, inter_m3_medium, "arithmetic")
+    assert result.assignment == want.assignment
+    assert result.report.total == want.report.total
+
+
+def _node_0_splits_the_tie(like):
+    """Prices under which two rows of ``_LAST_READS_NODE_0`` tie at 2:
+    mul arithmetic and sub yao (0, plus 1 for the conversion, plus 1), and
+    all-boolean (1 + 1). Node 0 follows sub, so the first row starts with
+    yao and the second with boolean: the second is lexicographically first,
+    although its mul comes later in scheme order."""
+    a, b, y = like.schemes
+    prices = {("mul", a): 0.0, ("mul", b): 1.0, ("sub", b): 1.0, ("sub", y): 1.0}
+    conversions = {(a, y): 1.0}
+    return CostProfile(
+        "node-0-splits-the-tie", 1.0, like.schemes,
+        {
+            (op, s): (prices.get((op.value, s), 5.0), 0.0)
+            for op, s in like.op_costs
+        },
+        {k: (conversions.get(k, 5.0), 0.0) for k in like.conversions},
+    )
+
+
+#: In node 0 is read only by the last priced node, so it is the last
+#: variable of the search but the first entry of the full row.
+_LAST_READS_NODE_0 = build([
+    ("in", []), ("in", []), ("mul", [1, 1]), ("sub", [2, 0]), ("out", [3]),
+])
+
+
+@pytest.mark.parametrize("make", [
+    lambda like: _uniform_profile(like, 0.0),
+    lambda like: _uniform_profile(like, 1.0),
+    _node_0_splits_the_tie,
+], ids=["uniform-0", "uniform-1", "split"])
+def test_exhaustive_ties_go_to_the_first_full_row(inter_m3_medium, make):
+    prof = make(inter_m3_medium)
+    got = exhaustive_optimal(_LAST_READS_NODE_0, prof)
+    want_asg, want_total = brute_force_minimum(_LAST_READS_NODE_0, prof)
+    assert got.report.total == want_total
+    assert got.assignment == want_asg
 
 
 @st.composite
@@ -381,30 +470,6 @@ def test_exhaustive_assignment_invariant_under_profile_scaling(inter_m3_medium):
         a = exhaustive_optimal(c, inter_m3_medium).assignment
         b = exhaustive_optimal(c, scaled).assignment
         assert a == b
-
-
-# --- vectorized totals ----------------------------------------------------------------
-
-
-def test_vectorized_totals_bitwise_match_scalar(all_profiles):
-    rng = np.random.default_rng(42)
-    for seed in range(15):
-        c = gen_random(seed, n_ops=1 + seed % 8)
-        for prof in (all_profiles["inter-m3.large"], all_profiles["intra-m3.medium"]):
-            domains = [
-                [prof.scheme_index[s] for s in prof.schemes_for(node.op)]
-                for node in c.nodes
-            ]
-            batch = np.stack([
-                np.array([dom[rng.integers(len(dom))] for dom in domains])
-                for _ in range(16)
-            ])
-            totals = total_cents_vector(c, prof, batch)
-            for k in range(batch.shape[0]):
-                asg = {
-                    i: prof.schemes[batch[k, i]] for i in range(len(c.nodes))
-                }
-                assert totals[k] == total_cost(c, asg, prof).total
 
 
 # --- best-of ---------------------------------------------------------------------------
