@@ -375,6 +375,30 @@ class Compiled:
             tn += conv_n
         return tc + tn
 
+    def least_total(self, options: Sequence[Sequence[int]]) -> float:
+        """A float that no row drawn from ``options`` (per node, the scheme
+        indices it may take) has a smaller :meth:`total` than.
+
+        It is :meth:`total` itself, run on a relabelled copy in which node
+        ``i``'s one scheme is ``i`` and every addend (an operation's cost,
+        a conversion along one edge) is its least value over the options.
+        Rounded ``+`` is monotone, so every partial sum of that run is at
+        most the same partial sum for any such row.
+        """
+        least = object.__new__(Compiled)
+        least.inputs = self.inputs
+        least.op_p, least.op_n, least.cp, least.cn = (
+            [{} for _ in options] for _ in range(4)
+        )
+        for i, (opts, ins) in enumerate(zip(options, self.inputs)):
+            least.op_p[i][i] = min(self.op_p[i][s] for s in opts)
+            least.op_n[i][i] = min(self.op_n[i][s] for s in opts)
+            for j in ins:
+                pairs = [(r, s) for r in options[j] for s in opts]
+                least.cp[j][i] = min(self.cp[r][s] for r, s in pairs)
+                least.cn[j][i] = min(self.cn[r][s] for r, s in pairs)
+        return least.total(range(len(options)))
+
     def report(self, idx: Sequence[int]) -> CostReport:
         """Total and per-node cost of ``idx``, summed like :meth:`total`."""
         cp, cn = self.cp, self.cn

@@ -267,6 +267,9 @@ def hill_climbing(
 
 # --- exact solver ------------------------------------------------------------
 
+#: Most cells in one elimination table of the exact solver.
+_TABLE_CELLS = 2**14
+
 
 def _first_min(values) -> int:
     """Position of the first smallest of ``values``."""
@@ -295,19 +298,22 @@ def exhaustive_optimal(
     add/mul nodes under the bundled profiles.
 
     Method. The variables are the priced nodes with more than one
-    candidate, in id order, each followed by the ``in`` nodes it is the
-    first such consumer of; every other node is settled up front. The
-    cost is a sum of factors: each priced node's operation and each
-    conversion into a priced node (``out`` nodes settle at no cost).
-    Min-sum variable elimination, last variable first, gives the exact
-    cost-to-go of every prefix: the factors whose last variable lies in it
-    plus the messages that later variables sent into it. An ``in`` node
-    placed right after its first consumer is absorbed into the messages of
-    its later consumers one at a time, so no table grows with its fan-out.
-    A depth-first search extends the prefix cheapest bound first, drops an
-    ``in`` node's branch once its consumers are set and it is not the
-    settled scheme (so each row is reached once), and scores each leaf row
-    with ``Compiled.total``.
+    candidate and the ``in`` nodes that feed one; every other node is
+    settled up front. The cost is a sum of factors: each priced node's
+    operation and each conversion into a priced node (``out`` nodes settle
+    at no cost). The elimination order is fixed on the factors' scopes
+    before any table is built: each step takes the variable whose table
+    (it and its neighbours) has the fewest cells, so an ``in`` node that
+    feeds many nodes goes after them. Min-sum variable elimination in that
+    order gives the cost-to-go of every prefix of the reverse order: the
+    messages later variables sent into it. A bucket whose table would
+    exceed ``_TABLE_CELLS`` cells sends one message per factor instead
+    (Dechter's mini-buckets), which bounds the cost-to-go from below, so
+    no table outgrows that cap. A depth-first search then sets the
+    variables in the reverse order, cheapest bound first, drops an ``in``
+    node's branch once it and its consumers are set and it is not the
+    settled scheme (so each row is reached once), and scores each leaf
+    row with ``Compiled.total``.
 
     Pruning. Prices are non-negative, and rounded ``+`` and ``min`` are
     monotone. A subtree's float bound ``b`` is thus at most the float sum
@@ -318,10 +324,11 @@ def exhaustive_optimal(
     proves that every row in the subtree costs more than the incumbent
     ``best``, and the subtree goes. Otherwise a subtree goes when a key
     no row in it can undercut is not below the incumbent's
-    ``(total, row)``: the key's total runs ``Compiled.total``'s own float
-    sums over each addend's least possible value, and its row takes each
-    node's least possible scheme. This settles degenerate ties, such as an
-    all-zero profile, without visiting every tied row.
+    ``(total, row)``: the key's total is
+    :meth:`~mpcost.cost_model.Compiled.least_total` over the schemes each
+    node may still take, and its row takes each node's least such scheme.
+    This settles degenerate ties, such as an all-zero profile, without
+    visiting every tied row.
     """
     limits = limits or SolverLimits()
     nodes = circuit.nodes
@@ -348,17 +355,29 @@ def exhaustive_optimal(
             objective.append(cost)
         return _first_min(objective)
 
-    order = []  # the variables' node ids
     for i in circuit.in_ids:
         fanout[i] = [c for c in compiled.consumers[i] if nodes[c].op is not OpKind.OUT]
         row[i] = settle(i) if fanout[i] else 0
-    for p in circuit.op_node_ids:
-        if p in free:
-            order.append(p)
-            order += sorted({
-                i for i in inputs[p]
-                if i in fanout and min(set(fanout[i]) & free) == p
-            })
+    adj = {p: set() for p in free}  # the variables' interaction graph
+    for p in free:
+        for j in inputs[p]:
+            if j in free or j in fanout:
+                adj.setdefault(j, set()).add(p)
+                adj[p].add(j)
+
+    def cells(scope) -> int:
+        return math.prod(len(cands[x]) for x in scope)
+
+    order = []  # the variables' node ids, last eliminated first
+    table_cells = {x: cells(adj[x] | {x}) for x in adj}
+    while adj:
+        x = min(adj, key=lambda x: (table_cells[x], -x))
+        neighbours = adj.pop(x)
+        for y in neighbours:
+            adj[y] |= neighbours
+            adj[y] -= {x, y}
+            table_cells[y] = cells(adj[y] | {y})
+        order.insert(0, x)
     pos = {node: v for v, node in enumerate(order)}
     dom = [cands[node] for node in order]
     n = len(order)
@@ -411,17 +430,20 @@ def exhaustive_optimal(
     inbox = [list(fs) for fs in own]
     togo = [[] for _ in range(n)]
     for v in reversed(range(n)):
-        scope = tuple(sorted({w for f in inbox[v] for w in f[0]} - {v}))
-        joint = scope + (v,)
-        total = spread(inbox[v][0], joint)
-        for f in inbox[v][1:]:
-            total = [x + y for x, y in zip(total, spread(f, joint))]
-        m = len(dom[v])
-        message = factor(scope, [min(total[k:k + m]) for k in range(0, len(total), m)])
-        if scope:
-            inbox[scope[-1]].append(message)
-        for d in range(scope[-1] if scope else 0, v):
-            togo[d].append(message)
+        reach = {w for f in inbox[v] for w in f[0]}
+        fits = cells(order[w] for w in reach) <= _TABLE_CELLS
+        for fs in [inbox[v]] if fits else [[f] for f in inbox[v]]:
+            scope = tuple(sorted({w for f in fs for w in f[0]} - {v}))
+            joint = scope + (v,)
+            total = spread(fs[0], joint)
+            for f in fs[1:]:
+                total = [x + y for x, y in zip(total, spread(f, joint))]
+            m = len(dom[v])
+            message = factor(scope, [min(total[k:k + m]) for k in range(0, len(total), m)])
+            if scope:
+                inbox[scope[-1]].append(message)
+            for d in range(scope[-1] if scope else 0, v):
+                togo[d].append(message)
 
     n_addends = 2 * (len(nodes) + sum(map(len, inputs)))
     band = 1.0 + 8 * n_addends * sys.float_info.epsilon
@@ -459,19 +481,7 @@ def exhaustive_optimal(
             src = inputs[o][0]
             known = pos.get(src, -1) <= d
             options[o] = (_first_min(ct[row[src]]),) if known else every
-        tc = 0.0
-        tn = 0.0
-        for opts, rp, rn, ins in zip(options, compiled.op_p, compiled.op_n, inputs):
-            conv_p = 0.0
-            conv_n = 0.0
-            for j in ins:
-                conv_p += min(compiled.cp[r][s] for r in options[j] for s in opts)
-                conv_n += min(compiled.cn[r][s] for r in options[j] for s in opts)
-            tc += min(rp[s] for s in opts)
-            tc += conv_p
-            tn += min(rn[s] for s in opts)
-            tn += conv_n
-        return tc + tn, [opts[0] for opts in options]
+        return compiled.least_total(options), [opts[0] for opts in options]
 
     stack = [expand(0, fixed_cost)] if n else [[(fixed_cost, 0, fixed_cost)]]
     while stack:

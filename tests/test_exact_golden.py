@@ -9,7 +9,10 @@ that :func:`mpcost.exhaustive_optimal` returns. The cases are:
 * the exact-small benchmark circuits of seeds 0-3 under every bundled
   profile;
 * the first 20 corpus circuits under two uniform profiles (every price
-  0, every price 1), where many or all assignments tie.
+  0, every price 1), where many or all assignments tie;
+* mux ladders of 8 and 10 rungs under every bundled profile, where
+  eliminating the variables in node order builds tables of about
+  ``4 * 9**k`` cells over a search space of ``4**k``.
 
 Re-record only when a change of results is intended::
 
@@ -28,12 +31,14 @@ from mpcost import (
     MatMulSpec,
     OpKind,
     assignment_to_json,
+    build,
     exhaustive_optimal,
     gen_biometric,
     gen_chain,
     gen_matmul,
     gen_random,
 )
+from mpcost import optimizer
 from mpcost.cost_model import CostProfile
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 
@@ -65,6 +70,16 @@ def exact_small_circuits() -> dict:
     return out
 
 
+def mux_ladder(k: int):
+    """In nodes ``i_j, i'_j``, ``f_j = eq(i_j, i'_j)``, ``l_1 = mux(f_1,
+    i_1, i'_1)`` and ``l_j = mux(l_{j-1}, i_j, i'_j)`` for ``j = 2..k``."""
+    entries = [("in", [])] * (2 * k)
+    entries += [("eq", [2 * j, 2 * j + 1]) for j in range(k)]
+    entries.append(("mux", [2 * k, 0, 1]))
+    entries += [("mux", [3 * k + j - 1, 2 * j, 2 * j + 1]) for j in range(1, k)]
+    return build(entries + [("out", [len(entries) - 1])])
+
+
 def groups() -> dict:
     """Case groups: name -> (circuits by label, profiles)."""
     bundled = [load_builtin(name) for name in BUILTIN_PROFILES]
@@ -77,6 +92,7 @@ def groups() -> dict:
     out["uniform"] = (
         first20, [uniform_profile(bundled[0], 0.0), uniform_profile(bundled[0], 1.0)]
     )
+    out["mux-ladder"] = ({f"mux-ladder-{k}": mux_ladder(k) for k in (8, 10)}, bundled)
     return out
 
 
@@ -100,6 +116,16 @@ def golden():
 
 @pytest.mark.parametrize("group", list(groups()))
 def test_exact_solver_matches_the_golden_record(golden, group):
+    assert results(group) == golden[group]
+
+
+@pytest.mark.parametrize(
+    "group", ["c01/inter-m3.medium", "exact-small", "uniform", "mux-ladder"]
+)
+def test_split_tables_keep_the_solver_exact(golden, group, monkeypatch):
+    # With a one-cell cap every bucket sends one message per factor, so the
+    # search runs on its weakest bound.
+    monkeypatch.setattr(optimizer, "_TABLE_CELLS", 1)
     assert results(group) == golden[group]
 
 

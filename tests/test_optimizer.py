@@ -27,6 +27,7 @@ from mpcost.circuit import COMPUTE_OPS
 from mpcost.cost_model import CostProfile
 from mpcost.errors import SearchSpaceTooLarge, UnsupportedScheme
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
+from test_exact_golden import mux_ladder
 
 
 def brute_force_minimum(circuit, profile):
@@ -345,23 +346,42 @@ def _ladder(n_adds):
 
 
 @pytest.mark.parametrize(
-    "circuit",
-    [gen_chain(OpKind.ADD, 12), _fan_out(14), _ladder(14)],
-    ids=["chain-add-12", "fan-out-14", "ladder-14"],
+    "circuit, uniform, scheme",
+    [
+        (gen_chain(OpKind.ADD, 12), None, "arithmetic"),
+        (_fan_out(14), None, "arithmetic"),
+        (_ladder(14), None, "arithmetic"),
+        (mux_ladder(10), 1.0, "boolean"),
+    ],
+    ids=["chain-add-12", "fan-out-14", "ladder-14", "mux-ladder-10"],
 )
-def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit):
+def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit, uniform, scheme):
+    # Under inter-m3.medium arithmetic has the cheapest add and conversions
+    # cost extra, so all-arithmetic is the optimum term by term. Under a
+    # uniform profile every conversion-free row is optimal; all-boolean is
+    # the first, as the mux ladder's eq and mux nodes have no arithmetic.
+    # Eliminating the mux ladder in node order would build a table of about
+    # 4 * 9**10 cells over a search space of 4**10.
+    prof = inter_m3_medium if uniform is None else _uniform_profile(inter_m3_medium, uniform)
     tracemalloc.start()
     try:
-        result = exhaustive_optimal(circuit, inter_m3_medium)
+        result = exhaustive_optimal(circuit, prof)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    # arithmetic has the cheapest add and conversions cost extra, so
-    # all-arithmetic is the optimum term by term
-    want = fixed_sharing(circuit, inter_m3_medium, "arithmetic")
+    want = fixed_sharing(circuit, prof, scheme)
     assert result.assignment == want.assignment
     assert result.report.total == want.report.total
+
+
+@pytest.mark.parametrize("name", ["inter-m3.medium", "intra-c4.large"])
+def test_exhaustive_matches_brute_force_on_a_mux_ladder(all_profiles, name):
+    prof = all_profiles[name]
+    got = exhaustive_optimal(mux_ladder(2), prof)
+    want_asg, want_total = brute_force_minimum(mux_ladder(2), prof)
+    assert got.report.total == want_total
+    assert got.assignment == want_asg
 
 
 def _node_0_splits_the_tie(like):
