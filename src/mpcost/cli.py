@@ -37,6 +37,7 @@ from .circuit import (
     op_from_name,
 )
 from .cost_model import (
+    Compiled,
     CostProfile,
     CostReport,
     assignment_to_json,
@@ -57,11 +58,15 @@ from .optimizer import (
     SolverLimits,
     best_of,
     bottom_up,
+    bottom_up_pass,
     default_scheme,
     exhaustive_optimal,
+    fixed_pass,
     fixed_sharing,
     hill_climbing,
+    hill_pass,
     top_down,
+    top_down_pass,
 )
 
 HEURISTICS = ("pure", "bottom-up", "top-down", "hill", "exhaustive", "best")
@@ -161,7 +166,7 @@ def cmd_optimize(args) -> int:
             "assignment": {str(k): result.assignment[k] for k in sorted(result.assignment)},
             "report": _report_dict(report, factor, per_node=True),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(json.dumps(doc) + "\n", args.out)
         return 0
     lines = [
         f"heuristic: {result.heuristic}    iterations: {result.iterations}"
@@ -183,24 +188,25 @@ def cmd_compare(args) -> int:
     profile = _resolve_profile(args.profile)
     limits = SolverLimits(max_space=args.max_space, max_passes=args.max_passes)
     baseline = default_scheme(circuit, profile)
+    compiled = Compiled(circuit, profile)
     runs = [
-        (f"pure-{baseline}", fixed_sharing(circuit, profile, baseline)),
-        ("hill-climbing", hill_climbing(circuit, profile, baseline, limits)),
-        ("top-down", top_down(circuit, profile)),
-        ("bottom-up", bottom_up(circuit, profile)),
+        (f"pure-{baseline}", fixed_pass(compiled, baseline)),
+        ("hill-climbing", hill_pass(compiled, baseline, limits)[0]),
+        ("top-down", top_down_pass(compiled)),
+        ("bottom-up", bottom_up_pass(compiled)),
     ]
+    reports = [(label, compiled.report(idx)) for label, idx in runs]
     notices = []
     try:
-        runs.append(("exhaustive", exhaustive_optimal(circuit, profile, limits)))
+        reports.append(("exhaustive", exhaustive_optimal(circuit, profile, limits).report))
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
 
-    pure_total = runs[0][1].report.total
-    best_total = min(r.report.total for _, r in runs)
+    pure_total = reports[0][1].total
+    best_total = min(rep.total for _, rep in reports)
     factor = UNIT_FACTOR[args.unit]
     rows = []
-    for label, result in runs:
-        rep = result.report
+    for label, rep in reports:
         reduction = 0.0 if pure_total == 0 else 1.0 - rep.total / pure_total
         rows.append(
             CompareRow(

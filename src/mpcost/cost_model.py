@@ -750,10 +750,20 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
         not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes)
     ):
         raise ParseError("'schemes' must be a list of names")
+    if not isinstance(doc["measurements"], list):
+        raise ParseError("'measurements' must be a list")
     out = []
     for i, obj in enumerate(doc["measurements"]):
         if not isinstance(obj, dict):
             raise ParseError(f"measurement {i} is not an object")
+        is_conversion = "conversion" in obj
+        names = obj["conversion"] if is_conversion else [obj.get("op"), obj.get("scheme")]
+        if not (isinstance(names, list) and len(names) == 2
+                and all(isinstance(name, str) for name in names)):
+            raise ParseError(
+                f"measurement {i}: needs an 'op' and a 'scheme' name, or a "
+                f"'conversion' pair of scheme names"
+            )
         seconds = obj.get("seconds_per_op")
         nbytes = obj.get("bytes_per_op")
         if not (_is_finite_number(seconds) and _is_finite_number(nbytes)):
@@ -762,22 +772,13 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
                 f"bytes_per_op"
             )
         seconds, nbytes = float(seconds), float(nbytes)
-        try:
-            if "conversion" in obj:
-                src, dst = obj["conversion"]
-                out.append(RawMeasurement.for_conversion(src, dst, seconds, nbytes))
-            else:
-                out.append(
-                    RawMeasurement.for_op(
-                        op_from_name(obj["op"]), obj["scheme"], seconds, nbytes
-                    )
-                )
-        except NegativeInput:
-            raise
-        except ParseError:
-            raise
-        except Exception as e:
-            raise ParseError(f"measurement {i}: {e}") from None
+        if is_conversion:
+            out.append(RawMeasurement.for_conversion(*names, seconds, nbytes))
+        else:
+            op, scheme = names
+            out.append(
+                RawMeasurement.for_op(op_from_name(op), scheme, seconds, nbytes)
+            )
     return out, schemes
 
 

@@ -103,6 +103,11 @@ def _result(
     )
 
 
+# Each strategy is an index-level pass over a given ``Compiled`` plus a
+# public wrapper that compiles, runs the pass and reports. ``best_of`` and
+# ``mpcost compare`` run several passes on one compiled form.
+
+
 def fixed_sharing(
     circuit: Circuit, profile: CostProfile, scheme: str
 ) -> OptimizeResult:
@@ -113,8 +118,12 @@ def fixed_sharing(
     are exactly zero.
     """
     compiled = Compiled(circuit, profile)
-    s = _require_support(compiled, scheme)
-    return _result(compiled, [s] * len(circuit.nodes), f"fixed:{scheme}")
+    return _result(compiled, fixed_pass(compiled, scheme), f"fixed:{scheme}")
+
+
+def fixed_pass(compiled: Compiled, scheme: str) -> list[int]:
+    """Scheme indices of :func:`fixed_sharing`."""
+    return [_require_support(compiled, scheme)] * len(compiled.inputs)
 
 
 def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -127,6 +136,12 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     gets processed, which makes that edge conversion-free.
     """
     compiled = Compiled(circuit, profile)
+    return _result(compiled, bottom_up_pass(compiled), "bottom-up")
+
+
+def bottom_up_pass(compiled: Compiled) -> list[int]:
+    """Scheme indices of :func:`bottom_up`."""
+    circuit = compiled.circuit
     ct = compiled.ct
     idx: list = [None] * len(circuit.nodes)
     for node in circuit.nodes:  # node order is topological
@@ -153,7 +168,7 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     for i in circuit.in_ids:  # ins nobody consumes
         if idx[i] is None:
             idx[i] = 0
-    return _result(compiled, idx, "bottom-up")
+    return idx
 
 
 def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -165,6 +180,12 @@ def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     their input's scheme at the end (which makes that edge free).
     """
     compiled = Compiled(circuit, profile)
+    return _result(compiled, top_down_pass(compiled), "top-down")
+
+
+def top_down_pass(compiled: Compiled) -> list[int]:
+    """Scheme indices of :func:`top_down`."""
+    circuit = compiled.circuit
     ct = compiled.ct
     idx: list = [None] * len(circuit.nodes)
     for node in reversed(circuit.nodes):
@@ -188,7 +209,7 @@ def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
         idx[i] = best_scheme
     for i in circuit.out_ids:
         idx[i] = idx[compiled.inputs[i][0]]
-    return _result(compiled, idx, "top-down")
+    return idx
 
 
 def hill_climbing(
@@ -207,20 +228,39 @@ def hill_climbing(
     circuit total by exactly the score difference, so the total is
     non-increasing across sweeps. The search stops after a sweep with no
     change or after ``max_passes`` sweeps.
+
+    A sweep skips a node when neither it nor any of its inputs or
+    consumers has moved since its last visit: its terms are unchanged,
+    so it would not move. The result is the one a sweep over every node
+    gives.
     """
-    limits = limits or SolverLimits()
     compiled = Compiled(circuit, profile)
+    idx, extra = hill_pass(compiled, init_scheme, limits or SolverLimits())
+    return _result(compiled, idx, "hill-climbing", **extra)
+
+
+def hill_pass(
+    compiled: Compiled, init_scheme: str, limits: SolverLimits
+) -> tuple[list[int], dict]:
+    """Scheme indices of :func:`hill_climbing`, and its ``iterations``,
+    ``limit_exceeded`` and ``sweep_totals`` as keyword arguments of
+    :class:`OptimizeResult`."""
     init = _require_support(compiled, init_scheme)
+    n = len(compiled.inputs)
     max_passes = limits.max_passes
     if max_passes is None:
-        max_passes = max(1, len(circuit.nodes) * len(profile.schemes))
+        max_passes = max(1, n * len(compiled.profile.schemes))
 
-    idx = [init] * len(circuit.nodes)
+    idx = [init] * n
     ct = compiled.ct
     nodes = list(zip(
-        range(len(idx)), compiled.op_t, compiled.cands, compiled.inputs,
+        range(n), compiled.op_t, compiled.cands, compiled.inputs,
         compiled.consumers,
     ))
+    # A node's score reads only its own, its inputs' and its consumers'
+    # schemes. A node none of these moved for since its last visit is at
+    # the same first minimum and would not move, so it is skipped.
+    stale = [True] * n
 
     def score(s: int, row, ins, consumers) -> float:
         cost = row[s]
@@ -238,6 +278,9 @@ def hill_climbing(
         sweeps += 1
         changed = False
         for i, row, cands, ins, consumers in nodes:
+            if not stale[i]:
+                continue
+            stale[i] = False
             current = idx[i]
             best_scheme = current
             best_cost = score(current, row, ins, consumers)
@@ -251,18 +294,22 @@ def hill_climbing(
             if best_scheme != current:
                 idx[i] = best_scheme
                 changed = True
-        sweep_totals.append(compiled.total(idx))
+                for j in ins:
+                    stale[j] = True
+                for c in consumers:
+                    stale[c] = True
         if not changed:
+            sweep_totals.append(sweep_totals[-1])  # the same assignment
             break
+        sweep_totals.append(compiled.total(idx))
         if sweeps >= max_passes:
             limit_exceeded = True
             break
-    return _result(
-        compiled, idx, "hill-climbing",
-        iterations=sweeps,
-        limit_exceeded=limit_exceeded,
-        sweep_totals=tuple(sweep_totals),
-    )
+    return idx, {
+        "iterations": sweeps,
+        "limit_exceeded": limit_exceeded,
+        "sweep_totals": tuple(sweep_totals),
+    }
 
 
 # --- exact solver ------------------------------------------------------------
@@ -527,19 +574,26 @@ def best_of(
     Candidates, in tie-break order: a fixed assignment for each scheme
     that supports every operation in the circuit, bottom-up, top-down,
     and hill climbing. Hill climbing starts from ``hill_init``, by default
-    :func:`default_scheme`. The winning candidate's result (including its
-    ``heuristic`` label) is returned unchanged.
+    :func:`default_scheme`. The first candidate with the least total wins,
+    and its result (including its ``heuristic`` label) is what that
+    strategy's own function returns. ``exhaustive_optimal`` is not a
+    candidate.
+
+    The circuit is compiled once, and every candidate is a pass over that
+    form scored with :meth:`~mpcost.cost_model.Compiled.total` (hill
+    climbing's last sweep total is that score already). Only the winner
+    gets a per-node report.
     """
     limits = limits or SolverLimits()
+    compiled = Compiled(circuit, profile)
     universal = profile.universal_schemes(circuit.ops_present())
-    results = [fixed_sharing(circuit, profile, s) for s in universal]
-    results.append(bottom_up(circuit, profile))
-    results.append(top_down(circuit, profile))
+    runs = [(f"fixed:{s}", fixed_pass(compiled, s)) for s in universal]
+    runs.append(("bottom-up", bottom_up_pass(compiled)))
+    runs.append(("top-down", top_down_pass(compiled)))
+    scored = [(compiled.total(idx), label, idx, {}) for label, idx in runs]
     if hill_init is None:
         hill_init = default_scheme(circuit, profile)
-    results.append(hill_climbing(circuit, profile, hill_init, limits))
-    best = results[0]
-    for r in results[1:]:
-        if r.report.total < best.report.total:
-            best = r
-    return best
+    idx, extra = hill_pass(compiled, hill_init, limits)
+    scored.append((extra["sweep_totals"][-1], "hill-climbing", idx, extra))
+    _, label, idx, extra = min(scored, key=lambda c: c[0])  # the first least
+    return _result(compiled, idx, label, **extra)

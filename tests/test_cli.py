@@ -341,6 +341,17 @@ def test_derive_profile_empty_measurements_exit_1(capsys, tmp_path):
     assert "schemes" in err
 
 
+def test_derive_profile_malformed_measurements_exit_1(capsys, tmp_path):
+    m_path = tmp_path / "measure.json"
+    m_path.write_text('{"measurements": [{"op": "add", "scheme": ["x"], '
+                      '"seconds_per_op": 1, "bytes_per_op": 1}]}')
+    p_path = tmp_path / "prices.json"
+    p_path.write_text('{"vm_rate_a": 7, "vm_rate_b": 7, "net_rate": 6.5}')
+    code, _, err = run(capsys, "derive-profile", str(m_path), str(p_path))
+    assert code == 1
+    assert err.startswith("error: measurement 0:")
+
+
 def test_profiles_list(capsys):
     code, out, _ = run(capsys, "profiles", "list")
     assert code == 0

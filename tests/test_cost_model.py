@@ -360,6 +360,25 @@ def test_measurements_reject_non_finite_and_bool_values(key, value):
         measurements_from_json(text)
 
 
+_ADD_YAO = {"op": "add", "scheme": "y", "seconds_per_op": 1.0, "bytes_per_op": 100}
+
+
+@pytest.mark.parametrize("doc", [
+    {"measurements": 5},
+    {"measurements": None},
+    {"measurements": {"op": "add"}},
+    {"measurements": [{**_ADD_YAO, "scheme": ["x"]}]},
+    {"measurements": [{**_ADD_YAO, "op": ["add"]}]},
+    {"measurements": [{**_ADD_YAO, "op": None}]},
+    {"measurements": [{"conversion": [1, 2], "seconds_per_op": 1.0, "bytes_per_op": 1}]},
+    {"measurements": [{"conversion": ["a"], "seconds_per_op": 1.0, "bytes_per_op": 1}]},
+    {"measurements": [{"conversion": "a->b", "seconds_per_op": 1.0, "bytes_per_op": 1}]},
+])
+def test_measurements_reject_malformed_structure(doc):
+    with pytest.raises(ParseError):
+        measurements_from_json(json.dumps(doc))
+
+
 def test_direct_construction_rejects_non_finite_inputs():
     with pytest.raises(ParseError):
         RawMeasurement.for_op(OpKind.ADD, "y", math.nan, 0.0)

@@ -22,9 +22,10 @@ from mpcost import (
     top_down,
     total_cost,
 )
-from mpcost.casegen import BiometricSpec
+from mpcost import optimizer
+from mpcost.casegen import BiometricSpec, MatMulSpec, gen_matmul
 from mpcost.circuit import COMPUTE_OPS
-from mpcost.cost_model import CostProfile
+from mpcost.cost_model import Compiled, CostProfile
 from mpcost.errors import SearchSpaceTooLarge, UnsupportedScheme
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 from test_exact_golden import mux_ladder
@@ -201,6 +202,64 @@ def test_hill_climbing_pass_cap_sets_flag(inter_m3_medium):
     assert capped.limit_exceeded
     assert capped.iterations == 1
     assert check_feasible(c, capped.assignment, inter_m3_medium) == []
+
+
+def reference_hill_climb(circuit, profile, init_scheme, max_passes):
+    """Hill climbing as specified, with every sweep visiting every node:
+    ``(assignment, iterations, limit_exceeded, sweep_totals)``."""
+    compiled = Compiled(circuit, profile)
+    n = len(circuit.nodes)
+    if max_passes is None:
+        max_passes = max(1, n * len(profile.schemes))
+    idx = [profile.scheme_index[init_scheme]] * n
+    ct = compiled.ct
+
+    def score(i, s):
+        cost = compiled.op_t[i][s]
+        for j in compiled.inputs[i]:
+            cost += ct[idx[j]][s]
+        for c in compiled.consumers[i]:
+            cost += ct[s][idx[c]]
+        return cost
+
+    totals = [compiled.total(idx)]
+    sweeps = 0
+    while True:
+        sweeps += 1
+        changed = False
+        for i in range(n):
+            best_scheme, best_cost = idx[i], score(i, idx[i])
+            for s in compiled.cands[i]:
+                if score(i, s) < best_cost:
+                    best_scheme, best_cost = s, score(i, s)
+            if best_scheme != idx[i]:
+                idx[i] = best_scheme
+                changed = True
+        totals.append(compiled.total(idx))
+        if not changed:
+            return compiled.assignment(idx), sweeps, False, tuple(totals)
+        if sweeps >= max_passes:
+            return compiled.assignment(idx), sweeps, True, tuple(totals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n_ops=st.integers(1, 60),
+    name=st.sampled_from(BUILTIN_PROFILES),
+    max_passes=st.sampled_from([None, 1, 2]),
+    init_pick=st.integers(0, 2),
+)
+def test_hill_climbing_matches_full_sweep_reference(seed, n_ops, name, max_passes,
+                                                     init_pick):
+    circuit = gen_random(seed, n_ops)
+    profile = load_builtin(name)
+    universal = profile.universal_schemes(circuit.ops_present())
+    init = universal[init_pick % len(universal)]
+    got = hill_climbing(circuit, profile, init, SolverLimits(max_passes=max_passes))
+    want = reference_hill_climb(circuit, profile, init, max_passes)
+    assert (got.assignment, got.iterations, got.limit_exceeded) == want[:3]
+    assert [t.hex() for t in got.sweep_totals] == [t.hex() for t in want[3]]
 
 
 # --- exhaustive --------------------------------------------------------------------
@@ -518,6 +577,27 @@ def test_best_of_accepts_explicit_hill_init(inter_m3_medium):
     c = gen_chain(OpKind.ADD, 3)
     best = best_of(c, inter_m3_medium, hill_init="boolean")
     assert check_feasible(c, best.assignment, inter_m3_medium) == []
+
+
+def test_best_of_compiles_once_and_reports_the_winner_only(monkeypatch,
+                                                            inter_m3_medium):
+    counts = {"compiled": 0, "report": 0}
+
+    class CountedCompiled(Compiled):
+        def __init__(self, *args):
+            counts["compiled"] += 1
+            super().__init__(*args)
+
+    report = Compiled.report
+
+    def counted_report(self, idx):
+        counts["report"] += 1
+        return report(self, idx)
+
+    monkeypatch.setattr(optimizer, "Compiled", CountedCompiled)
+    monkeypatch.setattr(Compiled, "report", counted_report)
+    best_of(gen_matmul(MatMulSpec(n=5)), inter_m3_medium)
+    assert counts == {"compiled": 1, "report": 1}
 
 
 # --- determinism ------------------------------------------------------------------------
