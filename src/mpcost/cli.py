@@ -198,7 +198,8 @@ def cmd_compare(args) -> int:
     reports = [(label, compiled.report(idx)) for label, idx in runs]
     notices = []
     try:
-        reports.append(("exhaustive", exhaustive_optimal(circuit, profile, limits).report))
+        exact = exhaustive_optimal(circuit, profile, limits)
+        reports.append(("exhaustive", exact.report))
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
 

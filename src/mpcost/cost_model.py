@@ -757,7 +757,8 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
         if not isinstance(obj, dict):
             raise ParseError(f"measurement {i} is not an object")
         is_conversion = "conversion" in obj
-        names = obj["conversion"] if is_conversion else [obj.get("op"), obj.get("scheme")]
+        names = (obj["conversion"] if is_conversion
+                 else [obj.get("op"), obj.get("scheme")])
         if not (isinstance(names, list) and len(names) == 2
                 and all(isinstance(name, str) for name in names)):
             raise ParseError(

@@ -123,7 +123,7 @@ def fixed_sharing(
 
 def fixed_pass(compiled: Compiled, scheme: str) -> list[int]:
     """Scheme indices of :func:`fixed_sharing`."""
-    return [_require_support(compiled, scheme)] * len(compiled.inputs)
+    return [_require_support(compiled, scheme)] * len(compiled.circuit.nodes)
 
 
 def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -246,7 +246,7 @@ def hill_pass(
     ``limit_exceeded`` and ``sweep_totals`` as keyword arguments of
     :class:`OptimizeResult`."""
     init = _require_support(compiled, init_scheme)
-    n = len(compiled.inputs)
+    n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
     if max_passes is None:
         max_passes = max(1, n * len(compiled.profile.schemes))

@@ -361,6 +361,7 @@ def test_measurements_reject_non_finite_and_bool_values(key, value):
 
 
 _ADD_YAO = {"op": "add", "scheme": "y", "seconds_per_op": 1.0, "bytes_per_op": 100}
+_CONV = {"seconds_per_op": 1.0, "bytes_per_op": 1}
 
 
 @pytest.mark.parametrize("doc", [
@@ -370,9 +371,9 @@ _ADD_YAO = {"op": "add", "scheme": "y", "seconds_per_op": 1.0, "bytes_per_op": 1
     {"measurements": [{**_ADD_YAO, "scheme": ["x"]}]},
     {"measurements": [{**_ADD_YAO, "op": ["add"]}]},
     {"measurements": [{**_ADD_YAO, "op": None}]},
-    {"measurements": [{"conversion": [1, 2], "seconds_per_op": 1.0, "bytes_per_op": 1}]},
-    {"measurements": [{"conversion": ["a"], "seconds_per_op": 1.0, "bytes_per_op": 1}]},
-    {"measurements": [{"conversion": "a->b", "seconds_per_op": 1.0, "bytes_per_op": 1}]},
+    {"measurements": [{**_CONV, "conversion": [1, 2]}]},
+    {"measurements": [{**_CONV, "conversion": ["a"]}]},
+    {"measurements": [{**_CONV, "conversion": "a->b"}]},
 ])
 def test_measurements_reject_malformed_structure(doc):
     with pytest.raises(ParseError):
