@@ -327,6 +327,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def parse_json(text: str, what: str):
+    """The JSON document in ``text``. Every way malformed input makes
+    :func:`json.loads` fail raises :class:`ParseError` naming ``what``:
+    bad syntax, an integer literal longer than the interpreter's digit
+    limit (``ValueError``) and nesting deeper than its recursion limit
+    (``RecursionError``)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid {what} JSON: {e}") from None
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     nodes = []
     for n in circuit.nodes:
@@ -341,10 +353,7 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid circuit JSON: {e}") from None
+    doc = parse_json(text, "circuit")
     if not isinstance(doc, dict):
         raise ParseError("circuit JSON must be an object")
     extra = set(doc) - {"bitwidth", "nodes"}

@@ -35,6 +35,7 @@ from .circuit import (
     inputs_by_name,
     load_circuit,
     op_from_name,
+    parse_json,
 )
 from .cost_model import (
     Compiled,
@@ -271,10 +272,7 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     circuit = load_circuit(args.circuit)
     with open(args.inputs, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid inputs JSON: {e}") from None
+        doc = parse_json(f.read(), "inputs")
     if not isinstance(doc, dict):
         raise ParseError("inputs JSON must map in-node ids or names to integers")
     by_name = inputs_by_name(circuit)

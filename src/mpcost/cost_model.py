@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .circuit import COMPUTE_OPS, Circuit, OpKind, op_from_name
+from .circuit import COMPUTE_OPS, Circuit, OpKind, op_from_name, parse_json
 from .errors import (
     DuplicateMeasurement,
     InfeasibleAssignment,
@@ -49,12 +49,6 @@ ARITHMETIC = "arithmetic"
 BOOLEAN = "boolean"
 YAO = "yao"
 
-#: Fixed row index for each op in the dense cost tables.
-_OP_INDEX = {op: i for i, op in enumerate(COMPUTE_OPS)}
-_OP_INDEX[OpKind.IN] = len(COMPUTE_OPS)
-_OP_INDEX[OpKind.OUT] = len(COMPUTE_OPS) + 1
-_N_OP_ROWS = len(_OP_INDEX)
-
 #: Assignment: node id -> scheme identifier.
 Assignment = dict[int, str]
 
@@ -68,6 +62,10 @@ class CostProfile:
     ``conversions`` maps every ordered pair of distinct schemes to its
     ``(compute, network)`` conversion price. ``scale`` converts stored
     units to cents.
+
+    The cent tables derived from these prices are built once, on first
+    use, and shared: every :class:`Compiled` under the profile holds the
+    same row lists, tuples and matrices, so they are read-only.
     """
 
     name: str
@@ -161,29 +159,41 @@ class CostProfile:
         return {s: i for i, s in enumerate(self.schemes)}
 
     # -- cent-denominated lookup tables ----------------------------------
-    #
-    # Dense tables of Python floats are the single source of cost values
-    # for the scalar accessors below, the compiled form and the exact
-    # solver, so the same assignment always yields bit-identical sums.
 
     @cached_property
-    def _tables(self) -> tuple[list, list, list, list]:
+    def _tables(self) -> tuple[dict, dict, dict, dict, list, list, list]:
+        """The cent tables ``(op_p, op_n, op_t, cands, cp, cn, ct)``.
+
+        Per op kind, ``op_p``, ``op_n`` and ``op_t`` hold its compute,
+        network and summed cost under each scheme (``inf`` where the scheme
+        does not support it) and ``cands`` the ascending indices of the
+        schemes that do. ``cp``, ``cn`` and ``ct`` are the conversion
+        matrices ``[src][dst]`` of compute, network and summed cost.
+
+        They are the single source of cost values for the scalar accessors
+        below and for every :class:`Compiled` under this profile, so the
+        same assignment always yields bit-identical sums.
+        """
         ns = len(self.schemes)
         scale = float(self.scale)
-        op_p = [[math.inf] * ns for _ in range(_N_OP_ROWS)]
-        op_n = [[math.inf] * ns for _ in range(_N_OP_ROWS)]
-        for op in (OpKind.IN, OpKind.OUT):
-            op_p[_OP_INDEX[op]] = [0.0] * ns
-            op_n[_OP_INDEX[op]] = [0.0] * ns
+        index = self.scheme_index
+        op_p, op_n, cands = {}, {}, {}
+        for op in OpKind:
+            free = 0.0 if op in (OpKind.IN, OpKind.OUT) else math.inf
+            op_p[op] = [free] * ns
+            op_n[op] = [free] * ns
+            cands[op] = tuple(index[s] for s in self.schemes_for(op))
         for (op, scheme), (p, n) in self.op_costs.items():
-            op_p[_OP_INDEX[op]][self.scheme_index[scheme]] = float(p) * scale
-            op_n[_OP_INDEX[op]][self.scheme_index[scheme]] = float(n) * scale
-        conv_p = [[0.0] * ns for _ in range(ns)]
-        conv_n = [[0.0] * ns for _ in range(ns)]
+            op_p[op][index[scheme]] = float(p) * scale
+            op_n[op][index[scheme]] = float(n) * scale
+        cp = [[0.0] * ns for _ in range(ns)]
+        cn = [[0.0] * ns for _ in range(ns)]
         for (src, dst), (p, n) in self.conversions.items():
-            conv_p[self.scheme_index[src]][self.scheme_index[dst]] = float(p) * scale
-            conv_n[self.scheme_index[src]][self.scheme_index[dst]] = float(n) * scale
-        return op_p, op_n, conv_p, conv_n
+            cp[index[src]][index[dst]] = float(p) * scale
+            cn[index[src]][index[dst]] = float(n) * scale
+        op_t = {op: [p + n for p, n in zip(op_p[op], op_n[op])] for op in OpKind}
+        ct = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(cp, cn)]
+        return op_p, op_n, op_t, cands, cp, cn, ct
 
     def op_cost_cents(self, op: OpKind, scheme: str) -> tuple[float, float]:
         """(compute, network) cents for running ``op`` under ``scheme``."""
@@ -192,9 +202,9 @@ class CostProfile:
                 f"scheme {scheme!r} does not support op {op} "
                 f"in profile {self.name!r}"
             )
-        op_p, op_n, _, _ = self._tables
+        op_p, op_n, *_ = self._tables
         j = self.scheme_index[scheme]
-        return op_p[_OP_INDEX[op]][j], op_n[_OP_INDEX[op]][j]
+        return op_p[op][j], op_n[op][j]
 
     def conv_cost_cents(self, src: str, dst: str) -> tuple[float, float]:
         """(compute, network) cents for re-sharing a value from ``src`` to
@@ -205,18 +215,8 @@ class CostProfile:
             raise InfeasibleAssignment(
                 f"scheme {e.args[0]!r} is not declared by profile {self.name!r}"
             ) from None
-        _, _, conv_p, conv_n = self._tables
-        return conv_p[i][j], conv_n[i][j]
-
-    def cent_tables(self) -> tuple[list, list, list, list]:
-        """Dense cent tables ``(op_p, op_n, conv_p, conv_n)`` as lists of
-        float lists.
-
-        Op rows follow :data:`mpcost.circuit.COMPUTE_OPS` with in/out
-        appended; columns and conversion axes follow the profile's scheme
-        order. Unsupported pairs hold ``inf``. Treat as read-only.
-        """
-        return self._tables
+        *_, cp, cn, _ = self._tables
+        return cp[i][j], cn[i][j]
 
 
 # --- per-node and total cost ------------------------------------------------
@@ -297,11 +297,15 @@ class Compiled:
     An assignment here is a list holding, per node id, the position of
     its scheme in ``profile.schemes``. Per node, ``op_p``, ``op_n`` and
     ``op_t`` hold the cent rows of its operation's compute, network and
-    summed cost (one shared list per op kind) and ``cands`` the indices of
-    the schemes supporting it, ascending. ``cp``, ``cn`` and ``ct`` are the
-    conversion matrices ``[src][dst]`` of compute, network and summed
-    cost. ``inputs`` and ``consumers`` give each node's input ids and its
-    consumers' ids, one entry per edge.
+    summed cost and ``cands`` the indices of the schemes supporting it,
+    ascending. ``cp``, ``cn`` and ``ct`` are the conversion matrices
+    ``[src][dst]`` of compute, network and summed cost. ``inputs`` and
+    ``consumers`` give each node's input ids and its consumers' ids, one
+    entry per edge.
+
+    The rows, ``cands`` tuples and matrices are the profile's own, built
+    once per profile and shared by every compile under it (a compile only
+    indexes them per node), so they are read-only.
 
     Every total sums its terms in the order of :class:`NodeCost`, so the
     same assignment gives the same floats however it is evaluated.
@@ -311,23 +315,14 @@ class Compiled:
                  "cp", "cn", "ct", "inputs", "consumers")
 
     def __init__(self, circuit: Circuit, profile: CostProfile):
-        op_p, op_n, cp, cn = profile.cent_tables()
-        op_t = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(op_p, op_n)]
-        index = profile.scheme_index
-        cands = {
-            op: tuple(index[s] for s in profile.schemes_for(op)) for op in OpKind
-        }
+        op_p, op_n, op_t, cands, self.cp, self.cn, self.ct = profile._tables
         ops = [node.op for node in circuit.nodes]
-        rows = [_OP_INDEX[op] for op in ops]
         self.circuit = circuit
         self.profile = profile
-        self.op_p = [op_p[r] for r in rows]
-        self.op_n = [op_n[r] for r in rows]
-        self.op_t = [op_t[r] for r in rows]
+        self.op_p = [op_p[op] for op in ops]
+        self.op_n = [op_n[op] for op in ops]
+        self.op_t = [op_t[op] for op in ops]
         self.cands = [cands[op] for op in ops]
-        self.cp = cp
-        self.cn = cn
-        self.ct = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(cp, cn)]
         self.inputs = tuple(node.inputs for node in circuit.nodes)
         self.consumers = circuit.consumer_edges
 
@@ -467,10 +462,7 @@ def assignment_to_json(assignment: Mapping[int, str]) -> str:
 
 
 def assignment_from_json(text: str) -> Assignment:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid assignment JSON: {e}") from None
+    doc = parse_json(text, "assignment")
     if not isinstance(doc, dict):
         raise ParseError("assignment JSON must be an object")
     out: Assignment = {}
@@ -651,24 +643,29 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_finite_number(x) -> bool:
-    return _is_number(x) and math.isfinite(x)
+def _finite_float(x) -> float | None:
+    """``x`` as a float, or ``None`` when it is not a JSON number, is NaN
+    or infinite, or is an int too large for a float."""
+    if not _is_number(x):
+        return None
+    try:
+        f = float(x)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
 
 
 def _parse_cost_entry(obj, where: str) -> tuple[float, float]:
     if not isinstance(obj, dict) or set(obj) != {"p", "n"}:
         raise ParseError(f"{where}: expected an object with keys 'p' and 'n'")
-    p, n = obj["p"], obj["n"]
-    if not _is_number(p) or not _is_number(n):
-        raise ParseError(f"{where}: costs must be numbers")
-    return float(p), float(n)
+    p, n = _finite_float(obj["p"]), _finite_float(obj["n"])
+    if p is None or n is None:
+        raise ParseError(f"{where}: costs must be finite numbers")
+    return p, n
 
 
 def profile_from_json(text: str) -> CostProfile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid profile JSON: {e}") from None
+    doc = parse_json(text, "profile")
     if not isinstance(doc, dict):
         raise ParseError("profile JSON must be an object")
     extra = set(doc) - {"name", "scale", "schemes", "ops", "conversions"}
@@ -680,9 +677,9 @@ def profile_from_json(text: str) -> CostProfile:
     name = doc["name"]
     if not isinstance(name, str):
         raise ParseError("profile name must be a string")
-    scale = doc["scale"]
-    if not _is_number(scale) or scale <= 0:
-        raise ParseError("profile scale must be a positive number")
+    scale = _finite_float(doc["scale"])
+    if scale is None or scale <= 0:
+        raise ParseError("profile scale must be a positive finite number")
     schemes = doc["schemes"]
     if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
         raise ParseError("profile schemes must be a list of names")
@@ -711,7 +708,7 @@ def profile_from_json(text: str) -> CostProfile:
         conversions[(src, dst)] = _parse_cost_entry(
             entry, f"conversions[{key!r}]"
         )
-    return CostProfile(name, float(scale), tuple(schemes), op_costs, conversions)
+    return CostProfile(name, scale, tuple(schemes), op_costs, conversions)
 
 
 def save_profile(profile: CostProfile, path) -> None:
@@ -739,10 +736,7 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
            {"conversion": ["yao", "arithmetic"], "seconds_per_op": 2e-3, "bytes_per_op": 512}
          ]}
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid measurements JSON: {e}") from None
+    doc = parse_json(text, "measurements")
     if not isinstance(doc, dict) or "measurements" not in doc:
         raise ParseError("measurements JSON must contain a 'measurements' list")
     schemes = doc.get("schemes")
@@ -765,14 +759,13 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
                 f"measurement {i}: needs an 'op' and a 'scheme' name, or a "
                 f"'conversion' pair of scheme names"
             )
-        seconds = obj.get("seconds_per_op")
-        nbytes = obj.get("bytes_per_op")
-        if not (_is_finite_number(seconds) and _is_finite_number(nbytes)):
+        seconds = _finite_float(obj.get("seconds_per_op"))
+        nbytes = _finite_float(obj.get("bytes_per_op"))
+        if seconds is None or nbytes is None:
             raise ParseError(
                 f"measurement {i}: needs finite numeric seconds_per_op and "
                 f"bytes_per_op"
             )
-        seconds, nbytes = float(seconds), float(nbytes)
         if is_conversion:
             out.append(RawMeasurement.for_conversion(*names, seconds, nbytes))
         else:
@@ -786,10 +779,7 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
 def prices_from_json(text: str) -> PriceSpec:
     """Parse a price sheet: ``{"vm_rate_a": .., "vm_rate_b": .., "net_rate": ..,
     "gb_bytes": ..}`` with ``gb_bytes`` optional (default ``10**9``)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid prices JSON: {e}") from None
+    doc = parse_json(text, "prices")
     if not isinstance(doc, dict):
         raise ParseError("prices JSON must be an object")
     extra = set(doc) - {"vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"}
@@ -799,14 +789,16 @@ def prices_from_json(text: str) -> PriceSpec:
     for key in ("vm_rate_a", "vm_rate_b", "net_rate"):
         if key not in doc:
             raise ParseError(f"invalid price sheet: missing {key!r}")
-        if not _is_finite_number(doc[key]):
+        rates[key] = _finite_float(doc[key])
+        if rates[key] is None:
             raise ParseError(f"invalid price sheet: {key} must be a finite number")
-        rates[key] = float(doc[key])
     gb_bytes = doc.get("gb_bytes", 10**9)
     if isinstance(gb_bytes, float) and gb_bytes.is_integer():
         gb_bytes = int(gb_bytes)
     if isinstance(gb_bytes, bool) or not isinstance(gb_bytes, int):
         raise ParseError("invalid price sheet: gb_bytes must be an integer")
+    if _finite_float(gb_bytes) is None:  # derive_profile divides by it
+        raise ParseError("invalid price sheet: gb_bytes is too large")
     return PriceSpec(**rates, gb_bytes=gb_bytes)
 
 

@@ -75,7 +75,11 @@ def default_scheme(circuit: Circuit, profile: CostProfile) -> str:
     """The uniform scheme used as the pure baseline and as the default
     hill-climbing start: ``"yao"`` when it supports every operation in the
     circuit, otherwise the first declared scheme that does."""
-    universal = profile.universal_schemes(circuit.ops_present())
+    return _preferred(profile.universal_schemes(circuit.ops_present()))
+
+
+def _preferred(universal: tuple[str, ...]) -> str:
+    """:func:`default_scheme` among the circuit's ``universal`` schemes."""
     return "yao" if "yao" in universal else universal[0]
 
 
@@ -240,11 +244,16 @@ def hill_climbing(
 
 
 def hill_pass(
-    compiled: Compiled, init_scheme: str, limits: SolverLimits
+    compiled: Compiled,
+    init_scheme: str,
+    limits: SolverLimits,
+    init_total: float | None = None,
 ) -> tuple[list[int], dict]:
     """Scheme indices of :func:`hill_climbing`, and its ``iterations``,
     ``limit_exceeded`` and ``sweep_totals`` as keyword arguments of
-    :class:`OptimizeResult`."""
+    :class:`OptimizeResult`. ``init_total``, when given, is the
+    :meth:`~mpcost.cost_model.Compiled.total` of the uniform start, which
+    a caller has already scored."""
     init = _require_support(compiled, init_scheme)
     n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
@@ -271,7 +280,7 @@ def hill_pass(
             cost += conv[idx[c]]
         return cost
 
-    sweep_totals = [compiled.total(idx)]
+    sweep_totals = [compiled.total(idx) if init_total is None else init_total]
     sweeps = 0
     limit_exceeded = False
     while True:
@@ -580,20 +589,27 @@ def best_of(
     candidate.
 
     The circuit is compiled once, and every candidate is a pass over that
-    form scored with :meth:`~mpcost.cost_model.Compiled.total` (hill
-    climbing's last sweep total is that score already). Only the winner
-    gets a per-node report.
+    form scored once with :meth:`~mpcost.cost_model.Compiled.total`: hill
+    climbing starts from the score of its uniform start when that is a
+    fixed candidate, and its last sweep total is its own score. Only the
+    winner gets a per-node report.
     """
     limits = limits or SolverLimits()
     compiled = Compiled(circuit, profile)
     universal = profile.universal_schemes(circuit.ops_present())
-    runs = [(f"fixed:{s}", fixed_pass(compiled, s)) for s in universal]
+    n = len(circuit.nodes)
+    index = profile.scheme_index
+    # Universal schemes support every node's op, so no per-node check.
+    runs = [(f"fixed:{s}", [index[s]] * n) for s in universal]
     runs.append(("bottom-up", bottom_up_pass(compiled)))
     runs.append(("top-down", top_down_pass(compiled)))
     scored = [(compiled.total(idx), label, idx, {}) for label, idx in runs]
     if hill_init is None:
-        hill_init = default_scheme(circuit, profile)
-    idx, extra = hill_pass(compiled, hill_init, limits)
+        hill_init = _preferred(universal)
+    totals = {label: total for total, label, _, _ in scored}
+    idx, extra = hill_pass(
+        compiled, hill_init, limits, totals.get(f"fixed:{hill_init}")
+    )
     scored.append((extra["sweep_totals"][-1], "hill-climbing", idx, extra))
     _, label, idx, extra = min(scored, key=lambda c: c[0])  # the first least
     return _result(compiled, idx, label, **extra)

@@ -292,6 +292,29 @@ def test_eval_missing_input_exits_1(capsys, adder_path, tmp_path):
     assert "no value" in err
 
 
+_HUGE_SCALE = builtin_text("inter-m3.medium").replace(
+    '"scale": 1e-06', '"scale": 1' + "0" * 400)
+
+
+@pytest.mark.parametrize("command, bad_file, text", [
+    ("optimize", "circuit", "[" * 100_000),
+    ("optimize", "profile", _HUGE_SCALE),
+    ("eval", "inputs", "[" * 100_000),
+], ids=["deep-circuit", "huge-scale", "deep-inputs"])
+def test_hostile_input_files_exit_1_with_one_error_line(
+        capsys, tmp_path, adder_path, profile_path, command, bad_file, text):
+    assert text != builtin_text("inter-m3.medium")
+    files = {"circuit": adder_path, "profile": profile_path,
+             "inputs": str(tmp_path / "inputs.json")}
+    files[bad_file] = str(tmp_path / "bad.json")
+    Path(files[bad_file]).write_text(text)
+    second = files["profile"] if command == "optimize" else files["inputs"]
+    code, out, err = run(capsys, command, files["circuit"], second)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_derive_profile_round_trip(capsys, tmp_path):
     from mpcost.circuit import COMPUTE_OPS
 

@@ -21,7 +21,12 @@ from mpcost import (
     total_cost,
 )
 from mpcost.circuit import COMPUTE_OPS
-from mpcost.cost_model import CostProfile, measurements_from_json, prices_from_json
+from mpcost.cost_model import (
+    Compiled,
+    CostProfile,
+    measurements_from_json,
+    prices_from_json,
+)
 from mpcost.errors import (
     DuplicateMeasurement,
     InfeasibleAssignment,
@@ -135,6 +140,29 @@ def test_total_cost_scales_linearly_with_profile():
 
 
 # --- check_feasible ------------------------------------------------------------
+
+
+def test_compiles_share_the_profile_tables(monkeypatch):
+    prof = make_profile()
+    first = Compiled(gen_random(1, n_ops=8), prof)
+    calls = []
+    schemes_for = CostProfile.schemes_for
+
+    def counted(self, op):
+        calls.append(op)
+        return schemes_for(self, op)
+
+    monkeypatch.setattr(CostProfile, "schemes_for", counted)
+    second = Compiled(gen_random(2, n_ops=8), prof)
+    assert calls == []
+    assert second.ct is first.ct
+    assert second.cp is first.cp and second.cn is first.cn
+    by_op = {}
+    for compiled in (first, second):
+        for node, *rows in zip(compiled.circuit.nodes, compiled.op_p,
+                               compiled.op_n, compiled.op_t, compiled.cands):
+            for row, shared in zip(rows, by_op.setdefault(node.op, rows)):
+                assert row is shared
 
 
 def test_check_feasible_flags_unsupported(inter_m3_medium):

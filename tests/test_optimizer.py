@@ -600,6 +600,38 @@ def test_best_of_compiles_once_and_reports_the_winner_only(monkeypatch,
     assert counts == {"compiled": 1, "report": 1}
 
 
+def test_best_of_scores_each_candidate_once(monkeypatch, inter_m3_medium):
+    circuit = gen_matmul(MatMulSpec(n=5))
+    universal = inter_m3_medium.universal_schemes(circuit.ops_present())
+    hill = hill_climbing(circuit, inter_m3_medium, "yao")
+    moved = hill.iterations - (0 if hill.limit_exceeded else 1)
+    calls = []
+    total = Compiled.total
+
+    def counted_total(self, idx):
+        calls.append(1)
+        return total(self, idx)
+
+    monkeypatch.setattr(Compiled, "total", counted_total)
+    best_of(circuit, inter_m3_medium)
+    # Fixed candidates, bottom-up and top-down once each, then one per
+    # hill sweep that moved: the hill start is the fixed:yao candidate and
+    # is not scored again.
+    assert moved > 0
+    assert len(calls) == len(universal) + 2 + moved
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES)
+def test_best_of_on_a_fresh_profile_equals_the_warm_result(all_profiles, name):
+    circuits = [gen_matmul(MatMulSpec(n=3)), gen_biometric(BiometricSpec(4, 2)),
+                gen_random(7, n_ops=12)]
+    warm = all_profiles[name]
+    for circuit in circuits:
+        best_of(circuit, warm)  # its tables are built by now
+        assert repr(best_of(circuit, load_builtin(name))) == repr(
+            best_of(circuit, warm))
+
+
 # --- determinism ------------------------------------------------------------------------
 
 
