@@ -85,6 +85,8 @@ COMPUTE_OPS = (
 )
 
 PARTIES = ("server", "client")
+#: Widest word a circuit may declare; evaluation masks with ``2**bitwidth``.
+MAX_BITWIDTH = 4096
 
 _OP_BY_NAME = {op.value: op for op in OpKind}
 
@@ -161,8 +163,8 @@ class Circuit:
 
 
 def _validate(nodes: Sequence[Node], bitwidth: int) -> None:
-    if bitwidth < 1:
-        raise ValueError(f"bitwidth must be positive, got {bitwidth}")
+    if not 1 <= bitwidth <= MAX_BITWIDTH:
+        raise ValueError(f"bitwidth must be in 1..{MAX_BITWIDTH}, got {bitwidth}")
     for node in nodes:
         if len(node.inputs) != node.op.arity:
             raise ArityMismatch(
@@ -360,8 +362,8 @@ def circuit_from_json(text: str) -> Circuit:
     if extra:
         raise ParseError(f"unexpected circuit key(s): {sorted(extra)}")
     bitwidth = doc.get("bitwidth", 32)
-    if not _is_int(bitwidth) or bitwidth < 1:
-        raise ParseError(f"bitwidth must be a positive integer, got {bitwidth!r}")
+    if not _is_int(bitwidth) or not 1 <= bitwidth <= MAX_BITWIDTH:
+        raise ParseError(f"bitwidth must be an int in 1..{MAX_BITWIDTH}, got {bitwidth!r}")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
         raise ParseError("circuit JSON must contain a node list")

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import profiles as builtin_profiles
 from .casegen import (
@@ -59,15 +58,13 @@ from .optimizer import (
     SolverLimits,
     best_of,
     bottom_up,
-    bottom_up_pass,
+    candidates,
     default_scheme,
+    exact_pass,
     exhaustive_optimal,
-    fixed_pass,
     fixed_sharing,
     hill_climbing,
-    hill_pass,
     top_down,
-    top_down_pass,
 )
 
 HEURISTICS = ("pure", "bottom-up", "top-down", "hill", "exhaustive", "best")
@@ -81,16 +78,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-@dataclass
-class CompareRow:
-    heuristic: str
-    compute: float
-    network: float
-    total: float
-    reduction: float  # vs the pure baseline, in [0, 1]
-    winner: bool = False
 
 
 def _resolve_profile(value: str) -> CostProfile:
@@ -190,43 +177,35 @@ def cmd_compare(args) -> int:
     limits = SolverLimits(max_space=args.max_space, max_passes=args.max_passes)
     baseline = default_scheme(circuit, profile)
     compiled = Compiled(circuit, profile)
-    runs = [
-        (f"pure-{baseline}", fixed_pass(compiled, baseline)),
-        ("hill-climbing", hill_pass(compiled, baseline, limits)[0]),
-        ("top-down", top_down_pass(compiled)),
-        ("bottom-up", bottom_up_pass(compiled)),
-    ]
-    reports = [(label, compiled.report(idx)) for label, idx in runs]
+    idx = {label: run[1] for label, run in candidates(compiled, limits).items()}
+    idx[f"pure-{baseline}"] = idx[f"fixed:{baseline}"]
+    labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:
-        exact = exhaustive_optimal(circuit, profile, limits)
-        reports.append(("exhaustive", exact.report))
+        idx["exhaustive"] = exact_pass(compiled, limits)
+        labels.append("exhaustive")
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
+    reports = [(label, compiled.report(idx[label])) for label in labels]
 
     pure_total = reports[0][1].total
     best_total = min(rep.total for _, rep in reports)
     factor = UNIT_FACTOR[args.unit]
-    rows = []
-    for label, rep in reports:
-        reduction = 0.0 if pure_total == 0 else 1.0 - rep.total / pure_total
-        rows.append(
-            CompareRow(
-                label,
-                rep.total_compute * factor,
-                rep.total_network * factor,
-                rep.total * factor,
-                reduction,
-                winner=rep.total == best_total,
-            )
-        )
+    rows = [
+        {
+            "heuristic": label,
+            "compute": rep.total_compute * factor,
+            "network": rep.total_network * factor,
+            "total": rep.total * factor,
+            # vs the pure baseline, in [0, 1]
+            "reduction": 0.0 if pure_total == 0 else 1.0 - rep.total / pure_total,
+            "winner": rep.total == best_total,
+        }
+        for label, rep in reports
+    ]
 
     if args.json:
-        doc = {
-            "unit": args.unit,
-            "rows": [vars(r) for r in rows],
-            "notices": notices,
-        }
+        doc = {"unit": args.unit, "rows": rows, "notices": notices}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
     header = (
@@ -235,10 +214,10 @@ def cmd_compare(args) -> int:
     )
     lines = [f"unit: {args.unit}", header]
     for r in rows:
-        mark = "*" if r.winner else " "
+        mark = "*" if r["winner"] else " "
         lines.append(
-            f"{mark}{r.heuristic:<15}{r.compute:>16.6e}{r.network:>16.6e}"
-            f"{r.total:>16.6e}{100 * r.reduction:>13.2f}%"
+            f"{mark}{r['heuristic']:<15}{r['compute']:>16.6e}{r['network']:>16.6e}"
+            f"{r['total']:>16.6e}{100 * r['reduction']:>13.2f}%"
         )
     lines.extend(notices)
     _emit("\n".join(lines) + "\n", args.out)

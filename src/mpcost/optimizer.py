@@ -29,7 +29,7 @@ from .cost_model import (
     Compiled,
     CostProfile,
     CostReport,
-    total_cost,
+    total_cost,  # noqa: F401  (unused; perfbench's tracer patches it here)
 )
 from .errors import SearchSpaceTooLarge, UnsupportedScheme
 
@@ -107,9 +107,10 @@ def _result(
     )
 
 
-# Each strategy is an index-level pass over a given ``Compiled`` plus a
-# public wrapper that compiles, runs the pass and reports. ``best_of`` and
-# ``mpcost compare`` run several passes on one compiled form.
+# Each public strategy compiles, runs its pass (scheme indices over a
+# given ``Compiled``) and reports. ``candidates`` runs every heuristic pass
+# on one compiled form; ``best_of`` and ``mpcost compare`` read it, and
+# ``compare`` runs ``exact_pass`` on that same form.
 
 
 def fixed_sharing(
@@ -122,12 +123,8 @@ def fixed_sharing(
     are exactly zero.
     """
     compiled = Compiled(circuit, profile)
-    return _result(compiled, fixed_pass(compiled, scheme), f"fixed:{scheme}")
-
-
-def fixed_pass(compiled: Compiled, scheme: str) -> list[int]:
-    """Scheme indices of :func:`fixed_sharing`."""
-    return [_require_support(compiled, scheme)] * len(compiled.circuit.nodes)
+    idx = [_require_support(compiled, scheme)] * len(circuit.nodes)
+    return _result(compiled, idx, f"fixed:{scheme}")
 
 
 def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -337,7 +334,7 @@ def exhaustive_optimal(
     profile: CostProfile,
     limits: SolverLimits | None = None,
 ) -> OptimizeResult:
-    """Exact minimum-cost assignment.
+    """Exact minimum-cost assignment, found by :func:`exact_pass`.
 
     Contract. A full row holds a scheme index per node id. For each choice
     of schemes on the priced nodes, the row is completed by settling every
@@ -349,9 +346,19 @@ def exhaustive_optimal(
     :meth:`~mpcost.cost_model.Compiled.total` over every feasible full
     assignment. That row is the result; ties go to the lexicographically
     first row (scheme index, node 0 first). The search space checked
-    against ``max_space``, before any other work, is the product of the
+    against ``max_space``, before any solver work, is the product of the
     candidate counts over the priced nodes, e.g. ``3**k`` for ``k``
-    add/mul nodes under the bundled profiles.
+    add/mul nodes under the bundled profiles; above it the call raises
+    :class:`SearchSpaceTooLarge`.
+    """
+    compiled = Compiled(circuit, profile)
+    idx = exact_pass(compiled, limits or SolverLimits())
+    return _result(compiled, idx, "exhaustive")
+
+
+def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
+    """Scheme indices of :func:`exhaustive_optimal`, which states the
+    contract.
 
     Method. The variables are the priced nodes with more than one
     candidate and the ``in`` nodes that feed one; every other node is
@@ -386,16 +393,13 @@ def exhaustive_optimal(
     This settles degenerate ties, such as an all-zero profile, without
     visiting every tied row.
     """
-    limits = limits or SolverLimits()
+    circuit = compiled.circuit
     nodes = circuit.nodes
-    space = math.prod(
-        len(profile.schemes_for(nodes[i].op)) for i in circuit.op_node_ids
-    )
+    ct, inputs, cands = compiled.ct, compiled.inputs, compiled.cands
+    space = math.prod(len(cands[i]) for i in circuit.op_node_ids)
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
 
-    compiled = Compiled(circuit, profile)
-    ct, inputs, cands = compiled.ct, compiled.inputs, compiled.cands
     # The current path's row; nodes that are no variable keep their scheme.
     row = [cands[i][0] for i in range(len(nodes))]
     free = {p for p in circuit.op_node_ids if len(cands[p]) > 1}
@@ -507,7 +511,7 @@ def exhaustive_optimal(
     for i in order:
         if i in fanout:
             checks[max(pos[c] for c in [i, *fanout[i]] if c in pos)].append(i)
-    every = tuple(range(len(profile.schemes)))
+    every = tuple(range(len(compiled.profile.schemes)))
     best_total, best_row = math.inf, None
 
     def expand(d: int, path_cost: float) -> list:
@@ -562,14 +566,39 @@ def exhaustive_optimal(
             total = compiled.total(row)
             if best_row is None or (total, row) < (best_total, best_row):
                 best_total, best_row = total, row[:]
-
-    assignment = compiled.assignment(best_row)
-    return OptimizeResult(
-        assignment, total_cost(circuit, assignment, profile), "exhaustive"
-    )
+    return best_row
 
 
 # --- meta-selector -----------------------------------------------------------
+
+
+def candidates(
+    compiled: Compiled, limits: SolverLimits, hill_init: str | None = None
+) -> dict[str, tuple[float, list[int], dict]]:
+    """Every heuristic's result on ``compiled`` as label -> ``(total, scheme
+    indices, OptimizeResult keyword arguments)``, in tie-break order: a
+    ``fixed:<scheme>`` run for each scheme that supports every operation
+    in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing`` from
+    ``hill_init`` (by default :func:`default_scheme`).
+
+    Each is scored once with :meth:`~mpcost.cost_model.Compiled.total`:
+    hill climbing starts from the score of its start when that is a fixed
+    candidate, and its last sweep total is its own score.
+    """
+    profile = compiled.profile
+    universal = profile.universal_schemes(compiled.circuit.ops_present())
+    n = len(compiled.circuit.nodes)
+    # Universal schemes support every node's op, so no per-node check.
+    runs = {f"fixed:{s}": [profile.scheme_index[s]] * n for s in universal}
+    runs["bottom-up"] = bottom_up_pass(compiled)
+    runs["top-down"] = top_down_pass(compiled)
+    scored = {label: (compiled.total(idx), idx, {}) for label, idx in runs.items()}
+    if hill_init is None:
+        hill_init = _preferred(universal)
+    start = scored.get(f"fixed:{hill_init}", (None,))[0]
+    idx, extra = hill_pass(compiled, hill_init, limits, start)
+    scored["hill-climbing"] = (extra["sweep_totals"][-1], idx, extra)
+    return scored
 
 
 def best_of(
@@ -580,36 +609,14 @@ def best_of(
 ) -> OptimizeResult:
     """Run every heuristic and keep the cheapest result.
 
-    Candidates, in tie-break order: a fixed assignment for each scheme
-    that supports every operation in the circuit, bottom-up, top-down,
-    and hill climbing. Hill climbing starts from ``hill_init``, by default
-    :func:`default_scheme`. The first candidate with the least total wins,
-    and its result (including its ``heuristic`` label) is what that
-    strategy's own function returns. ``exhaustive_optimal`` is not a
-    candidate.
-
-    The circuit is compiled once, and every candidate is a pass over that
-    form scored once with :meth:`~mpcost.cost_model.Compiled.total`: hill
-    climbing starts from the score of its uniform start when that is a
-    fixed candidate, and its last sweep total is its own score. Only the
-    winner gets a per-node report.
+    The candidates are those of :func:`candidates`, on one compiled form.
+    The first candidate with the least total wins, and its result
+    (including its ``heuristic`` label) is what that strategy's own
+    function returns. Only the winner gets a per-node report.
+    ``exhaustive_optimal`` is not a candidate.
     """
-    limits = limits or SolverLimits()
     compiled = Compiled(circuit, profile)
-    universal = profile.universal_schemes(circuit.ops_present())
-    n = len(circuit.nodes)
-    index = profile.scheme_index
-    # Universal schemes support every node's op, so no per-node check.
-    runs = [(f"fixed:{s}", [index[s]] * n) for s in universal]
-    runs.append(("bottom-up", bottom_up_pass(compiled)))
-    runs.append(("top-down", top_down_pass(compiled)))
-    scored = [(compiled.total(idx), label, idx, {}) for label, idx in runs]
-    if hill_init is None:
-        hill_init = _preferred(universal)
-    totals = {label: total for total, label, _, _ in scored}
-    idx, extra = hill_pass(
-        compiled, hill_init, limits, totals.get(f"fixed:{hill_init}")
-    )
-    scored.append((extra["sweep_totals"][-1], "hill-climbing", idx, extra))
-    _, label, idx, extra = min(scored, key=lambda c: c[0])  # the first least
+    scored = candidates(compiled, limits or SolverLimits(), hill_init)
+    label = min(scored, key=lambda k: scored[k][0])  # the first least
+    _, idx, extra = scored[label]
     return _result(compiled, idx, label, **extra)

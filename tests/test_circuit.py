@@ -17,6 +17,7 @@ from mpcost import (
     save_circuit,
     topological_order,
 )
+from mpcost.circuit import MAX_BITWIDTH
 from mpcost.errors import (
     ArityMismatch,
     CycleDetected,
@@ -233,6 +234,26 @@ def test_parse_rejects_unknown_keys():
 def test_parse_rejects_malformed_json():
     with pytest.raises(ParseError):
         circuit_from_json("{not json")
+
+
+@pytest.mark.parametrize("bitwidth", [0, MAX_BITWIDTH + 1, 10**400],
+                         ids=["zero", "max+1", "1e400"])
+def test_bitwidth_out_of_range_is_rejected(bitwidth):
+    entries = [("in", []), ("out", [0])]
+    with pytest.raises(ValueError, match="bitwidth"):
+        build(entries, bitwidth=bitwidth)
+    text = circuit_to_json(build(entries)).replace(
+        '"bitwidth":32', f'"bitwidth":{bitwidth}')
+    with pytest.raises(ParseError, match="bitwidth"):
+        circuit_from_json(text)
+
+
+def test_widest_bitwidth_loads_and_evaluates():
+    wide = build([("in", []), ("in", []), ("add", [0, 1]), ("out", [2])],
+                 bitwidth=MAX_BITWIDTH)
+    assert circuit_from_json(circuit_to_json(wide)) == wide
+    top = 2**MAX_BITWIDTH - 1
+    assert evaluate_plaintext(wide, {0: top, 1: 2})[3] == 1
 
 
 @pytest.mark.parametrize("field", ["bitwidth", "id", "inputs"])

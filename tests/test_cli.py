@@ -8,13 +8,25 @@ import pytest
 from mpcost import (
     BiometricSpec,
     MatMulSpec,
+    best_of,
+    bottom_up,
+    build,
+    circuit_to_json,
+    exhaustive_optimal,
+    fixed_sharing,
     gen_biometric,
     gen_matmul,
+    gen_random,
+    hill_climbing,
+    load_builtin,
     load_circuit,
     load_profile,
     save_circuit,
+    top_down,
 )
 from mpcost.cli import main
+from mpcost.cost_model import Compiled
+from mpcost.optimizer import default_scheme
 from mpcost.profiles import BUILTIN_PROFILES, builtin_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -240,6 +252,12 @@ def test_gen_bad_params_exit_1(capsys, tmp_path):
     assert code == 1
     code, _, _ = run(capsys, "gen", "chain", "--op", "mux", "--len", "3")
     assert code == 1
+    out_path = tmp_path / "wide.json"
+    code, _, err = run(capsys, "gen", "chain", "--op", "add", "--len", "3",
+                       "--bitwidth", "100000000000000000000", "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("error: ") and "bitwidth" in err
+    assert not out_path.exists()
 
 
 def test_eval_adder_by_id(capsys, adder_path, tmp_path):
@@ -294,18 +312,23 @@ def test_eval_missing_input_exits_1(capsys, adder_path, tmp_path):
 
 _HUGE_SCALE = builtin_text("inter-m3.medium").replace(
     '"scale": 1e-06', '"scale": 1' + "0" * 400)
+_ADDER_TEXT = circuit_to_json(
+    build([("in", []), ("in", []), ("add", [0, 1]), ("out", [2])]))
+_HUGE_BITWIDTH = _ADDER_TEXT.replace('"bitwidth":32', '"bitwidth":1' + "0" * 400)
 
 
 @pytest.mark.parametrize("command, bad_file, text", [
     ("optimize", "circuit", "[" * 100_000),
     ("optimize", "profile", _HUGE_SCALE),
     ("eval", "inputs", "[" * 100_000),
-], ids=["deep-circuit", "huge-scale", "deep-inputs"])
+    ("eval", "circuit", _HUGE_BITWIDTH),
+], ids=["deep-circuit", "huge-scale", "deep-inputs", "huge-bitwidth"])
 def test_hostile_input_files_exit_1_with_one_error_line(
         capsys, tmp_path, adder_path, profile_path, command, bad_file, text):
-    assert text != builtin_text("inter-m3.medium")
+    assert text not in (builtin_text("inter-m3.medium"), _ADDER_TEXT)
     files = {"circuit": adder_path, "profile": profile_path,
              "inputs": str(tmp_path / "inputs.json")}
+    Path(files["inputs"]).write_text('{"0": 1, "1": 2}')  # valid for the adder
     files[bad_file] = str(tmp_path / "bad.json")
     Path(files[bad_file]).write_text(text)
     second = files["profile"] if command == "optimize" else files["inputs"]
@@ -441,3 +464,63 @@ def test_compare_without_yao_uses_the_first_universal_scheme(capsys, tmp_path):
                 capsys, "optimize", str(path), profile, "--heuristic", heuristic
             )
             assert code == 0, err
+
+
+# --- one compile per command, and compare against the strategies --------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare",),
+    ("optimize", "--heuristic", "exhaustive"),
+    ("optimize",),
+], ids=["compare", "optimize-exhaustive", "optimize-best"])
+def test_each_command_compiles_once(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "mm2.json"
+    save_circuit(gen_matmul(MatMulSpec(2)), path)
+    calls = []
+    init = Compiled.__init__
+
+    def counted_init(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Compiled, "__init__", counted_init)
+    command, *options = argv
+    code, out, err = run(capsys, command, str(path), "inter-m3.medium",
+                         *options, "--json")
+    assert code == 0, err
+    if command == "compare":  # the exact row runs on the same compiled form
+        assert json.loads(out)["rows"][-1]["heuristic"] == "exhaustive"
+    assert len(calls) == 1
+
+
+def test_compare_rows_equal_the_strategies_results(capsys, tmp_path):
+    circuits = {
+        "matmul-5": gen_matmul(MatMulSpec(5)),
+        "biometric-30x5": gen_biometric(BiometricSpec(30, 5)),
+        **{f"random-{seed}": gen_random(seed, n_ops=9) for seed in (1, 2, 3)},
+    }
+    exact_rows = 0
+    for label, circuit in circuits.items():
+        path = tmp_path / f"{label}.json"
+        save_circuit(circuit, path)
+        for name in BUILTIN_PROFILES:
+            profile = load_builtin(name)
+            code, out, err = run(capsys, "compare", str(path), name, "--json")
+            assert code == 0, err
+            totals = {r["heuristic"]: repr(r["total"]) for r in json.loads(out)["rows"]}
+            baseline = default_scheme(circuit, profile)
+            expected = {
+                f"pure-{baseline}": fixed_sharing(circuit, profile, baseline),
+                "hill-climbing": hill_climbing(circuit, profile, baseline),
+                "top-down": top_down(circuit, profile),
+                "bottom-up": bottom_up(circuit, profile),
+            }
+            heuristic_totals = [r.report.total for r in expected.values()]
+            if "exhaustive" in totals:
+                expected["exhaustive"] = exhaustive_optimal(circuit, profile)
+                exact_rows += 1
+            assert totals == {k: repr(r.report.total) for k, r in expected.items()}
+            assert repr(min(heuristic_totals)) == repr(
+                best_of(circuit, profile).report.total)
+    assert exact_rows == 3 * len(BUILTIN_PROFILES)  # the random circuits
