@@ -1,9 +1,9 @@
 """How close do the heuristics get to the true optimum?
 
 On circuits with few priced nodes the exact solver finds the true
-optimum (in/out nodes are settled analytically, so 10 priced nodes mean
-at most 3^10 candidates, and its bounded search visits only a few of
-them). This script measures each heuristic's gap to that optimum over a
+optimum (its space cap counts the priced nodes only, so 10 priced nodes
+mean at most 3^10, and its bounded search visits only a few of the
+rows). This script measures each heuristic's gap to that optimum over a
 bag of random circuits.
 
 Run: python demos/04_exact_vs_heuristics.py

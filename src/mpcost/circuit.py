@@ -341,6 +341,22 @@ def parse_json(text: str, what: str):
         raise ParseError(f"invalid {what} JSON: {e}") from None
 
 
+def parse_node_id(key: str, what: str) -> int:
+    """The node id named by ``key``, a key of a ``what`` JSON object.
+
+    Only canonical ASCII decimal ids pass (``"0"``, ``"12"``; not ``"012"``,
+    ``"+3"``, ``" 2"`` or ``"1_0"``), so no two keys name one node. Any
+    other key, and one longer than the interpreter's digit limit, raises
+    :class:`ParseError`.
+    """
+    if key.isascii() and key.isdigit() and (key == "0" or key[0] != "0"):
+        try:
+            return int(key)
+        except ValueError:  # past the digit limit
+            pass
+    raise ParseError(f"{what} key {key!r} is not a node id")
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     nodes = []
     for n in circuit.nodes:

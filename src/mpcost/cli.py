@@ -35,6 +35,7 @@ from .circuit import (
     load_circuit,
     op_from_name,
     parse_json,
+    parse_node_id,
 )
 from .cost_model import (
     Compiled,
@@ -262,12 +263,7 @@ def cmd_eval(args) -> int:
         if key in by_name:
             inputs[by_name[key]] = value
         else:
-            try:
-                inputs[int(key)] = value
-            except ValueError:
-                raise ParseError(
-                    f"{key!r} is neither an in-node name nor an id"
-                ) from None
+            inputs[parse_node_id(key, "inputs")] = value
     outputs = evaluate_plaintext(circuit, inputs)
     doc_out = {}
     for i in circuit.out_ids:

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .circuit import COMPUTE_OPS, Circuit, OpKind, op_from_name, parse_json
+from .circuit import (
+    COMPUTE_OPS,
+    Circuit,
+    OpKind,
+    op_from_name,
+    parse_json,
+    parse_node_id,
+)
 from .errors import (
     DuplicateMeasurement,
     InfeasibleAssignment,
@@ -79,10 +86,7 @@ class CostProfile:
             raise NoUniversalScheme(f"profile {self.name!r} declares no schemes")
         if len(set(self.schemes)) != len(self.schemes):
             raise ParseError(f"profile {self.name!r} has duplicate scheme names")
-        if not (isinstance(self.scale, (int, float)) and 0 < self.scale < math.inf):
-            raise ParseError(
-                f"profile {self.name!r} scale must be positive and finite"
-            )
+        _check_scale(self.name, self.scale)
         known = set(self.schemes)
         for (op, scheme), (p, n) in self.op_costs.items():
             if op not in COMPUTE_OPS:
@@ -217,6 +221,12 @@ class CostProfile:
             ) from None
         *_, cp, cn, _ = self._tables
         return cp[i][j], cn[i][j]
+
+
+def _check_scale(name: str, scale) -> None:
+    """Raise :class:`ParseError` unless ``scale`` is positive and finite."""
+    if not (isinstance(scale, (int, float)) and 0 < scale < math.inf):
+        raise ParseError(f"profile {name!r} scale must be positive and finite")
 
 
 # --- per-node and total cost ------------------------------------------------
@@ -467,10 +477,7 @@ def assignment_from_json(text: str) -> Assignment:
         raise ParseError("assignment JSON must be an object")
     out: Assignment = {}
     for key, value in doc.items():
-        try:
-            node_id = int(key)
-        except ValueError:
-            raise ParseError(f"assignment key {key!r} is not a node id") from None
+        node_id = parse_node_id(key, "assignment")
         if not isinstance(value, str):
             raise ParseError(f"assignment for node {key} must be a scheme name")
         out[node_id] = value
@@ -569,6 +576,7 @@ def derive_profile(
     set has to cover every conversion pair and leave at least one scheme
     supporting every operation.
     """
+    _check_scale(name, scale)
     op_costs: dict[tuple[OpKind, str], tuple[float, float]] = {}
     conversions: dict[tuple[str, str], tuple[float, float]] = {}
     seen: set[str] = set()

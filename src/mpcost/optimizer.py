@@ -324,11 +324,6 @@ def hill_pass(
 _TABLE_CELLS = 2**14
 
 
-def _first_min(values) -> int:
-    """Position of the first smallest of ``values``."""
-    return min(range(len(values)), key=values.__getitem__)
-
-
 def exhaustive_optimal(
     circuit: Circuit,
     profile: CostProfile,
@@ -336,20 +331,14 @@ def exhaustive_optimal(
 ) -> OptimizeResult:
     """Exact minimum-cost assignment, found by :func:`exact_pass`.
 
-    Contract. A full row holds a scheme index per node id. For each choice
-    of schemes on the priced nodes, the row is completed by settling every
-    ``in`` node to the first scheme minimizing its summed conversions into
-    its non-``out`` consumers (in edge order; scheme 0 when it has none),
-    then every ``out`` node to the first scheme minimizing its incoming
-    conversion. In/out nodes cost nothing themselves and touch only their
-    own edges, so the cheapest such row costs the minimum of
-    :meth:`~mpcost.cost_model.Compiled.total` over every feasible full
-    assignment. That row is the result; ties go to the lexicographically
-    first row (scheme index, node 0 first). The search space checked
-    against ``max_space``, before any solver work, is the product of the
-    candidate counts over the priced nodes, e.g. ``3**k`` for ``k``
-    add/mul nodes under the bundled profiles; above it the call raises
-    :class:`SearchSpaceTooLarge`.
+    Contract. A full row holds a scheme index per node id, ``in`` and
+    ``out`` nodes included. The result is the feasible full row with the
+    least :meth:`~mpcost.cost_model.Compiled.total`; ties go to the
+    lexicographically first row (scheme index, node 0 first). The search
+    space checked against ``max_space``, before any solver work, is the
+    product of the candidate counts over the priced nodes, e.g. ``3**k``
+    for ``k`` add/mul nodes under the bundled profiles; above it the call
+    raises :class:`SearchSpaceTooLarge`.
     """
     compiled = Compiled(circuit, profile)
     idx = exact_pass(compiled, limits or SolverLimits())
@@ -360,23 +349,20 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     """Scheme indices of :func:`exhaustive_optimal`, which states the
     contract.
 
-    Method. The variables are the priced nodes with more than one
-    candidate and the ``in`` nodes that feed one; every other node is
-    settled up front. The cost is a sum of factors: each priced node's
-    operation and each conversion into a priced node (``out`` nodes settle
-    at no cost). The elimination order is fixed on the factors' scopes
-    before any table is built: each step takes the variable whose table
-    (it and its neighbours) has the fewest cells, so an ``in`` node that
-    feeds many nodes goes after them. Min-sum variable elimination in that
-    order gives the cost-to-go of every prefix of the reverse order: the
-    messages later variables sent into it. A bucket whose table would
-    exceed ``_TABLE_CELLS`` cells sends one message per factor instead
-    (Dechter's mini-buckets), which bounds the cost-to-go from below, so
-    no table outgrows that cap. A depth-first search then sets the
-    variables in the reverse order, cheapest bound first, drops an ``in``
-    node's branch once it and its consumers are set and it is not the
-    settled scheme (so each row is reached once), and scores each leaf
-    row with ``Compiled.total``.
+    Method. The cost is a sum of factors: each priced node's operation
+    and each edge's conversion. The variables are the nodes with more than
+    one candidate that a factor touches, ``in`` and ``out`` nodes included;
+    every other node keeps its first candidate. The elimination order is
+    fixed on the factors' scopes before any table is built: each step
+    takes the variable whose table (it and its neighbours) has the fewest
+    cells, so an ``in`` node that feeds many nodes goes after them.
+    Min-sum variable elimination in that order gives the cost-to-go of
+    every prefix of the reverse order: the messages later variables sent
+    into it. A bucket whose table would exceed ``_TABLE_CELLS`` cells sends
+    one message per factor instead (Dechter's mini-buckets), which bounds
+    the cost-to-go from below, so no table outgrows that cap. A depth-first
+    search then sets the variables in the reverse order, cheapest bound
+    first, and scores each leaf row with ``Compiled.total``.
 
     Pruning. Prices are non-negative, and rounded ``+`` and ``min`` are
     monotone. A subtree's float bound ``b`` is thus at most the float sum
@@ -400,30 +386,19 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
 
-    # The current path's row; nodes that are no variable keep their scheme.
-    row = [cands[i][0] for i in range(len(nodes))]
-    free = {p for p in circuit.op_node_ids if len(cands[p]) > 1}
-    fanout = {}  # in node -> its non-out consumers, one per edge, ascending
+    # The factors' cells and node ids; a node with more than one candidate
+    # that one touches is a variable.
+    def conv(s: int, t: int) -> float:
+        return ct[s][t]
 
-    def settle(i: int) -> int:
-        """The scheme ``in`` node ``i`` settles to under the current row."""
-        objective = []
-        for conv in ct:
-            cost = 0.0
-            for c in fanout[i]:
-                cost += conv[row[c]]
-            objective.append(cost)
-        return _first_min(objective)
-
-    for i in circuit.in_ids:
-        fanout[i] = [c for c in compiled.consumers[i] if nodes[c].op is not OpKind.OUT]
-        row[i] = settle(i) if fanout[i] else 0
-    adj = {p: set() for p in free}  # the variables' interaction graph
-    for p in free:
-        for j in inputs[p]:
-            if j in free or j in fanout:
-                adj.setdefault(j, set()).add(p)
-                adj[p].add(j)
+    terms = [(compiled.op_t[p].__getitem__, (p,)) for p in circuit.op_node_ids]
+    terms += [(conv, (j, p)) for p, ins in enumerate(inputs) for j in ins]
+    row = [cands[i][0] for i in range(len(nodes))]  # the current path's row
+    adj = {}  # the variables' interaction graph
+    for _, members in terms:
+        scope = {x for x in members if len(cands[x]) > 1}
+        for x in scope:
+            adj.setdefault(x, set()).update(scope - {x})
 
     def cells(scope) -> int:
         return math.prod(len(cands[x]) for x in scope)
@@ -469,8 +444,7 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     own = [[] for _ in range(n)]  # the cost's factors, by last variable
     fixed_cost = 0.0  # the factors without a variable
 
-    def term(cell, *members) -> None:
-        nonlocal fixed_cost
+    for cell, members in terms:
         options = [dom[pos[x]] if x in pos else (row[x],) for x in members]
         table = [cell(*args) for args in itertools.product(*options)]
         scope = tuple(pos[x] for x in members if x in pos)
@@ -478,11 +452,6 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
             own[max(scope)].append(factor(scope, table))
         else:
             fixed_cost += table[0]
-
-    for p in circuit.op_node_ids:
-        term(compiled.op_t[p].__getitem__, p)
-        for j in inputs[p]:
-            term(lambda s, t: ct[s][t], j, p)
 
     # Eliminate the last variable first; it is the largest in every scope
     # in its bucket. A message belongs to the cost-to-go at every depth from
@@ -507,28 +476,21 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
 
     n_addends = 2 * (len(nodes) + sum(map(len, inputs)))
     band = 1.0 + 8 * n_addends * sys.float_info.epsilon
-    checks = [[] for _ in range(n)]  # in nodes to test once a depth is set
-    for i in order:
-        if i in fanout:
-            checks[max(pos[c] for c in [i, *fanout[i]] if c in pos)].append(i)
-    every = tuple(range(len(compiled.profile.schemes)))
     best_total, best_row = math.inf, None
 
     def expand(d: int, path_cost: float) -> list:
         """Children of variable ``d`` as ``(bound, position, path cost)``,
         cheapest last."""
         children = []
-        for k, s in enumerate(dom[d]):
+        for k in range(len(dom[d])):
             a[d] = k
-            row[order[d]] = s
-            if all(row[i] == settle(i) for i in checks[d]):
-                cost = path_cost
-                for f in own[d]:
-                    cost += value(f)
-                bound = cost
-                for f in togo[d]:
-                    bound += value(f)
-                children.append((bound, k, cost))
+            cost = path_cost
+            for f in own[d]:
+                cost += value(f)
+            bound = cost
+            for f in togo[d]:
+                bound += value(f)
+            children.append((bound, k, cost))
         children.sort(reverse=True)
         return children
 
@@ -537,10 +499,6 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         options = [(s,) for s in row]
         for v in range(d + 1, n):
             options[order[v]] = dom[v]
-        for o in circuit.out_ids:
-            src = inputs[o][0]
-            known = pos.get(src, -1) <= d
-            options[o] = (_first_min(ct[row[src]]),) if known else every
         return compiled.least_total(options), [opts[0] for opts in options]
 
     stack = [expand(0, fixed_cost)] if n else [[(fixed_cost, 0, fixed_cost)]]
@@ -561,8 +519,6 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         if d + 1 < n:
             stack.append(expand(d + 1, cost))
         else:
-            for o in circuit.out_ids:
-                row[o] = _first_min(ct[row[inputs[o][0]]])
             total = compiled.total(row)
             if best_row is None or (total, row) < (best_total, best_row):
                 best_total, best_row = total, row[:]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from importlib.resources import files
 
 from ..cost_model import CostProfile, profile_from_json
+from ..errors import ParseError
 
 _VMS = ("m3.medium", "m3.large", "c4.large", "c4.xlarge")
 
@@ -38,7 +39,7 @@ def builtin_names() -> tuple[str, ...]:
 def builtin_text(name: str) -> str:
     """Raw JSON text of a bundled profile."""
     if name not in BUILTIN_PROFILES:
-        raise KeyError(
+        raise ParseError(
             f"unknown profile {name!r}; available: {', '.join(BUILTIN_PROFILES)}"
         )
     return (files(__package__) / "data" / f"{name}.json").read_text("utf-8")

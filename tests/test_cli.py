@@ -310,6 +310,18 @@ def test_eval_missing_input_exits_1(capsys, adder_path, tmp_path):
     assert "no value" in err
 
 
+@pytest.mark.parametrize("key", [
+    "1_0", "01", "+1", " 1", pytest.param("1" * 5000, id="5000-digits")])
+def test_eval_input_keys_must_be_names_or_canonical_ids(capsys, adder_path, tmp_path, key):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps({"0": 7, key: 5}))
+    code, out, err = run(capsys, "eval", adder_path, str(inputs))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a node id" in err
+
+
 _HUGE_SCALE = builtin_text("inter-m3.medium").replace(
     '"scale": 1e-06', '"scale": 1' + "0" * 400)
 _ADDER_TEXT = circuit_to_json(
@@ -396,6 +408,21 @@ def test_derive_profile_malformed_measurements_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "derive-profile", str(m_path), str(p_path))
     assert code == 1
     assert err.startswith("error: measurement 0:")
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_derive_profile_rejects_a_bad_scale(capsys, tmp_path, scale):
+    m_path = tmp_path / "measure.json"
+    m_path.write_text('{"measurements": [{"op": "add", "scheme": "yao", '
+                      '"seconds_per_op": 1, "bytes_per_op": 1}]}')
+    p_path = tmp_path / "prices.json"
+    p_path.write_text('{"vm_rate_a": 7, "vm_rate_b": 7, "net_rate": 6.5}')
+    code, out, err = run(capsys, "derive-profile", str(m_path), str(p_path),
+                         "--scale", scale)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "scale" in err
 
 
 def test_profiles_list(capsys):

@@ -15,6 +15,7 @@ from mpcost import (
     check_feasible,
     derive_profile,
     gen_random,
+    load_builtin,
     node_cost,
     profile_from_json,
     profile_to_json,
@@ -36,6 +37,7 @@ from mpcost.errors import (
     NoUniversalScheme,
     ParseError,
 )
+from mpcost.profiles import BUILTIN_PROFILES
 
 
 def make_profile(scale=1.0, a_add=1.0, a_mul=1.0, y_all=2.0, conv=(0.5, 0.25)):
@@ -126,6 +128,18 @@ def test_report_totals_are_consistent(inter_m3_medium):
     assert report.total == report.total_compute + report.total_network
     per_sum = sum(rec.total for rec in report.per_node.values())
     assert report.total == pytest.approx(per_sum, rel=1e-12)
+
+
+_BUNDLED = [load_builtin(name) for name in BUILTIN_PROFILES]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), n_ops=st.integers(1, 40),
+       prof=st.sampled_from(_BUNDLED + [make_profile()]), data=st.data())
+def test_report_and_total_agree_bit_for_bit(seed, n_ops, prof, data):
+    compiled = Compiled(gen_random(seed, n_ops), prof)
+    idx = [data.draw(st.sampled_from(cands)) for cands in compiled.cands]
+    assert compiled.report(idx).total.hex() == compiled.total(idx).hex()
 
 
 def test_total_cost_scales_linearly_with_profile():
@@ -344,6 +358,12 @@ def test_derive_profile_rejects_duplicates_and_negatives():
         RawMeasurement.for_op(OpKind.ADD, "y", -1.0, 0.0)
     with pytest.raises(NegativeInput):
         PriceSpec(-1.0, 7.0, 6.5)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_derive_profile_rejects_a_bad_scale(scale):
+    with pytest.raises(ParseError, match="scale"):
+        derive_profile(_full_measurements(), PriceSpec(7.0, 7.0, 6.5), "s", scale=scale)
 
 
 def test_derive_profile_empty_measurements_fail_validation():

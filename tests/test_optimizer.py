@@ -484,15 +484,18 @@ def test_exhaustive_ties_go_to_the_first_full_row(inter_m3_medium, make):
 
 @st.composite
 def small_circuits(draw):
-    """DAGs of 1-2 inputs, at most 6 priced ops and one output: at most 8
-    nodes, so brute force over every node stays affordable."""
-    n_in = draw(st.integers(1, 2))
+    """DAGs of at most 8 nodes, so brute force over every node stays
+    affordable: 1-3 in nodes, priced ops, and 1-3 out nodes on any earlier
+    node. So an in node may go unread or feed an out node directly."""
+    n_in = draw(st.integers(1, 3))
     entries = [("in", [])] * n_in
     for _ in range(draw(st.integers(1, 7 - n_in))):
         op = draw(st.sampled_from(COMPUTE_OPS))
         inputs = [draw(st.integers(0, len(entries) - 1)) for _ in range(op.arity)]
         entries.append((op.value, inputs))
-    entries.append(("out", [len(entries) - 1]))
+    sources = len(entries)
+    for _ in range(draw(st.integers(1, min(3, 8 - sources)))):
+        entries.append(("out", [draw(st.integers(0, sources - 1))]))
     return build(entries)
 
 

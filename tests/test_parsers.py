@@ -195,3 +195,27 @@ def test_generated_circuits_save_load_save_to_the_same_text(circuit):
     text = circuit_to_json(circuit)
     assert circuit_from_json(text) == circuit
     assert circuit_to_json(circuit_from_json(text)) == text
+
+
+# --- node-id keys ------------------------------------------------------------------
+
+#: Keys that are not a canonical ASCII decimal node id, most of which
+#: ``int()`` reads as one, and a key past the interpreter's digit limit.
+NON_CANONICAL_IDS = ["1_0", "05", "00", "+3", "-1", " 2", "2 ", "2\n", "",
+                     "٢", "２", pytest.param("1" * 5000, id="5000-digits")]
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_IDS)
+def test_assignment_keys_must_be_canonical_node_ids(key):
+    with pytest.raises(ParseError, match="not a node id"):
+        assignment_from_json(json.dumps({key: "yao"}))
+
+
+def test_two_spellings_of_one_node_id_are_rejected():
+    with pytest.raises(ParseError, match="'02'"):
+        assignment_from_json('{"02": "boolean", "2": "yao"}')
+
+
+def test_canonical_node_id_keys_parse():
+    assert assignment_from_json('{"0": "yao", "10": "boolean"}') == {
+        0: "yao", 10: "boolean"}

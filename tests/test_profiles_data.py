@@ -1,9 +1,12 @@
 """The bundled profiles are data; these tests pin their load-time shape
 and spot-check stored values against the published unit-cost numbers."""
 
+import re
+
 import pytest
 
 from mpcost import OpKind, profile_from_json, profile_to_json
+from mpcost.errors import ParseError
 from mpcost.profiles import BUILTIN_PROFILES, builtin_text, load_builtin
 
 VMS = ("m3.medium", "m3.large", "c4.large", "c4.xlarge")
@@ -14,6 +17,11 @@ def test_expected_profile_set():
         "intra-m3.medium", "intra-m3.large", "intra-c4.large", "intra-c4.xlarge",
         "inter-m3.medium", "inter-m3.large", "inter-c4.large", "inter-c4.xlarge",
     )
+
+
+def test_unknown_bundled_profile_is_a_parse_error():
+    with pytest.raises(ParseError, match="'nope'.*" + re.escape(", ".join(BUILTIN_PROFILES))):
+        load_builtin("nope")
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
