@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .circuit import (
     COMPUTE_OPS,
@@ -224,17 +224,18 @@ class CostProfile:
 
 
 def _check_scale(name: str, scale) -> None:
-    """Raise :class:`ParseError` unless ``scale`` is positive and finite."""
-    if not (isinstance(scale, (int, float)) and 0 < scale < math.inf):
+    """Raise :class:`ParseError` unless ``scale`` is a positive finite
+    number (not a bool) that converts to a float."""
+    f = _finite_float(scale)
+    if f is None or f <= 0:
         raise ParseError(f"profile {name!r} scale must be positive and finite")
 
 
 # --- per-node and total cost ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeCost:
-    """Cost breakdown for one node, in cents."""
+class NodeCost(NamedTuple):
+    """Cost breakdown for one node, in cents (an immutable named tuple)."""
 
     op_compute: float
     op_network: float
@@ -318,7 +319,11 @@ class Compiled:
     indexes them per node), so they are read-only.
 
     Every total sums its terms in the order of :class:`NodeCost`, so the
-    same assignment gives the same floats however it is evaluated.
+    same assignment gives the same floats however it is evaluated. A sum
+    leaves out the conversion addends of edges whose ends share a scheme:
+    each is ``ct[s][s] == 0.0`` (a profile may not price a
+    self-conversion), and adding ``0.0`` changes no bit of a sum that
+    starts at ``0.0`` and adds only non-negative prices (never ``-0.0``).
     """
 
     __slots__ = ("circuit", "profile", "op_p", "op_n", "op_t", "cands",
@@ -363,7 +368,11 @@ class Compiled:
         return {i: schemes[s] for i, s in enumerate(idx)}
 
     def total(self, idx: Sequence[int]) -> float:
-        """Total cost in cents of ``idx``, without the per-node breakdown."""
+        """Total cost in cents of ``idx``, without the per-node breakdown.
+
+        Same-scheme edges add nothing and are skipped (see the class
+        docstring), so the result is the sum over every edge, bit for bit.
+        """
         cp, cn = self.cp, self.cn
         tc = 0.0
         tn = 0.0
@@ -372,8 +381,9 @@ class Compiled:
             conv_n = 0.0
             for j in ins:
                 r = idx[j]
-                conv_p += cp[r][s]
-                conv_n += cn[r][s]
+                if r != s:
+                    conv_p += cp[r][s]
+                    conv_n += cn[r][s]
             tc += rp[s]
             tc += conv_p
             tn += rn[s]
@@ -386,7 +396,8 @@ class Compiled:
 
         It is :meth:`total` itself, run on a relabelled copy in which node
         ``i``'s one scheme is ``i`` and every addend (an operation's cost,
-        a conversion along one edge) is its least value over the options.
+        a conversion along one edge) is its least value over the options;
+        an edge joins two distinct nodes, so no addend is skipped there.
         Rounded ``+`` is monotone, so every partial sum of that run is at
         most the same partial sum for any such row.
         """
@@ -405,7 +416,9 @@ class Compiled:
         return least.total(range(len(options)))
 
     def report(self, idx: Sequence[int]) -> CostReport:
-        """Total and per-node cost of ``idx``, summed like :meth:`total`."""
+        """Total and per-node cost of ``idx``, summed like :meth:`total`:
+        same-scheme edges are skipped, which leaves every field as the sum
+        over every edge, bit for bit."""
         cp, cn = self.cp, self.cn
         per_node: dict[int, NodeCost] = {}
         tc = 0.0
@@ -417,8 +430,9 @@ class Compiled:
             conv_n = 0.0
             for j in ins:
                 r = idx[j]
-                conv_p += cp[r][s]
-                conv_n += cn[r][s]
+                if r != s:
+                    conv_p += cp[r][s]
+                    conv_n += cn[r][s]
             per_node[i] = NodeCost(rp[s], rn[s], conv_p, conv_n)
             tc += rp[s]
             tc += conv_p

@@ -267,16 +267,6 @@ def hill_pass(
     # schemes. A node none of these moved for since its last visit is at
     # the same first minimum and would not move, so it is skipped.
     stale = [True] * n
-
-    def score(s: int, row, ins, consumers) -> float:
-        cost = row[s]
-        for j in ins:
-            cost += ct[idx[j]][s]
-        conv = ct[s]
-        for c in consumers:
-            cost += conv[idx[c]]
-        return cost
-
     sweep_totals = [compiled.total(idx) if init_total is None else init_total]
     sweeps = 0
     limit_exceeded = False
@@ -287,14 +277,18 @@ def hill_pass(
             if not stale[i]:
                 continue
             stale[i] = False
-            current = idx[i]
-            best_scheme = current
-            best_cost = score(current, row, ins, consumers)
+            # Score each scheme; the node keeps its own unless another is
+            # strictly cheaper, else the first least one wins.
+            best_scheme = current = idx[i]
+            best_cost = math.inf
             for s in cands:
-                if s == current:
-                    continue
-                cost = score(s, row, ins, consumers)
-                if cost < best_cost:
+                cost = row[s]
+                for j in ins:
+                    cost += ct[idx[j]][s]
+                conv = ct[s]
+                for c in consumers:
+                    cost += conv[idx[c]]
+                if cost < best_cost or (cost == best_cost and s == current):
                     best_cost = cost
                     best_scheme = s
             if best_scheme != current:

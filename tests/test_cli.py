@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -103,6 +104,36 @@ def test_optimize_pure_yao_intra_has_zero_network(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["report"]["total_network"] == 0.0
+
+
+#: sha256 of ``mpcost optimize CIRCUIT PROFILE --json`` on the case
+#: studies, recorded when per-node records were frozen dataclasses.
+_OPTIMIZE_JSON_SHA256 = {
+    ("matmul-5", "inter-m3.medium"):
+        "a4d8eb9c0767e946919c827861c2956c74b26e446457b172b276fae611a4c69b",
+    ("matmul-5", "intra-c4.large"):
+        "d742719e01cd3bbae135f34bf31cd0ba819066241007c2e500736a739b105ada",
+    ("biometric-30x5", "inter-m3.large"):
+        "ceacdf47f682399515439e837ebf4413b608986f1673c2051c68cd4df9c7b26e",
+    ("biometric-30x5", "intra-c4.large"):
+        "7f4bb4a8fa0aaa4370f1a8aeeac2921b99847a58f7e3f5c8081d90e7a06e906e",
+}
+
+
+@pytest.mark.parametrize("label, profile", sorted(_OPTIMIZE_JSON_SHA256))
+def test_optimize_json_per_node_output_is_unchanged(capsys, tmp_path, label,
+                                                    profile):
+    circuit = {
+        "matmul-5": lambda: gen_matmul(MatMulSpec(5)),
+        "biometric-30x5": lambda: gen_biometric(BiometricSpec(rows=30, attrs=5)),
+    }[label]()
+    path = tmp_path / "circuit.json"
+    save_circuit(circuit, path)
+    code, out, _ = run(capsys, "optimize", str(path), profile, "--json")
+    assert code == 0
+    assert len(json.loads(out)["report"]["per_node"]) == len(circuit.nodes)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _OPTIMIZE_JSON_SHA256[label, profile]
 
 
 def test_optimize_writes_out_file(capsys, adder_path, tmp_path):

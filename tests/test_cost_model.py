@@ -25,6 +25,7 @@ from mpcost.circuit import COMPUTE_OPS
 from mpcost.cost_model import (
     Compiled,
     CostProfile,
+    NodeCost,
     measurements_from_json,
     prices_from_json,
 )
@@ -140,6 +141,114 @@ def test_report_and_total_agree_bit_for_bit(seed, n_ops, prof, data):
     compiled = Compiled(gen_random(seed, n_ops), prof)
     idx = [data.draw(st.sampled_from(cands)) for cands in compiled.cands]
     assert compiled.report(idx).total.hex() == compiled.total(idx).hex()
+
+
+def _reference_report(circuit, profile, asg):
+    """The evaluator in its plain form, priced straight from the profile's
+    stored prices: per node, a conversion sum from 0.0 over every input
+    edge, same-scheme edges included at 0.0."""
+    scale = float(profile.scale)
+
+    def cents(prices, key):
+        p, n = prices.get(key, (0.0, 0.0))  # in/out ops, same-scheme edges
+        return float(p) * scale, float(n) * scale
+
+    per_node, tc, tn = {}, 0.0, 0.0
+    for node in circuit.nodes:
+        s = asg[node.id]
+        op_p, op_n = cents(profile.op_costs, (node.op, s))
+        conv_p = conv_n = 0.0
+        for j in node.inputs:
+            p, n = cents(profile.conversions, (asg[j], s))
+            conv_p += p
+            conv_n += n
+        per_node[node.id] = (op_p, op_n, conv_p, conv_n)
+        tc += op_p
+        tc += conv_p
+        tn += op_n
+        tn += conv_n
+    return per_node, tc, tn, tc + tn
+
+
+#: Stored prices a random profile draws from, zero among them.
+_CENTS = st.sampled_from([0.0, 0.0, 1e-6, 0.25, 1.0, 3.0, 2535.46, 1e9])
+
+
+@st.composite
+def _random_profiles(draw):
+    """2-4 schemes, the first supporting every op, the rest a random
+    subset; any price, conversions included, may be zero."""
+    schemes = tuple("s%d" % k for k in range(draw(st.integers(2, 4))))
+    op_costs = {}
+    for op in COMPUTE_OPS:
+        for k, s in enumerate(schemes):
+            if k == 0 or draw(st.booleans()):
+                op_costs[(op, s)] = (draw(_CENTS), draw(_CENTS))
+    conversions = {(r, s): (draw(_CENTS), draw(_CENTS))
+                   for r in schemes for s in schemes if r != s}
+    scale = draw(st.sampled_from([1.0, 1e-6, 7]))
+    return CostProfile("random", scale, schemes, op_costs, conversions)
+
+
+def _row(draw, compiled, mode):
+    """Scheme indices per node: ``same`` puts every node on one universal
+    scheme (every edge same-scheme); ``differ`` gives each node, where it
+    can, a scheme none of its inputs has; ``mixed`` draws each freely."""
+    profile = compiled.profile
+    if mode == "same":
+        return [profile.scheme_index[profile.universal_schemes()[0]]] * len(
+            compiled.cands)
+    idx = []
+    for cands, ins in zip(compiled.cands, compiled.inputs):
+        if mode == "differ":
+            taken = {idx[j] for j in ins}
+            cands = [s for s in cands if s not in taken] or cands
+        idx.append(draw(st.sampled_from(cands)))
+    return idx
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), n_ops=st.integers(1, 30),
+       mux_weight=st.sampled_from([0.0, 1.0, 20.0]),
+       prof=st.one_of(st.sampled_from(_BUNDLED), _random_profiles()),
+       mode=st.sampled_from(["same", "mixed", "differ"]), data=st.data())
+def test_total_and_report_match_a_reference_loop_bit_for_bit(
+    seed, n_ops, mux_weight, prof, mode, data
+):
+    weights = {op: 1.0 for op in COMPUTE_OPS}
+    weights[OpKind.MUX] = mux_weight  # mux nodes have three inputs
+    circuit = gen_random(seed, n_ops, weights)
+    compiled = Compiled(circuit, prof)
+    idx = _row(data.draw, compiled, mode)
+    want_nodes, *want_totals = _reference_report(
+        circuit, prof, compiled.assignment(idx))
+    report = compiled.report(idx)
+    got_totals = (report.total_compute, report.total_network, report.total)
+    assert [x.hex() for x in got_totals] == [x.hex() for x in want_totals]
+    assert compiled.total(idx).hex() == want_totals[-1].hex()
+    assert list(report.per_node) == list(want_nodes)
+    for i, rec in report.per_node.items():
+        got = (rec.op_compute, rec.op_network, rec.conv_compute, rec.conv_network)
+        assert [x.hex() for x in got] == [x.hex() for x in want_nodes[i]]
+
+
+def test_node_cost_contract():
+    rec = NodeCost(1.0, 2.0, 0.25, 0.5)
+    assert NodeCost._fields == (
+        "op_compute", "op_network", "conv_compute", "conv_network"
+    )
+    assert (rec.compute, rec.network, rec.total) == (1.25, 2.5, 3.75)
+    assert repr(rec) == (
+        "NodeCost(op_compute=1.0, op_network=2.0, conv_compute=0.25, "
+        "conv_network=0.5)"
+    )
+    for field in NodeCost._fields + ("compute", "total"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0.0)
+    with pytest.raises(AttributeError):
+        rec.extra = 0.0
+    assert rec == NodeCost(1.0, 2.0, 0.25, 0.5)
+    assert hash(rec) == hash(NodeCost(1.0, 2.0, 0.25, 0.5))
 
 
 def test_total_cost_scales_linearly_with_profile():
@@ -360,10 +469,21 @@ def test_derive_profile_rejects_duplicates_and_negatives():
         PriceSpec(-1.0, 7.0, 6.5)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+_BAD_SCALES = [0.0, -1.0, math.nan, math.inf, True, False,
+               pytest.param(10**400, id="huge-int"), pytest.param("1", id="str")]
+
+
+@pytest.mark.parametrize("scale", _BAD_SCALES)
 def test_derive_profile_rejects_a_bad_scale(scale):
     with pytest.raises(ParseError, match="scale"):
         derive_profile(_full_measurements(), PriceSpec(7.0, 7.0, 6.5), "s", scale=scale)
+
+
+@pytest.mark.parametrize("scale", _BAD_SCALES)
+def test_profile_rejects_a_bad_scale(scale):
+    good = make_profile()
+    with pytest.raises(ParseError, match="scale"):
+        CostProfile("s", scale, good.schemes, good.op_costs, good.conversions)
 
 
 def test_derive_profile_empty_measurements_fail_validation():
