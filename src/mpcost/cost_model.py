@@ -98,9 +98,10 @@ class CostProfile:
                     f"profile {self.name!r}: cost entry for undeclared "
                     f"scheme {scheme!r}"
                 )
-            if not (math.isfinite(p) and math.isfinite(n)):
+            if _finite_float(p) is None or _finite_float(n) is None:
                 raise ParseError(
-                    f"profile {self.name!r}: non-finite cost for ({op}, {scheme})"
+                    f"profile {self.name!r}: cost for ({op}, {scheme}) is not "
+                    f"a finite number"
                 )
             if p < 0 or n < 0:
                 raise NegativeCost(
@@ -117,10 +118,10 @@ class CostProfile:
                     f"profile {self.name!r}: self-conversion {src}->{dst} is "
                     f"implicit (zero) and must not be listed"
                 )
-            if not (math.isfinite(p) and math.isfinite(n)):
+            if _finite_float(p) is None or _finite_float(n) is None:
                 raise ParseError(
-                    f"profile {self.name!r}: non-finite conversion cost "
-                    f"{src}->{dst}"
+                    f"profile {self.name!r}: conversion cost {src}->{dst} is "
+                    f"not a finite number"
                 )
             if p < 0 or n < 0:
                 raise NegativeCost(
@@ -390,31 +391,6 @@ class Compiled:
             tn += conv_n
         return tc + tn
 
-    def least_total(self, options: Sequence[Sequence[int]]) -> float:
-        """A float that no row drawn from ``options`` (per node, the scheme
-        indices it may take) has a smaller :meth:`total` than.
-
-        It is :meth:`total` itself, run on a relabelled copy in which node
-        ``i``'s one scheme is ``i`` and every addend (an operation's cost,
-        a conversion along one edge) is its least value over the options;
-        an edge joins two distinct nodes, so no addend is skipped there.
-        Rounded ``+`` is monotone, so every partial sum of that run is at
-        most the same partial sum for any such row.
-        """
-        least = object.__new__(Compiled)
-        least.inputs = self.inputs
-        least.op_p, least.op_n, least.cp, least.cn = (
-            [{} for _ in options] for _ in range(4)
-        )
-        for i, (opts, ins) in enumerate(zip(options, self.inputs)):
-            least.op_p[i][i] = min(self.op_p[i][s] for s in opts)
-            least.op_n[i][i] = min(self.op_n[i][s] for s in opts)
-            for j in ins:
-                pairs = [(r, s) for r in options[j] for s in opts]
-                least.cp[j][i] = min(self.cp[r][s] for r, s in pairs)
-                least.cn[j][i] = min(self.cn[r][s] for r, s in pairs)
-        return least.total(range(len(options)))
-
     def report(self, idx: Sequence[int]) -> CostReport:
         """Total and per-node cost of ``idx``, summed like :meth:`total`:
         same-scheme edges are skipped, which leaves every field as the sum
@@ -517,10 +493,10 @@ class PriceSpec:
     gb_bytes: int = 10**9
 
     def __post_init__(self):
-        rates = (self.vm_rate_a, self.vm_rate_b, self.net_rate)
-        if not all(math.isfinite(r) for r in rates):
-            raise ParseError("price rates must be finite")
-        if min(rates) < 0:
+        numbers = (self.vm_rate_a, self.vm_rate_b, self.net_rate, self.gb_bytes)
+        if any(_finite_float(x) is None for x in numbers):
+            raise ParseError("price rates and gb_bytes must be finite numbers")
+        if min(numbers[:3]) < 0:
             raise NegativeInput("price rates must be non-negative")
         if self.gb_bytes <= 0:
             raise NegativeInput("gb_bytes must be positive")
@@ -550,9 +526,9 @@ class RawMeasurement:
             raise ValueError(
                 "measurement must set either (op, scheme) or (source, target)"
             )
-        if not (math.isfinite(self.seconds_per_op)
-                and math.isfinite(self.bytes_per_op)):
-            raise ParseError("measured seconds and bytes must be finite")
+        if (_finite_float(self.seconds_per_op) is None
+                or _finite_float(self.bytes_per_op) is None):
+            raise ParseError("measured seconds and bytes must be finite numbers")
         if self.seconds_per_op < 0 or self.bytes_per_op < 0:
             raise NegativeInput("measured seconds and bytes must be non-negative")
 

@@ -2,8 +2,8 @@
 
 Four heuristics (fixed scheme, bottom-up, top-down, hill climbing), a
 meta-selector that keeps the cheapest of their results, and an exact
-solver (variable elimination plus a bounded depth-first search) that
-serves as the correctness oracle on small circuits.
+solver (a depth-first search bounded by the LP dual) that serves as the
+correctness oracle on small circuits.
 
 Every strategy works on scheme indices over a
 :class:`mpcost.cost_model.Compiled` form of the circuit and profile, in
@@ -18,10 +18,10 @@ their terms in one fixed order, so totals from different strategies
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
+from operator import add
 
 from .circuit import Circuit, OpKind
 from .cost_model import (
@@ -314,8 +314,8 @@ def hill_pass(
 
 # --- exact solver ------------------------------------------------------------
 
-#: Most cells in one elimination table of the exact solver.
-_TABLE_CELLS = 2**14
+#: Most sweeps of the exact solver's dual ascent.
+_DUAL_SWEEPS = 8
 
 
 def exhaustive_optimal(
@@ -343,179 +343,161 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     """Scheme indices of :func:`exhaustive_optimal`, which states the
     contract.
 
-    Method. The cost is a sum of factors: each priced node's operation
-    and each edge's conversion. The variables are the nodes with more than
-    one candidate that a factor touches, ``in`` and ``out`` nodes included;
-    every other node keeps its first candidate. The elimination order is
-    fixed on the factors' scopes before any table is built: each step
-    takes the variable whose table (it and its neighbours) has the fewest
-    cells, so an ``in`` node that feeds many nodes goes after them.
-    Min-sum variable elimination in that order gives the cost-to-go of
-    every prefix of the reverse order: the messages later variables sent
-    into it. A bucket whose table would exceed ``_TABLE_CELLS`` cells sends
-    one message per factor instead (Dechter's mini-buckets), which bounds
-    the cost-to-go from below, so no table outgrows that cap. A depth-first
-    search then sets the variables in the reverse order, cheapest bound
-    first, and scores each leaf row with ``Compiled.total``.
+    Method. The cost is pairwise: a unary term ``op_t[u]`` per node and
+    ``ct[r][s]`` per edge; a node no term touches (an ``in`` node nobody
+    reads) keeps its first candidate. An ascent on the LP dual (EMPLP:
+    Globerson and Jaakkola, NIPS 2007) keeps a message per edge end. Per
+    edge ``(j, u)`` a sweep sets ``m_j(r) = (min_s [ct[r][s] + w_u(s)] -
+    w_j(r)) / 2`` and ``m_u`` alike, where ``w_v`` is the belief ``b_v``
+    (the unary term plus the messages into ``v``) less the edge's own
+    message. It stops when the dual bound ``sum_v min b_v`` stops rising,
+    or after ``_DUAL_SWEEPS`` sweeps. Any messages leave each row's exact
+    cost at ``sum_v b_v + sum_e t_e``, with ``t_e(r, s) = ct[r][s] -
+    m_j(r) - m_u(s)``. The incumbent starts as the decoded row: in id
+    order, each node's least ``b_u`` plus ``t_e`` over its in-edges. A
+    depth-first search sets the nodes in id order, schemes ascending, so
+    rows come in lexicographic order; the path carries
+    :meth:`~mpcost.cost_model.Compiled.total`'s partial sums and ``g``, the
+    sum of those node terms.
 
-    Pruning. Prices are non-negative, and rounded ``+`` and ``min`` are
-    monotone. A subtree's float bound ``b`` is thus at most the float sum
-    of the factors of any row ``r`` in it, within ``1 + N*eps`` of the
-    exact sum of the ``N`` addends of ``Compiled.total(r)``, which is
-    itself within ``1 + N*eps`` of that exact sum. So ``b > best * band``
-    with ``band = 1 + 8*N*eps`` (slack included for rounding the product)
-    proves that every row in the subtree costs more than the incumbent
-    ``best``, and the subtree goes. Otherwise a subtree goes when a key
-    no row in it can undercut is not below the incumbent's
-    ``(total, row)``: the key's total is
-    :meth:`~mpcost.cost_model.Compiled.least_total` over the schemes each
-    node may still take, and its row takes each node's least such scheme.
-    This settles degenerate ties, such as an all-zero profile, without
-    visiting every tied row.
+    Pruning. A child goes when no row below it beats the incumbent
+    ``(best, row)``. Each node past the path's end adds at least
+    ``l_u = min b_u + sum_e min t_e`` over its in-edges, so
+    ``L = g + sum_u l_u`` is at most the exact ``op_t`` and ``ct`` sum of
+    any row below. Its float ``Lf`` comes from those floats and the
+    messages by ``+``, ``-`` and ``min``, at most ``2*N`` roundings deep,
+    with ``N = 2*(n + E)`` for ``n`` nodes and ``E`` edges, so
+    ``|Lf - L| <= 2*N*eps*Z``, where ``Z = sum_u max op_t + E*max(ct) +
+    2*sum|m|`` bounds its addends' magnitudes. A row's float total sums
+    ``N`` non-negative addends, so it is at least ``1 - N*eps/2`` times
+    their exact sum, itself at least the ``op_t`` and ``ct`` sum over
+    ``1 + eps/2``. So ``Lf > best * band + slack``, with
+    ``band = 1 + 8*N*eps`` and ``slack = 8*N*eps*Z``, proves that every
+    row below costs more than ``best``; the factors of 8 leave room for
+    rounding ``Z``, ``slack`` and the right side. Otherwise, off the
+    incumbent's path, a key settles exact ties such as an all-zero
+    profile: rounded ``+`` is monotone, so ``Compiled.total``'s loop run on
+    from the path's sums, each later addend at its least, gives a total no
+    row below undercuts, and the first row below takes each later node's
+    first candidate. The child goes when that ``(total, row)`` is not
+    below the incumbent's.
     """
-    circuit = compiled.circuit
-    nodes = circuit.nodes
-    ct, inputs, cands = compiled.ct, compiled.inputs, compiled.cands
-    space = math.prod(len(cands[i]) for i in circuit.op_node_ids)
+    op_p, op_n, op_t, inputs = (
+        compiled.op_p, compiled.op_n, compiled.op_t, compiled.inputs
+    )
+    cands, cp, cn, ct = compiled.cands, compiled.cp, compiled.cn, compiled.ct
+    space = math.prod(len(cands[i]) for i in compiled.circuit.op_node_ids)
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
 
-    # The factors' cells and node ids; a node with more than one candidate
-    # that one touches is a variable.
-    def conv(s: int, t: int) -> float:
-        return ct[s][t]
+    n = len(cands)
+    first = [c[0] for c in cands]
+    nodes = [u for u in range(n) if inputs[u] or compiled.consumers[u]]
+    dom = [c[:1] for c in cands]
+    for u in nodes:
+        dom[u] = cands[u]
+    # Per node, its in-edges, each with a message to either end.
+    into = [[(j, [0.0] * len(ct), [0.0] * len(ct)) for j in ins] if ins else ()
+            for ins in inputs]
+    edges = [(j, u, mj, mu) for u in nodes for j, mj, mu in into[u]]
+    tables = {}  # per pair of domains, ``ct`` over it by rows and by columns
+    for rs, ss in {(dom[j], dom[u]) for j, u, _, _ in edges}:
+        tables[rs, ss] = ([[ct[r][s] for s in ss] for r in rs],
+                          [[ct[r][s] for r in rs] for s in ss])
 
-    terms = [(compiled.op_t[p].__getitem__, (p,)) for p in circuit.op_node_ids]
-    terms += [(conv, (j, p)) for p, ins in enumerate(inputs) for j in ins]
-    row = [cands[i][0] for i in range(len(nodes))]  # the current path's row
-    adj = {}  # the variables' interaction graph
-    for _, members in terms:
-        scope = {x for x in members if len(cands[x]) > 1}
-        for x in scope:
-            adj.setdefault(x, set()).update(scope - {x})
+    b = {u: list(op_t[u]) for u in nodes}  # the beliefs, kept up to date
+    last = -math.inf
+    for _ in range(_DUAL_SWEEPS):
+        for j, u, mj, mu in edges:
+            bj, bu, rs, ss = b[j], b[u], dom[j], dom[u]
+            by_row, by_col = tables[rs, ss]
+            wj = [bj[r] - mj[r] for r in rs]
+            wu = [bu[s] - mu[s] for s in ss]
+            for r, w, conv in zip(rs, wj, by_row):
+                mj[r] = m = 0.5 * (min(map(add, conv, wu)) - w)
+                bj[r] = w + m
+            for s, w, conv in zip(ss, wu, by_col):
+                mu[s] = m = 0.5 * (min(map(add, conv, wj)) - w)
+                bu[s] = w + m
+        bound = sum([min([b[u][s] for s in dom[u]]) for u in nodes])
+        if bound <= last:
+            break
+        last = bound
 
-    def cells(scope) -> int:
-        return math.prod(len(cands[x]) for x in scope)
-
-    order = []  # the variables' node ids, last eliminated first
-    table_cells = {x: cells(adj[x] | {x}) for x in adj}
-    while adj:
-        x = min(adj, key=lambda x: (table_cells[x], -x))
-        neighbours = adj.pop(x)
-        for y in neighbours:
-            adj[y] |= neighbours
-            adj[y] -= {x, y}
-            table_cells[y] = cells(adj[y] | {y})
-        order.insert(0, x)
-    pos = {node: v for v, node in enumerate(order)}
-    dom = [cands[node] for node in order]
-    n = len(order)
-    a = [0] * n  # per variable, the position of its scheme in its domain
-
-    def factor(scope: tuple, table: list) -> tuple:
-        strides, size = [], 1
-        for v in reversed(scope):
-            strides.insert(0, size)
-            size *= len(dom[v])
-        return scope, strides, table
-
-    def value(f: tuple) -> float:
-        scope, strides, table = f
-        k = 0
-        for v, stride in zip(scope, strides):
-            k += a[v] * stride
-        return table[k]
-
-    def spread(f: tuple, joint: tuple) -> list:
-        """``f``'s table laid out over ``joint``, a superset of its scope."""
-        where = dict(zip(f[0], f[1]))
-        offsets = [0]
-        for w in joint:
-            steps = [k * where.get(w, 0) for k in range(len(dom[w]))]
-            offsets = [o + step for o in offsets for step in steps]
-        return [f[2][o] for o in offsets]
-
-    own = [[] for _ in range(n)]  # the cost's factors, by last variable
-    fixed_cost = 0.0  # the factors without a variable
-
-    for cell, members in terms:
-        options = [dom[pos[x]] if x in pos else (row[x],) for x in members]
-        table = [cell(*args) for args in itertools.product(*options)]
-        scope = tuple(pos[x] for x in members if x in pos)
-        if scope:
-            own[max(scope)].append(factor(scope, table))
-        else:
-            fixed_cost += table[0]
-
-    # Eliminate the last variable first; it is the largest in every scope
-    # in its bucket. A message belongs to the cost-to-go at every depth from
-    # its scope's last variable (or 0) up to, not including, its sender.
-    inbox = [list(fs) for fs in own]
-    togo = [[] for _ in range(n)]
-    for v in reversed(range(n)):
-        reach = {w for f in inbox[v] for w in f[0]}
-        fits = cells(order[w] for w in reach) <= _TABLE_CELLS
-        for fs in [inbox[v]] if fits else [[f] for f in inbox[v]]:
-            scope = tuple(sorted({w for f in fs for w in f[0]} - {v}))
-            joint = scope + (v,)
-            total = spread(fs[0], joint)
-            for f in fs[1:]:
-                total = [x + y for x, y in zip(total, spread(f, joint))]
-            m = len(dom[v])
-            message = factor(scope, [min(total[k:k + m]) for k in range(0, len(total), m)])
-            if scope:
-                inbox[scope[-1]].append(message)
-            for d in range(scope[-1] if scope else 0, v):
-                togo[d].append(message)
-
-    n_addends = 2 * (len(nodes) + sum(map(len, inputs)))
+    # The beliefs summed afresh, per node ``l_u`` and its least addends,
+    # and the rounding slack.
+    b = {u: list(op_t[u]) for u in nodes}
+    for j, u, mj, mu in edges:
+        b[j] = list(map(add, b[j], mj))
+        b[u] = list(map(add, b[u], mu))
+    rest = [0.0] * (len(nodes) + 1)  # per position in ``nodes``, sum l_u on
+    least = [None] * len(nodes)
+    for p in reversed(range(len(nodes))):
+        u = nodes[p]
+        low = min([b[u][s] for s in dom[u]])
+        conv_p = 0.0
+        conv_n = 0.0
+        for j, mj, mu in into[u]:
+            pairs = [(r, s) for r in dom[j] for s in dom[u]]
+            low += min([ct[r][s] - mj[r] - mu[s] for r, s in pairs])
+            conv_p += min([cp[r][s] for r, s in pairs])
+            conv_n += min([cn[r][s] for r, s in pairs])
+        rest[p] = low + rest[p + 1]
+        least[p] = (min([op_p[u][s] for s in dom[u]]), conv_p,
+                    min([op_n[u][s] for s in dom[u]]), conv_n)
+    z = sum([max([op_t[u][s] for s in dom[u]]) for u in nodes])
+    z += len(edges) * max(map(max, ct))
+    z += 2 * sum([abs(m) for edge in edges for ms in edge[2:] for m in ms])
+    n_addends = 2 * (n + len(edges))
     band = 1.0 + 8 * n_addends * sys.float_info.epsilon
-    best_total, best_row = math.inf, None
+    slack = 8 * n_addends * sys.float_info.epsilon * z
 
-    def expand(d: int, path_cost: float) -> list:
-        """Children of variable ``d`` as ``(bound, position, path cost)``,
-        cheapest last."""
-        children = []
-        for k in range(len(dom[d])):
-            a[d] = k
-            cost = path_cost
-            for f in own[d]:
-                cost += value(f)
-            bound = cost
-            for f in togo[d]:
-                bound += value(f)
-            children.append((bound, k, cost))
-        children.sort(reverse=True)
-        return children
+    best_row = first[:]
+    for u in nodes:
+        ins = [(best_row[j], mj, mu) for j, mj, mu in into[u]]
+        terms = [b[u][s] + sum([ct[r][s] - mj[r] - mu[s] for r, mj, mu in ins])
+                 for s in dom[u]]
+        best_row[u] = dom[u][terms.index(min(terms))]
+    best_total = compiled.total(best_row)
 
-    def lower_key(d: int) -> tuple:
-        """``(total, row)`` no row below the depth-``d`` path undercuts."""
-        options = [(s,) for s in row]
-        for v in range(d + 1, n):
-            options[order[v]] = dom[v]
-        return compiled.least_total(options), [opts[0] for opts in options]
-
-    stack = [expand(0, fixed_cost)] if n else [[(fixed_cost, 0, fixed_cost)]]
+    row = first[:]
+    stack = [(0, s, 0.0, 0.0, 0.0) for s in reversed(dom[nodes[0]])] if nodes else []
     while stack:
-        d = len(stack) - 1
-        if not stack[-1]:
-            stack.pop()
+        p, s, tc, tn, g = stack.pop()
+        u = nodes[p]
+        row[u] = s
+        conv_p = 0.0
+        conv_n = 0.0
+        t = b[u][s]
+        for j, mj, mu in into[u]:
+            r = row[j]
+            if r != s:
+                conv_p += cp[r][s]
+                conv_n += cn[r][s]
+            t += ct[r][s] - mj[r] - mu[s]
+        tc += op_p[u][s]
+        tc += conv_p
+        tn += op_n[u][s]
+        tn += conv_n
+        g += t
+        p += 1
+        if p == len(nodes):
+            if (tc + tn, row) < (best_total, best_row):
+                best_total, best_row = tc + tn, row[:]
             continue
-        bound, k, cost = stack[-1].pop()
-        if bound > best_total * band:
-            stack.pop()  # its remaining siblings cost at least as much
+        if g + rest[p] > best_total * band + slack:
             continue
-        if n:
-            a[d] = k
-            row[order[d]] = dom[d][k]
-        if best_row is not None and lower_key(d) >= (best_total, best_row):
-            continue
-        if d + 1 < n:
-            stack.append(expand(d + 1, cost))
-        else:
-            total = compiled.total(row)
-            if best_row is None or (total, row) < (best_total, best_row):
-                best_total, best_row = total, row[:]
+        cut = nodes[p]
+        if row[:cut] != best_row[:cut]:
+            kc, kn = tc, tn
+            for lp, lcp, ln, lcn in least[p:]:
+                kc += lp
+                kc += lcp
+                kn += ln
+                kn += lcn
+            if (kc + kn, row[:cut] + first[cut:]) >= (best_total, best_row):
+                continue
+        stack.extend((p, t, tc, tn, g) for t in reversed(dom[cut]))
     return best_row
 
 

@@ -555,3 +555,39 @@ def test_direct_construction_rejects_non_finite_inputs():
         RawMeasurement.for_conversion("a", "y", 1.0, math.inf)
     with pytest.raises(ParseError):
         PriceSpec(7.0, math.nan, 6.5)
+
+
+# Numbers a direct constructor must refuse with ParseError, as the JSON
+# parsers do: a bool posing as a number, an int too large for a float, a
+# string.
+_BAD_NUMBERS = [True, False, pytest.param(10**400, id="huge-int"),
+                pytest.param("1", id="str")]
+
+
+@pytest.mark.parametrize("where", ["op", "conversion"])
+@pytest.mark.parametrize("value", _BAD_NUMBERS)
+def test_profile_rejects_a_bad_price(where, value):
+    good = make_profile()
+    op_costs, conversions = dict(good.op_costs), dict(good.conversions)
+    if where == "op":
+        op_costs[(OpKind.ADD, "y")] = (value, 0.0)
+    else:
+        conversions[("a", "y")] = (0.0, value)
+    with pytest.raises(ParseError):
+        CostProfile("p", 1.0, good.schemes, op_costs, conversions)
+
+
+@pytest.mark.parametrize("field", ["vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"])
+@pytest.mark.parametrize("value", _BAD_NUMBERS)
+def test_price_spec_rejects_a_bad_number(field, value):
+    fields = {"vm_rate_a": 7.0, "vm_rate_b": 7.0, "net_rate": 6.5, field: value}
+    with pytest.raises(ParseError):
+        PriceSpec(**fields)
+
+
+@pytest.mark.parametrize("field", ["seconds_per_op", "bytes_per_op"])
+@pytest.mark.parametrize("value", _BAD_NUMBERS)
+def test_measurement_rejects_a_bad_number(field, value):
+    fields = {"seconds_per_op": 1.0, "bytes_per_op": 100.0, field: value}
+    with pytest.raises(ParseError):
+        RawMeasurement(**fields, op=OpKind.ADD, scheme="y")

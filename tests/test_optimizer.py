@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -389,6 +390,31 @@ def test_exhaustive_prunes_only_outside_the_rounding_band(inter_m3_medium):
     assert got.assignment == want_asg
 
 
+def test_exhaustive_prunes_only_outside_the_rounding_slack():
+    # Prices in thousandths of a cent: twenty rows tie at 0.007. The
+    # search's dual bound is a float sum of terms of either sign, which
+    # can round above that tie; a solver that prunes on the bare bound,
+    # without its band and slack, returns a later row.
+    c = build([
+        ("in", []), ("in", []), ("in", []), ("xor", [1, 2]), ("ge", [2, 3]),
+        ("out", [3]), ("out", [1]),
+    ])
+    a, b = "arithmetic", "boolean"
+    prices = {
+        (OpKind.XOR, a): (3.0, 2.0), (OpKind.XOR, b): (1.0, 2.0),
+        (OpKind.GE, a): (1.0, 1.0), (OpKind.GE, b): (1.0, 3.0),
+    }
+    milli = CostProfile(
+        "milli", 1e-3, (a, b),
+        {(op, s): prices.get((op, s), (5.0, 5.0)) for op in COMPUTE_OPS for s in (a, b)},
+        {(a, b): (0.0, 0.0), (b, a): (3.0, 5.0)},
+    )
+    got = exhaustive_optimal(c, milli)
+    want_asg, want_total = brute_force_minimum(c, milli)
+    assert got.report.total == want_total
+    assert got.assignment == want_asg
+
+
 def _fan_out(n_adds):
     """One in node feeding each of a chain of ``n_adds`` adds."""
     entries = [("in", []), ("in", []), ("add", [0, 1])]
@@ -419,8 +445,9 @@ def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit, uniform, scheme)
     # cost extra, so all-arithmetic is the optimum term by term. Under a
     # uniform profile every conversion-free row is optimal; all-boolean is
     # the first, as the mux ladder's eq and mux nodes have no arithmetic.
-    # Eliminating the mux ladder in node order would build a table of about
-    # 4 * 9**10 cells over a search space of 4**10.
+    # The solver keeps a few floats per node and per edge end, so its
+    # memory follows the circuit, not the search space (4**10 on the mux
+    # ladder).
     prof = inter_m3_medium if uniform is None else _uniform_profile(inter_m3_medium, uniform)
     tracemalloc.start()
     try:
@@ -432,6 +459,18 @@ def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit, uniform, scheme)
     want = fixed_sharing(circuit, prof, scheme)
     assert result.assignment == want.assignment
     assert result.report.total == want.report.total
+
+
+def test_exhaustive_solves_a_wide_star_quickly(inter_m3_medium):
+    # One add feeding 3,000 out nodes: a search space of 3, but 3,003
+    # nodes to set. Arithmetic has the cheapest add and every conversion
+    # costs extra, so all-arithmetic is the optimum. A solver quadratic in
+    # the node count took about 12 s here.
+    c = build([("in", []), ("in", []), ("add", [0, 1])] + [("out", [2])] * 3000)
+    start = time.perf_counter()
+    result = exhaustive_optimal(c, inter_m3_medium)
+    assert time.perf_counter() - start < 3.0
+    assert set(result.assignment.values()) == {"arithmetic"}
 
 
 @pytest.mark.parametrize("name", ["inter-m3.medium", "intra-c4.large"])
@@ -499,6 +538,34 @@ def small_circuits(draw):
     return build(entries)
 
 
+@st.composite
+def random_profiles(draw):
+    """2-4 schemes, one of them universal and the others supporting a
+    random subset of the ops, priced in mostly zeros, integers, tenths or
+    reals at scale 1, 0.1 or 1e-3: ties, near ties and sums that rounding
+    splits, which the bundled profiles rarely make."""
+    schemes = draw(st.permutations(["arithmetic", "boolean", "yao", "extra"]))
+    schemes = tuple(schemes[:draw(st.integers(2, 4))])
+    price = draw(st.sampled_from([
+        st.sampled_from([0.0, 0.0, 0.0, 1.0]),
+        st.integers(0, 5).map(float),
+        st.integers(0, 30).map(lambda k: k / 10),
+        st.floats(0.0, 10.0),
+    ]))
+    universal = draw(st.sampled_from(schemes))
+    op_costs = {
+        (op, s): (draw(price), draw(price))
+        for op in COMPUTE_OPS for s in schemes
+        if s == universal or draw(st.booleans())
+    }
+    conversions = {
+        (a, b): (draw(price), draw(price))
+        for a in schemes for b in schemes if a != b
+    }
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    return CostProfile("random", scale, schemes, op_costs, conversions)
+
+
 _BUNDLED = [load_builtin(name) for name in BUILTIN_PROFILES]
 # the uniform profiles make every row, or many rows, tie
 _PROPERTY_PROFILES = _BUNDLED + [
@@ -507,8 +574,11 @@ _PROPERTY_PROFILES = _BUNDLED + [
 ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(circuit=small_circuits(), prof=st.sampled_from(_PROPERTY_PROFILES))
+@settings(max_examples=80, deadline=None)
+@given(
+    circuit=small_circuits(),
+    prof=st.sampled_from(_PROPERTY_PROFILES) | random_profiles(),
+)
 def test_exhaustive_is_the_true_minimum(circuit, prof):
     got = exhaustive_optimal(circuit, prof)
     want_asg, want_total = brute_force_minimum(circuit, prof)
