@@ -178,16 +178,21 @@ def cmd_compare(args) -> int:
     limits = SolverLimits(max_space=args.max_space, max_passes=args.max_passes)
     baseline = default_scheme(circuit, profile)
     compiled = Compiled(circuit, profile)
-    idx = {label: run[1] for label, run in candidates(compiled, limits).items()}
-    idx[f"pure-{baseline}"] = idx[f"fixed:{baseline}"]
+    # Each heuristic row keeps the sums its candidate was scored with, so
+    # only the exact row is summed here.
+    runs = candidates(compiled, limits)
+    runs[f"pure-{baseline}"] = runs[f"fixed:{baseline}"]
     labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:
-        idx["exhaustive"] = exact_pass(compiled, limits)
+        runs["exhaustive"] = (None, exact_pass(compiled, limits), {})
         labels.append("exhaustive")
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
-    reports = [(label, compiled.report(idx[label])) for label in labels]
+    reports = []
+    for label in labels:
+        sums, idx, _ = runs[label]
+        reports.append((label, compiled.report(idx, sums)))
 
     pure_total = reports[0][1].total
     best_total = min(rep.total for _, rep in reports)

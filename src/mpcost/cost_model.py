@@ -16,8 +16,10 @@ like any other node.
 Strategies price many assignments of one circuit, so they first compile
 the circuit and the profile into a :class:`Compiled` form: plain Python
 float rows per node and conversion matrices, indexed by scheme position.
-:meth:`Compiled.total` is the one evaluator of a total that every
-strategy, the exact solver included, scores assignments with.
+:meth:`Compiled.sums` is the one fold that every total and report comes
+from: every strategy, the exact solver included, scores assignments with
+it, and it builds the per-node records of a :class:`CostReport` only
+when they are read.
 
 All cost functions are pure and profiles are immutable, so everything
 here is safe for concurrent use.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -258,12 +260,25 @@ class NodeCost(NamedTuple):
 
 @dataclass(frozen=True)
 class CostReport:
-    """Total and per-node cost of an assigned circuit, in cents."""
+    """Total cost of an assigned circuit, in cents, and its per-node
+    breakdown. Reports compare by their three totals.
 
-    per_node: dict[int, NodeCost]
+    ``per_node`` maps each node id to its :class:`NodeCost`. It is built
+    on first read, by the fold that gave the totals run again on the
+    report's compiled form and row, and then kept.
+    """
+
     total_compute: float
     total_network: float
     total: float
+    compiled: Compiled = field(repr=False, compare=False)
+    row: tuple[int, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def per_node(self) -> dict[int, NodeCost]:
+        records: list[NodeCost] = []
+        self.compiled.sums(self.row, records)
+        return dict(enumerate(records))
 
 
 @dataclass(frozen=True)
@@ -319,12 +334,14 @@ class Compiled:
     once per profile and shared by every compile under it (a compile only
     indexes them per node), so they are read-only.
 
-    Every total sums its terms in the order of :class:`NodeCost`, so the
-    same assignment gives the same floats however it is evaluated. A sum
-    leaves out the conversion addends of edges whose ends share a scheme:
-    each is ``ct[s][s] == 0.0`` (a profile may not price a
-    self-conversion), and adding ``0.0`` changes no bit of a sum that
-    starts at ``0.0`` and adds only non-negative prices (never ``-0.0``).
+    Every total comes from the one fold :meth:`sums`, which sums its terms
+    in the order of :class:`NodeCost`, so the same assignment gives the
+    same floats however it is evaluated. A sum leaves out the conversion
+    addends of edges whose ends share a scheme: each is ``ct[s][s] ==
+    0.0`` (a profile may not price a self-conversion), and adding ``0.0``
+    changes no bit of a sum that starts at ``0.0`` and adds only
+    non-negative prices (never ``-0.0``). So a row on one scheme sums its
+    op costs alone (:meth:`uniform_sums`).
     """
 
     __slots__ = ("circuit", "profile", "op_p", "op_n", "op_t", "cands",
@@ -368,11 +385,16 @@ class Compiled:
         schemes = self.profile.schemes
         return {i: schemes[s] for i, s in enumerate(idx)}
 
-    def total(self, idx: Sequence[int]) -> float:
-        """Total cost in cents of ``idx``, without the per-node breakdown.
+    def sums(
+        self, idx: Sequence[int], records: list | None = None
+    ) -> tuple[float, float]:
+        """Total compute and network cost in cents of ``idx``, the one fold
+        every total and report comes from. When ``records`` is a list,
+        each node's :class:`NodeCost` is appended to it, in id order.
 
         Same-scheme edges add nothing and are skipped (see the class
-        docstring), so the result is the sum over every edge, bit for bit.
+        docstring), so each sum, and each record, is the one over every
+        edge, bit for bit.
         """
         cp, cn = self.cp, self.cn
         tc = 0.0
@@ -385,36 +407,39 @@ class Compiled:
                 if r != s:
                     conv_p += cp[r][s]
                     conv_n += cn[r][s]
+            if records is not None:
+                records.append(NodeCost(rp[s], rn[s], conv_p, conv_n))
             tc += rp[s]
             tc += conv_p
             tn += rn[s]
             tn += conv_n
-        return tc + tn
+        return tc, tn
 
-    def report(self, idx: Sequence[int]) -> CostReport:
-        """Total and per-node cost of ``idx``, summed like :meth:`total`:
-        same-scheme edges are skipped, which leaves every field as the sum
-        over every edge, bit for bit."""
-        cp, cn = self.cp, self.cn
-        per_node: dict[int, NodeCost] = {}
+    def uniform_sums(self, s: int) -> tuple[float, float]:
+        """:meth:`sums` of the row that puts every node on scheme ``s``,
+        which must support every node's operation, bit for bit: such a row
+        has only same-scheme edges, so the fold adds only the op costs."""
         tc = 0.0
         tn = 0.0
-        for i, (s, rp, rn, ins) in enumerate(
-            zip(idx, self.op_p, self.op_n, self.inputs)
-        ):
-            conv_p = 0.0
-            conv_n = 0.0
-            for j in ins:
-                r = idx[j]
-                if r != s:
-                    conv_p += cp[r][s]
-                    conv_n += cn[r][s]
-            per_node[i] = NodeCost(rp[s], rn[s], conv_p, conv_n)
+        for rp, rn in zip(self.op_p, self.op_n):
             tc += rp[s]
-            tc += conv_p
             tn += rn[s]
-            tn += conv_n
-        return CostReport(per_node, tc, tn, tc + tn)
+        return tc, tn
+
+    def total(self, idx: Sequence[int]) -> float:
+        """Total cost in cents of ``idx``, without the per-node breakdown."""
+        tc, tn = self.sums(idx)
+        return tc + tn
+
+    def report(
+        self, idx: Sequence[int], sums: tuple[float, float] | None = None
+    ) -> CostReport:
+        """Cost report of ``idx``. ``sums``, when given, must be
+        :meth:`sums` of ``idx``, which a caller has already computed; the
+        per-node records are built only when the report's ``per_node`` is
+        first read."""
+        tc, tn = self.sums(idx) if sums is None else sums
+        return CostReport(tc, tn, tc + tn, self, tuple(idx))
 
 
 def total_cost(
@@ -496,6 +521,8 @@ class PriceSpec:
         numbers = (self.vm_rate_a, self.vm_rate_b, self.net_rate, self.gb_bytes)
         if any(_finite_float(x) is None for x in numbers):
             raise ParseError("price rates and gb_bytes must be finite numbers")
+        if not float(self.gb_bytes).is_integer():
+            raise ParseError("invalid price sheet: gb_bytes must be an integer")
         if min(numbers[:3]) < 0:
             raise NegativeInput("price rates must be non-negative")
         if self.gb_bytes <= 0:

@@ -7,8 +7,8 @@ correctness oracle on small circuits.
 
 Every strategy works on scheme indices over a
 :class:`mpcost.cost_model.Compiled` form of the circuit and profile, in
-plain Python, and scores assignments with its one evaluator,
-:meth:`~mpcost.cost_model.Compiled.total`.
+plain Python, and scores assignments with its one fold,
+:meth:`~mpcost.cost_model.Compiled.sums`.
 
 Determinism: every strategy breaks ties the same way, schemes in the
 profile's declaration order first, then ascending node id. Reports sum
@@ -40,17 +40,24 @@ class SolverLimits:
 
     ``max_space`` limits the exact solver's search space (the product of
     the candidate-scheme counts over the priced nodes). ``max_passes``
-    caps hill-climbing sweeps; ``None`` means ``m * len(schemes)``.
+    caps hill-climbing sweeps; ``None`` means ``m * len(schemes)``. Each
+    cap is an ``int`` (not a ``bool``) of at least 1, else the constructor
+    raises ``ValueError``.
     """
 
     max_space: int = 10**7
     max_passes: int | None = None
 
     def __post_init__(self):
-        if self.max_space < 1:
+        if not _is_count(self.max_space):
             raise ValueError("max_space must be positive")
-        if self.max_passes is not None and self.max_passes < 1:
+        if self.max_passes is not None and not _is_count(self.max_passes):
             raise ValueError("max_passes must be positive")
+
+
+def _is_count(x) -> bool:
+    """``x`` is an ``int``, not a ``bool``, of at least 1."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -100,10 +107,12 @@ def _require_support(compiled: Compiled, scheme: str) -> int:
 
 
 def _result(
-    compiled: Compiled, idx: list[int], heuristic: str, **extra
+    compiled: Compiled, idx: list[int], heuristic: str, sums=None, **extra
 ) -> OptimizeResult:
+    """The result of ``idx``, with ``sums`` as in
+    :meth:`~mpcost.cost_model.Compiled.report`."""
     return OptimizeResult(
-        compiled.assignment(idx), compiled.report(idx), heuristic, **extra
+        compiled.assignment(idx), compiled.report(idx, sums), heuristic, **extra
     )
 
 
@@ -123,8 +132,9 @@ def fixed_sharing(
     are exactly zero.
     """
     compiled = Compiled(circuit, profile)
-    idx = [_require_support(compiled, scheme)] * len(circuit.nodes)
-    return _result(compiled, idx, f"fixed:{scheme}")
+    s = _require_support(compiled, scheme)
+    return _result(compiled, [s] * len(circuit.nodes), f"fixed:{scheme}",
+                   compiled.uniform_sums(s))
 
 
 def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -142,18 +152,18 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
 
 def bottom_up_pass(compiled: Compiled) -> list[int]:
     """Scheme indices of :func:`bottom_up`."""
-    circuit = compiled.circuit
     ct = compiled.ct
-    idx: list = [None] * len(circuit.nodes)
-    for node in circuit.nodes:  # node order is topological
-        if node.op is OpKind.IN:
+    n = len(compiled.cands)
+    idx: list = [None] * n
+    # Node order is topological, and only in nodes have no inputs.
+    for i, row, cands, ins in zip(
+        range(n), compiled.op_t, compiled.cands, compiled.inputs
+    ):
+        if not ins:
             continue
-        i = node.id
-        row = compiled.op_t[i]
-        ins = compiled.inputs[i]
         best_scheme = None
         best_cost = None
-        for s in compiled.cands[i]:
+        for s in cands:
             cost = row[s]
             for j in ins:
                 src = idx[j]
@@ -166,7 +176,7 @@ def bottom_up_pass(compiled: Compiled) -> list[int]:
         for j in ins:
             if idx[j] is None:  # a still-open in node
                 idx[j] = best_scheme
-    for i in circuit.in_ids:  # ins nobody consumes
+    for i in compiled.circuit.in_ids:  # ins nobody consumes
         if idx[i] is None:
             idx[i] = 0
     return idx
@@ -188,16 +198,17 @@ def top_down_pass(compiled: Compiled) -> list[int]:
     """Scheme indices of :func:`top_down`."""
     circuit = compiled.circuit
     ct = compiled.ct
+    out = OpKind.OUT  # a local: reading an enum member costs about 0.2 us
     idx: list = [None] * len(circuit.nodes)
-    for node in reversed(circuit.nodes):
-        if node.op is OpKind.OUT:
+    for node, row, cands, consumers in zip(
+        reversed(circuit.nodes), reversed(compiled.op_t),
+        reversed(compiled.cands), reversed(compiled.consumers),
+    ):
+        if node.op is out:
             continue
-        i = node.id
-        row = compiled.op_t[i]
-        consumers = compiled.consumers[i]
         best_scheme = None
         best_cost = None
-        for s in compiled.cands[i]:
+        for s in cands:
             cost = row[s]
             conv = ct[s]
             for c in consumers:
@@ -207,7 +218,7 @@ def top_down_pass(compiled: Compiled) -> list[int]:
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_scheme = s
-        idx[i] = best_scheme
+        idx[node.id] = best_scheme
     for i in circuit.out_ids:
         idx[i] = idx[compiled.inputs[i][0]]
     return idx
@@ -236,21 +247,17 @@ def hill_climbing(
     gives.
     """
     compiled = Compiled(circuit, profile)
-    idx, extra = hill_pass(compiled, init_scheme, limits or SolverLimits())
-    return _result(compiled, idx, "hill-climbing", **extra)
+    idx, sums, extra = hill_pass(compiled, init_scheme, limits or SolverLimits())
+    return _result(compiled, idx, "hill-climbing", sums, **extra)
 
 
 def hill_pass(
-    compiled: Compiled,
-    init_scheme: str,
-    limits: SolverLimits,
-    init_total: float | None = None,
-) -> tuple[list[int], dict]:
-    """Scheme indices of :func:`hill_climbing`, and its ``iterations``,
-    ``limit_exceeded`` and ``sweep_totals`` as keyword arguments of
-    :class:`OptimizeResult`. ``init_total``, when given, is the
-    :meth:`~mpcost.cost_model.Compiled.total` of the uniform start, which
-    a caller has already scored."""
+    compiled: Compiled, init_scheme: str, limits: SolverLimits
+) -> tuple[list[int], tuple[float, float], dict]:
+    """Scheme indices of :func:`hill_climbing`, their
+    :meth:`~mpcost.cost_model.Compiled.sums`, and the result's
+    ``iterations``, ``limit_exceeded`` and ``sweep_totals`` as keyword
+    arguments of :class:`OptimizeResult`."""
     init = _require_support(compiled, init_scheme)
     n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
@@ -267,7 +274,8 @@ def hill_pass(
     # schemes. A node none of these moved for since its last visit is at
     # the same first minimum and would not move, so it is skipped.
     stale = [True] * n
-    sweep_totals = [compiled.total(idx) if init_total is None else init_total]
+    sums = compiled.uniform_sums(init)
+    sweep_totals = [sums[0] + sums[1]]
     sweeps = 0
     limit_exceeded = False
     while True:
@@ -301,11 +309,12 @@ def hill_pass(
         if not changed:
             sweep_totals.append(sweep_totals[-1])  # the same assignment
             break
-        sweep_totals.append(compiled.total(idx))
+        sums = compiled.sums(idx)
+        sweep_totals.append(sums[0] + sums[1])
         if sweeps >= max_passes:
             limit_exceeded = True
             break
-    return idx, {
+    return idx, sums, {
         "iterations": sweeps,
         "limit_exceeded": limit_exceeded,
         "sweep_totals": tuple(sweep_totals),
@@ -506,30 +515,33 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
 
 def candidates(
     compiled: Compiled, limits: SolverLimits, hill_init: str | None = None
-) -> dict[str, tuple[float, list[int], dict]]:
-    """Every heuristic's result on ``compiled`` as label -> ``(total, scheme
+) -> dict[str, tuple[tuple[float, float], list[int], dict]]:
+    """Every heuristic's result on ``compiled`` as label -> ``(sums, scheme
     indices, OptimizeResult keyword arguments)``, in tie-break order: a
     ``fixed:<scheme>`` run for each scheme that supports every operation
     in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing`` from
     ``hill_init`` (by default :func:`default_scheme`).
 
-    Each is scored once with :meth:`~mpcost.cost_model.Compiled.total`:
-    hill climbing starts from the score of its start when that is a fixed
-    candidate, and its last sweep total is its own score.
+    ``sums`` are each row's :meth:`~mpcost.cost_model.Compiled.sums`,
+    folded once: a fixed row's by
+    :meth:`~mpcost.cost_model.Compiled.uniform_sums`, and hill climbing's
+    by its own sweeps.
     """
     profile = compiled.profile
     universal = profile.universal_schemes(compiled.circuit.ops_present())
     n = len(compiled.circuit.nodes)
+    scored = {}
     # Universal schemes support every node's op, so no per-node check.
-    runs = {f"fixed:{s}": [profile.scheme_index[s]] * n for s in universal}
-    runs["bottom-up"] = bottom_up_pass(compiled)
-    runs["top-down"] = top_down_pass(compiled)
-    scored = {label: (compiled.total(idx), idx, {}) for label, idx in runs.items()}
+    for name in universal:
+        s = profile.scheme_index[name]
+        scored[f"fixed:{name}"] = (compiled.uniform_sums(s), [s] * n, {})
+    for label, idx in (("bottom-up", bottom_up_pass(compiled)),
+                       ("top-down", top_down_pass(compiled))):
+        scored[label] = (compiled.sums(idx), idx, {})
     if hill_init is None:
         hill_init = _preferred(universal)
-    start = scored.get(f"fixed:{hill_init}", (None,))[0]
-    idx, extra = hill_pass(compiled, hill_init, limits, start)
-    scored["hill-climbing"] = (extra["sweep_totals"][-1], idx, extra)
+    idx, sums, extra = hill_pass(compiled, hill_init, limits)
+    scored["hill-climbing"] = (sums, idx, extra)
     return scored
 
 
@@ -544,11 +556,12 @@ def best_of(
     The candidates are those of :func:`candidates`, on one compiled form.
     The first candidate with the least total wins, and its result
     (including its ``heuristic`` label) is what that strategy's own
-    function returns. Only the winner gets a per-node report.
+    function returns. Its report reuses the winner's sums, so no row is
+    summed twice, and builds per-node records only when they are read.
     ``exhaustive_optimal`` is not a candidate.
     """
     compiled = Compiled(circuit, profile)
     scored = candidates(compiled, limits or SolverLimits(), hill_init)
-    label = min(scored, key=lambda k: scored[k][0])  # the first least
-    _, idx, extra = scored[label]
-    return _result(compiled, idx, label, **extra)
+    label = min(scored, key=lambda k: add(*scored[k][0]))  # the first least
+    sums, idx, extra = scored[label]
+    return _result(compiled, idx, label, sums, **extra)

@@ -25,8 +25,9 @@ from mpcost import (
     save_circuit,
     top_down,
 )
+from mpcost import cost_model
 from mpcost.cli import main
-from mpcost.cost_model import Compiled
+from mpcost.cost_model import Compiled, NodeCost
 from mpcost.optimizer import default_scheme
 from mpcost.profiles import BUILTIN_PROFILES, builtin_text
 
@@ -550,6 +551,24 @@ def test_each_command_compiles_once(capsys, monkeypatch, tmp_path, argv):
     if command == "compare":  # the exact row runs on the same compiled form
         assert json.loads(out)["rows"][-1]["heuristic"] == "exhaustive"
     assert len(calls) == 1
+
+
+def test_compare_builds_no_per_node_record(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "mm3.json"
+    save_circuit(gen_matmul(MatMulSpec(3)), path)
+    built = []
+
+    class CountedNodeCost(NodeCost):
+        def __new__(cls, *fields):
+            built.append(1)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(cost_model, "NodeCost", CountedNodeCost)
+    code, out, err = run(capsys, "compare", str(path), "inter-m3.medium",
+                         "--json")
+    assert code == 0, err
+    assert len(json.loads(out)["rows"]) == 4  # the exact solver is skipped
+    assert built == []
 
 
 def test_compare_rows_equal_the_strategies_results(capsys, tmp_path):

@@ -222,14 +222,33 @@ def test_total_and_report_match_a_reference_loop_bit_for_bit(
     idx = _row(data.draw, compiled, mode)
     want_nodes, *want_totals = _reference_report(
         circuit, prof, compiled.assignment(idx))
-    report = compiled.report(idx)
-    got_totals = (report.total_compute, report.total_network, report.total)
-    assert [x.hex() for x in got_totals] == [x.hex() for x in want_totals]
+    # A report that folds the row itself, and one built from given sums
+    # on a row its caller changes afterwards: its per-node records are
+    # built on first read, from the row as it was.
+    row = list(idx)
+    reports = [compiled.report(idx), compiled.report(row, compiled.sums(idx))]
+    row.clear()
     assert compiled.total(idx).hex() == want_totals[-1].hex()
-    assert list(report.per_node) == list(want_nodes)
-    for i, rec in report.per_node.items():
-        got = (rec.op_compute, rec.op_network, rec.conv_compute, rec.conv_network)
-        assert [x.hex() for x in got] == [x.hex() for x in want_nodes[i]]
+    for report in reports:
+        got_totals = (report.total_compute, report.total_network, report.total)
+        assert [x.hex() for x in got_totals] == [x.hex() for x in want_totals]
+        assert list(report.per_node) == list(want_nodes)
+        for i, rec in report.per_node.items():
+            got = (rec.op_compute, rec.op_network, rec.conv_compute,
+                   rec.conv_network)
+            assert [x.hex() for x in got] == [x.hex() for x in want_nodes[i]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), n_ops=st.integers(1, 30),
+       prof=st.one_of(st.sampled_from(_BUNDLED), _random_profiles()))
+def test_uniform_sums_equal_the_fold_bit_for_bit(seed, n_ops, prof):
+    compiled = Compiled(gen_random(seed, n_ops), prof)
+    n = len(compiled.cands)
+    for name in prof.universal_schemes():
+        s = prof.scheme_index[name]
+        got = compiled.uniform_sums(s)
+        assert [x.hex() for x in got] == [x.hex() for x in compiled.sums([s] * n)]
 
 
 def test_node_cost_contract():
@@ -555,6 +574,16 @@ def test_direct_construction_rejects_non_finite_inputs():
         RawMeasurement.for_conversion("a", "y", 1.0, math.inf)
     with pytest.raises(ParseError):
         PriceSpec(7.0, math.nan, 6.5)
+
+
+@pytest.mark.parametrize("gb_bytes", [1.5, 1e9 + 0.5, -2.5])
+def test_price_spec_rejects_a_fractional_gb_bytes(gb_bytes):
+    with pytest.raises(ParseError, match="gb_bytes must be an integer"):
+        PriceSpec(7.0, 7.0, 6.5, gb_bytes=gb_bytes)
+    with pytest.raises(ParseError, match="gb_bytes must be an integer"):
+        prices_from_json(json.dumps(
+            {"vm_rate_a": 7.0, "vm_rate_b": 7.0, "net_rate": 6.5,
+             "gb_bytes": gb_bytes}))
 
 
 # Numbers a direct constructor must refuse with ParseError, as the JSON

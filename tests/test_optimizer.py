@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -23,10 +24,10 @@ from mpcost import (
     top_down,
     total_cost,
 )
-from mpcost import optimizer
+from mpcost import cost_model, optimizer
 from mpcost.casegen import BiometricSpec, MatMulSpec, gen_matmul
 from mpcost.circuit import COMPUTE_OPS
-from mpcost.cost_model import Compiled, CostProfile
+from mpcost.cost_model import Compiled, CostProfile, NodeCost
 from mpcost.errors import SearchSpaceTooLarge, UnsupportedScheme
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 from test_exact_golden import mux_ladder
@@ -299,6 +300,17 @@ def test_exhaustive_space_cap(inter_m3_medium):
         exhaustive_optimal(c, inter_m3_medium, SolverLimits(max_space=10))
     assert info.value.space == 27
     exhaustive_optimal(c, inter_m3_medium, SolverLimits(max_space=27))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_space", 0), ("max_space", math.nan), ("max_space", 2.5),
+    ("max_space", 10.0**7), ("max_space", True), ("max_space", "7"),
+    ("max_passes", 0), ("max_passes", math.nan), ("max_passes", 1.0),
+    ("max_passes", True), ("max_passes", False),
+])
+def test_solver_limits_accept_only_positive_ints(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        SolverLimits(**{field: value})
 
 
 def test_exhaustive_space_cap_names_huge_spaces(inter_m3_medium):
@@ -652,46 +664,48 @@ def test_best_of_accepts_explicit_hill_init(inter_m3_medium):
     assert check_feasible(c, best.assignment, inter_m3_medium) == []
 
 
-def test_best_of_compiles_once_and_reports_the_winner_only(monkeypatch,
-                                                            inter_m3_medium):
-    counts = {"compiled": 0, "report": 0}
+def test_best_of_compiles_once_and_builds_records_on_first_read(
+        monkeypatch, inter_m3_medium):
+    circuit = gen_matmul(MatMulSpec(n=5))
+    counts = {"compiled": 0, "records": 0}
 
     class CountedCompiled(Compiled):
         def __init__(self, *args):
             counts["compiled"] += 1
             super().__init__(*args)
 
-    report = Compiled.report
-
-    def counted_report(self, idx):
-        counts["report"] += 1
-        return report(self, idx)
+    class CountedNodeCost(NodeCost):
+        def __new__(cls, *fields):
+            counts["records"] += 1
+            return super().__new__(cls, *fields)
 
     monkeypatch.setattr(optimizer, "Compiled", CountedCompiled)
-    monkeypatch.setattr(Compiled, "report", counted_report)
-    best_of(gen_matmul(MatMulSpec(n=5)), inter_m3_medium)
-    assert counts == {"compiled": 1, "report": 1}
+    monkeypatch.setattr(cost_model, "NodeCost", CountedNodeCost)
+    report = best_of(circuit, inter_m3_medium).report
+    assert counts == {"compiled": 1, "records": 0}
+    # The first read builds one record per node, the second reads them.
+    assert report.per_node is report.per_node
+    assert counts == {"compiled": 1, "records": len(circuit.nodes)}
 
 
-def test_best_of_scores_each_candidate_once(monkeypatch, inter_m3_medium):
+def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
     circuit = gen_matmul(MatMulSpec(n=5))
-    universal = inter_m3_medium.universal_schemes(circuit.ops_present())
     hill = hill_climbing(circuit, inter_m3_medium, "yao")
     moved = hill.iterations - (0 if hill.limit_exceeded else 1)
     calls = []
-    total = Compiled.total
+    sums = Compiled.sums
 
-    def counted_total(self, idx):
-        calls.append(1)
-        return total(self, idx)
+    def counted_sums(self, idx, records=None):
+        calls.append(records)
+        return sums(self, idx, records)
 
-    monkeypatch.setattr(Compiled, "total", counted_total)
+    monkeypatch.setattr(Compiled, "sums", counted_sums)
     best_of(circuit, inter_m3_medium)
-    # Fixed candidates, bottom-up and top-down once each, then one per
-    # hill sweep that moved: the hill start is the fixed:yao candidate and
-    # is not scored again.
+    # Bottom-up and top-down once each, then one per hill sweep that
+    # moved; fixed rows take the uniform fold, and the winner's report
+    # reuses its candidate's sums.
     assert moved > 0
-    assert len(calls) == len(universal) + 2 + moved
+    assert calls == [None] * (2 + moved)
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
