@@ -29,6 +29,7 @@ from .casegen import (
 )
 from .circuit import (
     Circuit,
+    _is_int,
     circuit_to_json,
     evaluate_plaintext,
     inputs_by_name,
@@ -263,7 +264,7 @@ def cmd_eval(args) -> int:
     by_name = inputs_by_name(circuit)
     inputs: dict[int, int] = {}
     for key, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ParseError(f"input {key!r} must be an integer")
         if key in by_name:
             inputs[by_name[key]] = value

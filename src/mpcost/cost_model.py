@@ -37,6 +37,7 @@ from .circuit import (
     COMPUTE_OPS,
     Circuit,
     OpKind,
+    _is_int,
     op_from_name,
     parse_json,
     parse_node_id,
@@ -90,7 +91,7 @@ class CostProfile:
             raise ParseError(f"profile {self.name!r} has duplicate scheme names")
         _check_scale(self.name, self.scale)
         known = set(self.schemes)
-        for (op, scheme), (p, n) in self.op_costs.items():
+        for (op, scheme), price in self.op_costs.items():
             if op not in COMPUTE_OPS:
                 raise ParseError(
                     f"profile {self.name!r}: op {op} cannot carry a cost entry"
@@ -100,16 +101,8 @@ class CostProfile:
                     f"profile {self.name!r}: cost entry for undeclared "
                     f"scheme {scheme!r}"
                 )
-            if _finite_float(p) is None or _finite_float(n) is None:
-                raise ParseError(
-                    f"profile {self.name!r}: cost for ({op}, {scheme}) is not "
-                    f"a finite number"
-                )
-            if p < 0 or n < 0:
-                raise NegativeCost(
-                    f"profile {self.name!r}: negative cost for ({op}, {scheme})"
-                )
-        for (src, dst), (p, n) in self.conversions.items():
+            _check_price(self.name, f"cost for ({op}, {scheme})", price)
+        for (src, dst), price in self.conversions.items():
             if src not in known or dst not in known:
                 raise ParseError(
                     f"profile {self.name!r}: conversion {src}->{dst} uses an "
@@ -120,16 +113,7 @@ class CostProfile:
                     f"profile {self.name!r}: self-conversion {src}->{dst} is "
                     f"implicit (zero) and must not be listed"
                 )
-            if _finite_float(p) is None or _finite_float(n) is None:
-                raise ParseError(
-                    f"profile {self.name!r}: conversion cost {src}->{dst} is "
-                    f"not a finite number"
-                )
-            if p < 0 or n < 0:
-                raise NegativeCost(
-                    f"profile {self.name!r}: negative conversion cost "
-                    f"{src}->{dst}"
-                )
+            _check_price(self.name, f"conversion cost {src}->{dst}", price)
         for src in self.schemes:
             for dst in self.schemes:
                 if src != dst and (src, dst) not in self.conversions:
@@ -144,9 +128,13 @@ class CostProfile:
     # -- support --------------------------------------------------------
 
     def supports(self, op: OpKind, scheme: str) -> bool:
-        if op in (OpKind.IN, OpKind.OUT):
-            return scheme in self.scheme_index
-        return (op, scheme) in self.op_costs
+        return (op, scheme) in self._supported
+
+    @cached_property
+    def _supported(self) -> frozenset[tuple[OpKind, str]]:
+        """The priced ``(op, scheme)`` pairs, and ``in``/``out`` under every scheme."""
+        free = {(op, s) for op in (OpKind.IN, OpKind.OUT) for s in self.schemes}
+        return frozenset(self.op_costs.keys() | free)
 
     def schemes_for(self, op: OpKind) -> tuple[str, ...]:
         """Schemes supporting ``op``, in canonical (declaration) order."""
@@ -226,12 +214,31 @@ class CostProfile:
         return cp[i][j], cn[i][j]
 
 
+def _is_finite(x) -> bool:
+    """``x`` is a JSON number (an int that is not a bool, or a float) that
+    converts to a finite float: not NaN, infinite or too large."""
+    try:
+        return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_scale(name: str, scale) -> None:
-    """Raise :class:`ParseError` unless ``scale`` is a positive finite
-    number (not a bool) that converts to a float."""
-    f = _finite_float(scale)
-    if f is None or f <= 0:
+    """Raise :class:`ParseError` unless ``scale`` is a positive
+    :func:`_is_finite` number."""
+    if not _is_finite(scale) or scale <= 0:
         raise ParseError(f"profile {name!r} scale must be positive and finite")
+
+
+def _check_price(name: str, what: str, price) -> None:
+    """Raise :class:`ParseError` unless both halves of the ``(compute,
+    network)`` ``price`` are :func:`_is_finite`, then :class:`NegativeCost`
+    if either is negative."""
+    p, n = price
+    if not (_is_finite(p) and _is_finite(n)):
+        raise ParseError(f"profile {name!r}: {what} is not a finite number")
+    if p < 0 or n < 0:
+        raise NegativeCost(f"profile {name!r}: negative {what}")
 
 
 # --- per-node and total cost ------------------------------------------------
@@ -518,15 +525,17 @@ class PriceSpec:
     gb_bytes: int = 10**9
 
     def __post_init__(self):
-        numbers = (self.vm_rate_a, self.vm_rate_b, self.net_rate, self.gb_bytes)
-        if any(_finite_float(x) is None for x in numbers):
-            raise ParseError("price rates and gb_bytes must be finite numbers")
+        rates = ("vm_rate_a", "vm_rate_b", "net_rate")
+        for key in (*rates, "gb_bytes"):
+            if not _is_finite(getattr(self, key)):
+                raise ParseError(f"invalid price sheet: {key} must be a finite number")
         if not float(self.gb_bytes).is_integer():
             raise ParseError("invalid price sheet: gb_bytes must be an integer")
-        if min(numbers[:3]) < 0:
-            raise NegativeInput("price rates must be non-negative")
+        for key in rates:
+            if getattr(self, key) < 0:
+                raise NegativeInput(f"invalid price sheet: {key} must be non-negative")
         if self.gb_bytes <= 0:
-            raise NegativeInput("gb_bytes must be positive")
+            raise NegativeInput("invalid price sheet: gb_bytes must be positive")
 
 
 @dataclass(frozen=True)
@@ -553,11 +562,15 @@ class RawMeasurement:
             raise ValueError(
                 "measurement must set either (op, scheme) or (source, target)"
             )
-        if (_finite_float(self.seconds_per_op) is None
-                or _finite_float(self.bytes_per_op) is None):
-            raise ParseError("measured seconds and bytes must be finite numbers")
-        if self.seconds_per_op < 0 or self.bytes_per_op < 0:
-            raise NegativeInput("measured seconds and bytes must be non-negative")
+        where = (f"{self.source}->{self.target}" if is_conv
+                 else f"({self.op}, {self.scheme})")
+        numbers = ("seconds_per_op", "bytes_per_op")
+        for key in numbers:
+            if not _is_finite(getattr(self, key)):
+                raise ParseError(f"measurement {where}: {key} must be a finite number")
+        for key in numbers:
+            if getattr(self, key) < 0:
+                raise NegativeInput(f"measurement {where}: {key} must be non-negative")
 
     @classmethod
     def for_op(cls, op: OpKind, scheme: str, seconds_per_op: float,
@@ -597,9 +610,12 @@ def derive_profile(
     op_costs: dict[tuple[OpKind, str], tuple[float, float]] = {}
     conversions: dict[tuple[str, str], tuple[float, float]] = {}
     seen: set[str] = set()
+    # In floats, so int and float spellings agree bit for bit and none overflows.
+    vm_rate = float(prices.vm_rate_a) + float(prices.vm_rate_b)
+    net_rate = float(prices.net_rate)
     for m in measurements:
-        p_cents = m.seconds_per_op * (prices.vm_rate_a + prices.vm_rate_b) / 3600.0
-        n_cents = m.bytes_per_op * prices.net_rate / prices.gb_bytes
+        p_cents = float(m.seconds_per_op) * vm_rate / 3600.0
+        n_cents = float(m.bytes_per_op) * net_rate / prices.gb_bytes
         entry = (p_cents / scale, n_cents / scale)
         if m.is_conversion:
             key = (m.source, m.target)
@@ -632,9 +648,10 @@ def derive_profile(
 #   "conversions": {"arithmetic->boolean": {"p": 28.35, "n": 199.94}, ...}
 # }
 #
-# A missing (op, scheme) entry encodes non-support. in/out never appear:
+# A missing (op, scheme) entry encodes non-support. in/out carry no entries:
 # they are free under every scheme. ``profile_to_json`` is canonical
 # (fixed key order, floats everywhere), so save -> load -> save is stable.
+# The parsers here check shape only; the constructors check every number.
 
 
 def profile_to_json(profile: CostProfile) -> str:
@@ -663,30 +680,10 @@ def profile_to_json(profile: CostProfile) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _is_number(x) -> bool:
-    """A JSON number: int or float, but not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _finite_float(x) -> float | None:
-    """``x`` as a float, or ``None`` when it is not a JSON number, is NaN
-    or infinite, or is an int too large for a float."""
-    if not _is_number(x):
-        return None
-    try:
-        f = float(x)
-    except OverflowError:
-        return None
-    return f if math.isfinite(f) else None
-
-
-def _parse_cost_entry(obj, where: str) -> tuple[float, float]:
+def _parse_cost_entry(obj, where: str) -> tuple:
     if not isinstance(obj, dict) or set(obj) != {"p", "n"}:
         raise ParseError(f"{where}: expected an object with keys 'p' and 'n'")
-    p, n = _finite_float(obj["p"]), _finite_float(obj["n"])
-    if p is None or n is None:
-        raise ParseError(f"{where}: costs must be finite numbers")
-    return p, n
+    return obj["p"], obj["n"]
 
 
 def profile_from_json(text: str) -> CostProfile:
@@ -702,9 +699,6 @@ def profile_from_json(text: str) -> CostProfile:
     name = doc["name"]
     if not isinstance(name, str):
         raise ParseError("profile name must be a string")
-    scale = _finite_float(doc["scale"])
-    if scale is None or scale <= 0:
-        raise ParseError("profile scale must be a positive finite number")
     schemes = doc["schemes"]
     if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
         raise ParseError("profile schemes must be a list of names")
@@ -713,10 +707,6 @@ def profile_from_json(text: str) -> CostProfile:
     op_costs: dict[tuple[OpKind, str], tuple[float, float]] = {}
     for op_name, per_scheme in doc["ops"].items():
         op = op_from_name(op_name)
-        if op not in COMPUTE_OPS:
-            raise ParseError(
-                f"op {op_name!r} is implicit (free) and must not be priced"
-            )
         if not isinstance(per_scheme, dict):
             raise ParseError(f"ops[{op_name!r}] must be an object")
         for scheme, entry in per_scheme.items():
@@ -733,7 +723,7 @@ def profile_from_json(text: str) -> CostProfile:
         conversions[(src, dst)] = _parse_cost_entry(
             entry, f"conversions[{key!r}]"
         )
-    return CostProfile(name, scale, tuple(schemes), op_costs, conversions)
+    return CostProfile(name, doc["scale"], tuple(schemes), op_costs, conversions)
 
 
 def save_profile(profile: CostProfile, path) -> None:
@@ -762,15 +752,13 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
          ]}
     """
     doc = parse_json(text, "measurements")
-    if not isinstance(doc, dict) or "measurements" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("measurements"), list):
         raise ParseError("measurements JSON must contain a 'measurements' list")
     schemes = doc.get("schemes")
     if schemes is not None and (
         not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes)
     ):
         raise ParseError("'schemes' must be a list of names")
-    if not isinstance(doc["measurements"], list):
-        raise ParseError("'measurements' must be a list")
     out = []
     for i, obj in enumerate(doc["measurements"]):
         if not isinstance(obj, dict):
@@ -784,20 +772,12 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
                 f"measurement {i}: needs an 'op' and a 'scheme' name, or a "
                 f"'conversion' pair of scheme names"
             )
-        seconds = _finite_float(obj.get("seconds_per_op"))
-        nbytes = _finite_float(obj.get("bytes_per_op"))
-        if seconds is None or nbytes is None:
-            raise ParseError(
-                f"measurement {i}: needs finite numeric seconds_per_op and "
-                f"bytes_per_op"
-            )
+        numbers = obj.get("seconds_per_op"), obj.get("bytes_per_op")
         if is_conversion:
-            out.append(RawMeasurement.for_conversion(*names, seconds, nbytes))
+            out.append(RawMeasurement.for_conversion(*names, *numbers))
         else:
             op, scheme = names
-            out.append(
-                RawMeasurement.for_op(op_from_name(op), scheme, seconds, nbytes)
-            )
+            out.append(RawMeasurement.for_op(op_from_name(op), scheme, *numbers))
     return out, schemes
 
 
@@ -810,21 +790,10 @@ def prices_from_json(text: str) -> PriceSpec:
     extra = set(doc) - {"vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"}
     if extra:
         raise ParseError(f"unexpected price key(s): {sorted(extra)}")
-    rates = {}
     for key in ("vm_rate_a", "vm_rate_b", "net_rate"):
         if key not in doc:
             raise ParseError(f"invalid price sheet: missing {key!r}")
-        rates[key] = _finite_float(doc[key])
-        if rates[key] is None:
-            raise ParseError(f"invalid price sheet: {key} must be a finite number")
-    gb_bytes = doc.get("gb_bytes", 10**9)
-    if isinstance(gb_bytes, float) and gb_bytes.is_integer():
-        gb_bytes = int(gb_bytes)
-    if isinstance(gb_bytes, bool) or not isinstance(gb_bytes, int):
-        raise ParseError("invalid price sheet: gb_bytes must be an integer")
-    if _finite_float(gb_bytes) is None:  # derive_profile divides by it
-        raise ParseError("invalid price sheet: gb_bytes is too large")
-    return PriceSpec(**rates, gb_bytes=gb_bytes)
+    return PriceSpec(**doc)
 
 
 def load_measurements(path) -> tuple[list[RawMeasurement], list[str] | None]:

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from operator import add
 
-from .circuit import Circuit, OpKind
+from .circuit import Circuit, OpKind, _is_int
 from .cost_model import (
     Assignment,
     Compiled,
@@ -57,7 +57,7 @@ class SolverLimits:
 
 def _is_count(x) -> bool:
     """``x`` is an ``int``, not a ``bool``, of at least 1."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+    return _is_int(x) and x >= 1
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from mpcost import (
     top_down,
 )
 from mpcost import cost_model
+from mpcost.circuit import COMPUTE_OPS
 from mpcost.cli import main
 from mpcost.cost_model import Compiled, NodeCost
 from mpcost.optimizer import default_scheme
@@ -419,6 +420,51 @@ def test_derive_profile_round_trip(capsys, tmp_path):
     assert p == pytest.approx(0.0038889, abs=1e-7)
     assert n == 0.0065
     assert prof.schemes == ("arithmetic", "yao")
+
+
+_SPELLED_MEASUREMENTS = json.dumps({
+    "schemes": ["arithmetic", "yao"],
+    "measurements": (
+        [{"op": op.value, "scheme": "yao", "seconds_per_op": 1e-3,
+          "bytes_per_op": "BYTES"} for op in COMPUTE_OPS]
+        + [{"conversion": pair, "seconds_per_op": 2e-3, "bytes_per_op": "BYTES"}
+           for pair in (["arithmetic", "yao"], ["yao", "arithmetic"])]
+    ),
+})
+_SPELLED_PRICES = json.dumps({"vm_rate_a": "RATE", "vm_rate_b": "RATE",
+                              "net_rate": 6.5, "gb_bytes": "GB"})
+
+
+@pytest.mark.parametrize("field, as_int, as_float", [
+    ("RATE", "7", "7.0"),
+    ("GB", "1000000000", "1e9"),
+    ("BYTES", "416", "416.0"),
+])
+def test_int_and_float_spellings_derive_the_same_profile(capsys, tmp_path, field,
+                                                         as_int, as_float):
+    """The parsers hand raw JSON numbers to the constructors, so an int and
+    a float spelling of one value must give the same profile, byte for byte."""
+    outputs, profiles = [], []
+    for spelling in (as_int, as_float):
+        numbers = {"BYTES": "416", "RATE": "7.0", "GB": "1000000000",
+                   field: spelling}
+        texts = []
+        for text in (_SPELLED_MEASUREMENTS, _SPELLED_PRICES):
+            for token, number in numbers.items():
+                text = text.replace(f'"{token}"', number)
+            texts.append(text)
+        m_path, p_path = tmp_path / "m.json", tmp_path / "p.json"
+        m_path.write_text(texts[0])
+        p_path.write_text(texts[1])
+        code, out, _ = run(capsys, "derive-profile", str(m_path), str(p_path))
+        assert code == 0
+        outputs.append(out)
+        measurements, schemes = cost_model.measurements_from_json(texts[0])
+        profiles.append(cost_model.derive_profile(
+            measurements, cost_model.prices_from_json(texts[1]), "derived",
+            schemes=schemes))
+    assert outputs[0] == outputs[1]
+    assert profiles[0] == profiles[1]
 
 
 def test_derive_profile_empty_measurements_exit_1(capsys, tmp_path):

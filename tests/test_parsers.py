@@ -23,8 +23,14 @@ from mpcost import (
     profile_from_json,
     profile_to_json,
 )
-from mpcost.circuit import COMPUTE_OPS
-from mpcost.cost_model import measurements_from_json, prices_from_json
+from mpcost.circuit import COMPUTE_OPS, op_from_name
+from mpcost.cost_model import (
+    CostProfile,
+    PriceSpec,
+    RawMeasurement,
+    measurements_from_json,
+    prices_from_json,
+)
 from mpcost.errors import MpcostError, ParseError
 from mpcost.profiles import builtin_text
 
@@ -195,6 +201,75 @@ def test_generated_circuits_save_load_save_to_the_same_text(circuit):
     text = circuit_to_json(circuit)
     assert circuit_from_json(text) == circuit
     assert circuit_to_json(circuit_from_json(text)) == text
+
+
+# --- one validator per input: the parsers add no number check -----------------------
+
+
+def _profile_direct(doc):
+    """``CostProfile`` called directly on a profile document's values."""
+    op_costs = {(op_from_name(op), scheme): (e["p"], e["n"])
+                for op, per_scheme in doc["ops"].items()
+                for scheme, e in per_scheme.items()}
+    conversions = {tuple(key.split("->")): (e["p"], e["n"])
+                   for key, e in doc["conversions"].items()}
+    return CostProfile(doc["name"], doc["scale"], tuple(doc["schemes"]),
+                       op_costs, conversions)
+
+
+def _measurements_direct(doc):
+    """``RawMeasurement`` called directly on each measurement's values."""
+    out = []
+    for m in doc["measurements"]:
+        numbers = m["seconds_per_op"], m["bytes_per_op"]
+        if "conversion" in m:
+            out.append(RawMeasurement.for_conversion(*m["conversion"], *numbers))
+        else:
+            out.append(RawMeasurement.for_op(op_from_name(m["op"]), m["scheme"],
+                                             *numbers))
+    return out
+
+
+DIRECT = {
+    "profile": _profile_direct,
+    "measurements": _measurements_direct,
+    "prices": lambda doc: PriceSpec(**doc),
+}
+
+_NUMBER_PATHS = [
+    ("profile", ("scale",)),
+    ("profile", ("ops", "add", "yao", "p")),
+    ("profile", ("ops", "add", "yao", "n")),
+    ("profile", ("conversions", "yao->arithmetic", "p")),
+    ("profile", ("conversions", "yao->arithmetic", "n")),
+    ("prices", ("vm_rate_a",)),
+    ("prices", ("vm_rate_b",)),
+    ("prices", ("net_rate",)),
+    ("prices", ("gb_bytes",)),
+    ("measurements", ("measurements", 0, "seconds_per_op")),
+    ("measurements", ("measurements", 0, "bytes_per_op")),
+    ("measurements", ("measurements", 1, "seconds_per_op")),
+    ("measurements", ("measurements", 1, "bytes_per_op")),
+]
+_BAD_VALUES = [math.nan, math.inf, -math.inf, True, False, HUGE, -1, "1", None,
+               [], {}]
+
+
+@pytest.mark.parametrize("name, path, value", [
+    pytest.param(name, path, value,
+                 id=".".join(map(str, (name, *path, json.dumps(value)[:8]))))
+    for name, path in _NUMBER_PATHS
+    for value in _BAD_VALUES + ([1.5] if path == ("gb_bytes",) else [])
+])
+def test_json_and_direct_construction_reject_a_bad_number_alike(name, path, value):
+    parse, doc, _ = PARSERS[name]
+    bad = _replaced(doc, path, value)
+    with pytest.raises(MpcostError) as from_json:
+        parse(json.dumps(bad))
+    with pytest.raises(MpcostError) as direct:
+        DIRECT[name](bad)
+    assert type(from_json.value) is type(direct.value)
+    assert str(from_json.value) == str(direct.value)
 
 
 # --- node-id keys ------------------------------------------------------------------

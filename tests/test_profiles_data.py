@@ -40,7 +40,10 @@ def test_support_sets(name):
     for op in (OpKind.SUB, OpKind.AND, OpKind.XOR, OpKind.MUX, OpKind.EQ, OpKind.GE):
         assert prof.schemes_for(op) == ("boolean", "yao")
     assert prof.universal_schemes() == ("boolean", "yao")
-    # in/out are free everywhere
+    # in/out are free everywhere, and only under a declared scheme
+    assert prof.schemes_for(OpKind.IN) == prof.schemes_for(OpKind.OUT) == prof.schemes
+    assert not prof.supports(OpKind.IN, "undeclared")
+    assert not prof.supports(OpKind.ADD, "undeclared")
     assert prof.op_cost_cents(OpKind.IN, "arithmetic") == (0.0, 0.0)
     assert prof.op_cost_cents(OpKind.OUT, "yao") == (0.0, 0.0)
 
