@@ -17,11 +17,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     ArityMismatch,
-    CycleDetected,
     DanglingInput,
     InvalidParty,
     MissingInput,
@@ -29,6 +28,7 @@ from .errors import (
     ParseError,
     UnknownNode,
     ValueOutOfRange,
+    _shown,
 )
 
 
@@ -117,10 +117,14 @@ class Node:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable, topologically ordered operation DAG."""
+    """An immutable, topologically ordered operation DAG. However it is
+    made, construction checks every rule of one (:func:`_validate`)."""
 
     nodes: tuple[Node, ...]
     bitwidth: int = 32
+
+    def __post_init__(self):
+        _validate(self.nodes, self.bitwidth)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -162,89 +166,81 @@ class Circuit:
         return tuple(op for op in COMPUTE_OPS if op in present)
 
 
-def _validate(nodes: Sequence[Node], bitwidth: int) -> None:
-    if not 1 <= bitwidth <= MAX_BITWIDTH:
-        raise ValueError(f"bitwidth must be in 1..{MAX_BITWIDTH}, got {bitwidth}")
-    for node in nodes:
-        if len(node.inputs) != node.op.arity:
+def _is_int(x) -> bool:
+    """An integer: ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _validate(nodes: tuple[Node, ...], bitwidth: int) -> None:
+    """Raise on the first broken rule of a circuit, in one pass in id order."""
+    if not _is_int(bitwidth) or not 1 <= bitwidth <= MAX_BITWIDTH:
+        raise ParseError(
+            f"bitwidth must be an int in 1..{MAX_BITWIDTH}, got {_shown(bitwidth)}")
+    for i, node in enumerate(nodes):
+        op = node.op
+        if not _is_int(node.id) or node.id != i:
+            raise ParseError(
+                f"node ids must be dense and ascending; "
+                f"expected {i}, got {_shown(node.id)}"
+            )
+        if not isinstance(op, OpKind):
+            raise ParseError(f"node {i}: op must be an OpKind, got {_shown(op)}")
+        if not isinstance(node.inputs, tuple):
+            raise ParseError(f"node {i}: inputs must be a tuple of ids")
+        if len(node.inputs) != op.arity:
             raise ArityMismatch(
-                f"node {node.id}: op {node.op} takes {node.op.arity} "
+                f"node {i}: op {op} takes {op.arity} "
                 f"input(s), got {len(node.inputs)}"
             )
         for j in node.inputs:
+            if not _is_int(j):
+                raise ParseError(f"node {i}: input {j!r} is not a node id")
             if not 0 <= j < len(nodes):
-                raise DanglingInput(f"node {node.id} references unknown id {j}")
-            if j >= node.id:
+                raise DanglingInput(f"node {i} references unknown id {_shown(j)}")
+            if j >= i:
                 raise DanglingInput(
-                    f"node {node.id} references id {j}, which does not "
+                    f"node {i} references id {j}, which does not "
                     f"precede it (node list must be topologically ordered)"
                 )
             if nodes[j].op is OpKind.OUT:
-                raise OutAsInput(f"node {node.id} uses out node {j} as input")
+                raise OutAsInput(f"node {i} uses out node {j} as input")
         if node.party is not None:
-            if node.op is not OpKind.IN:
-                raise InvalidParty(
-                    f"node {node.id}: party label only allowed on in nodes"
-                )
+            if op is not OpKind.IN:
+                raise InvalidParty(f"node {i}: party label only allowed on in nodes")
             if node.party not in PARTIES:
                 raise InvalidParty(
-                    f"node {node.id}: party must be one of {PARTIES}, "
-                    f"got {node.party!r}"
+                    f"node {i}: party must be one of {PARTIES}, "
+                    f"got {_shown(node.party)}"
                 )
+        if node.name is not None and not isinstance(node.name, str):
+            raise ParseError(f"node {i}: name must be a string")
 
 
 def build(
     entries: Iterable[tuple],
     bitwidth: int = 32,
 ) -> Circuit:
-    """Construct and validate a circuit from ``(op, inputs[, party[, name]])``
-    tuples. Ids are assigned densely in iteration order, so each entry may
-    only reference entries that came before it.
+    """Construct a circuit from ``(op, inputs[, party[, name]])`` tuples.
+    Ids are assigned densely in iteration order, so each entry may only
+    reference entries that came before it.
 
     ``op`` may be an :class:`OpKind` or its lowercase name.
     """
     nodes: list[Node] = []
     for i, entry in enumerate(entries):
-        if not 2 <= len(entry) <= 4:
-            raise ValueError(
-                f"entry {i}: expected (op, inputs[, party[, name]]), got {entry!r}"
-            )
+        if not (isinstance(entry, (tuple, list)) and 2 <= len(entry) <= 4
+                and isinstance(entry[1], (tuple, list))):
+            raise ParseError(f"entry {i}: expected (op, inputs[, party[, name]])")
         op = entry[0]
         if isinstance(op, str):
             op = op_from_name(op)
-        party = entry[2] if len(entry) > 2 else None
-        name = entry[3] if len(entry) > 3 else None
-        nodes.append(Node(i, op, tuple(entry[1]), party, name))
-    _validate(nodes, bitwidth)
+        nodes.append(Node(i, op, tuple(entry[1]), *entry[2:]))
     return Circuit(tuple(nodes), bitwidth)
 
 
 def topological_order(circuit: Circuit) -> list[int]:
-    """Return node ids so that every node appears after all of its inputs.
-
-    Deterministic: among ready nodes the smallest id goes first. For any
-    circuit accepted by :func:`build` this is simply ``0..m-1``; the full
-    traversal is kept so manually constructed node lists are caught.
-    """
-    import heapq
-
-    indegree = [len(n.inputs) for n in circuit.nodes]
-    ready = [n.id for n in circuit.nodes if indegree[n.id] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for c in circuit.consumer_edges[i]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != len(circuit.nodes):
-        raise CycleDetected(
-            f"only {len(order)} of {len(circuit.nodes)} nodes are reachable "
-            f"from the inputs; the graph contains a cycle"
-        )
-    return order
+    """Node ids with every node after its inputs, which is the id order."""
+    return list(range(len(circuit.nodes)))
 
 
 def evaluate_plaintext(
@@ -253,7 +249,7 @@ def evaluate_plaintext(
     """Evaluate the circuit over ``Z_{2**bitwidth}`` and return the value of
     every ``out`` node, keyed by node id.
 
-    ``inputs`` must supply one value per ``in`` node. Semantics: add, sub
+    ``inputs`` must supply one int per ``in`` node. Semantics: add, sub
     and mul wrap modulo ``2**bitwidth``; and/xor are bitwise; ``eq`` yields
     1 when its operands are equal; ``ge`` yields 1 when the first operand
     is strictly greater (unsigned); ``mux(sel, a, b)`` yields ``a`` when
@@ -268,9 +264,11 @@ def evaluate_plaintext(
         if i not in inputs:
             raise MissingInput(f"no value supplied for in node {i}")
         v = inputs[i]
+        if not _is_int(v):
+            raise ParseError(f"value {v!r} for in node {i} is not an integer")
         if not 0 <= v <= mask:
             raise ValueOutOfRange(
-                f"value {v} for in node {i} does not fit in "
+                f"value {_shown(v)} for in node {i} does not fit in "
                 f"{circuit.bitwidth} bits"
             )
 
@@ -324,11 +322,6 @@ def inputs_by_name(circuit: Circuit) -> dict[str, int]:
 _NODE_KEYS = {"id", "op", "inputs", "party", "name"}
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_json(text: str, what: str):
     """The JSON document in ``text``. Every way malformed input makes
     :func:`json.loads` fail raises :class:`ParseError` naming ``what``:
@@ -377,9 +370,6 @@ def circuit_from_json(text: str) -> Circuit:
     extra = set(doc) - {"bitwidth", "nodes"}
     if extra:
         raise ParseError(f"unexpected circuit key(s): {sorted(extra)}")
-    bitwidth = doc.get("bitwidth", 32)
-    if not _is_int(bitwidth) or not 1 <= bitwidth <= MAX_BITWIDTH:
-        raise ParseError(f"bitwidth must be an int in 1..{MAX_BITWIDTH}, got {bitwidth!r}")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
         raise ParseError("circuit JSON must contain a node list")
@@ -394,28 +384,13 @@ def circuit_from_json(text: str) -> Circuit:
         for key in ("id", "op", "inputs"):
             if key not in obj:
                 raise ParseError(f"node {i}: missing {key!r}")
-        if not _is_int(obj["id"]) or obj["id"] != i:
-            raise ParseError(
-                f"node ids must be dense and ascending; "
-                f"expected {i}, got {obj['id']!r}"
-            )
         if not isinstance(obj["op"], str):
             raise ParseError(f"node {i}: op must be a string")
-        op = op_from_name(obj["op"])
-        raw_inputs = obj["inputs"]
-        if not isinstance(raw_inputs, list) or not all(
-            _is_int(j) for j in raw_inputs
-        ):
+        if not isinstance(obj["inputs"], list):
             raise ParseError(f"node {i}: inputs must be a list of ids")
-        party = obj.get("party")
-        name = obj.get("name")
-        if party is not None and not isinstance(party, str):
-            raise ParseError(f"node {i}: party must be a string")
-        if name is not None and not isinstance(name, str):
-            raise ParseError(f"node {i}: name must be a string")
-        nodes.append(Node(i, op, tuple(raw_inputs), party, name))
-    _validate(nodes, bitwidth)
-    return Circuit(tuple(nodes), bitwidth)
+        nodes.append(Node(obj["id"], op_from_name(obj["op"]), tuple(obj["inputs"]),
+                          obj.get("party"), obj.get("name")))
+    return Circuit(tuple(nodes), doc.get("bitwidth", 32))
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -29,7 +29,6 @@ from .casegen import (
 )
 from .circuit import (
     Circuit,
-    _is_int,
     circuit_to_json,
     evaluate_plaintext,
     inputs_by_name,
@@ -264,8 +263,6 @@ def cmd_eval(args) -> int:
     by_name = inputs_by_name(circuit)
     inputs: dict[int, int] = {}
     for key, value in doc.items():
-        if not _is_int(value):
-            raise ParseError(f"input {key!r} must be an integer")
         if key in by_name:
             inputs[by_name[key]] = value
         else:

@@ -368,25 +368,12 @@ class Compiled:
 
     def indices(self, assignment: Mapping[int, str]) -> list[int]:
         """Scheme indices of a name assignment; raises
-        :class:`InfeasibleAssignment` on the first node that is unassigned
-        or whose scheme does not support its operation."""
+        :class:`InfeasibleAssignment` on the first violation
+        :func:`check_feasible` finds."""
+        for v in check_feasible(self.circuit, assignment, self.profile):
+            raise InfeasibleAssignment(f"node {v.node}: {v.reason}")
         index = self.profile.scheme_index
-        out = []
-        for node, cands in zip(self.circuit.nodes, self.cands):
-            try:
-                scheme = assignment[node.id]
-            except KeyError:
-                raise InfeasibleAssignment(
-                    f"node {node.id} has no assigned scheme"
-                ) from None
-            s = index.get(scheme)
-            if s not in cands:
-                raise InfeasibleAssignment(
-                    f"scheme {scheme!r} does not support op {node.op} "
-                    f"in profile {self.profile.name!r}"
-                )
-            out.append(s)
-        return out
+        return [index[assignment[i]] for i in range(len(self.cands))]
 
     def assignment(self, idx: Sequence[int]) -> Assignment:
         schemes = self.profile.schemes
@@ -739,6 +726,11 @@ def load_profile(path) -> CostProfile:
 # --- measurement / price JSON --------------------------------------------------
 
 
+#: The key set of an op measurement and of a conversion measurement.
+_MEASUREMENT_KEYS = ({"op", "scheme", "seconds_per_op", "bytes_per_op"},
+                     {"conversion", "seconds_per_op", "bytes_per_op"})
+
+
 def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] | None]:
     """Parse a measurement file. Returns the measurements and the declared
     scheme order (``None`` when the file leaves it implicit).
@@ -754,6 +746,9 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
     doc = parse_json(text, "measurements")
     if not isinstance(doc, dict) or not isinstance(doc.get("measurements"), list):
         raise ParseError("measurements JSON must contain a 'measurements' list")
+    extra = set(doc) - {"schemes", "measurements"}
+    if extra:
+        raise ParseError(f"unexpected measurements key(s): {sorted(extra)}")
     schemes = doc.get("schemes")
     if schemes is not None and (
         not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes)
@@ -761,18 +756,20 @@ def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] |
         raise ParseError("'schemes' must be a list of names")
     out = []
     for i, obj in enumerate(doc["measurements"]):
-        if not isinstance(obj, dict):
-            raise ParseError(f"measurement {i} is not an object")
+        if not isinstance(obj, dict) or set(obj) not in _MEASUREMENT_KEYS:
+            raise ParseError(
+                f"measurement {i}: keys must be {sorted(_MEASUREMENT_KEYS[0])} "
+                f"or {sorted(_MEASUREMENT_KEYS[1])}"
+            )
         is_conversion = "conversion" in obj
-        names = (obj["conversion"] if is_conversion
-                 else [obj.get("op"), obj.get("scheme")])
+        names = obj["conversion"] if is_conversion else [obj["op"], obj["scheme"]]
         if not (isinstance(names, list) and len(names) == 2
                 and all(isinstance(name, str) for name in names)):
             raise ParseError(
                 f"measurement {i}: needs an 'op' and a 'scheme' name, or a "
                 f"'conversion' pair of scheme names"
             )
-        numbers = obj.get("seconds_per_op"), obj.get("bytes_per_op")
+        numbers = obj["seconds_per_op"], obj["bytes_per_op"]
         if is_conversion:
             out.append(RawMeasurement.for_conversion(*names, *numbers))
         else:

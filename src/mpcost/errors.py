@@ -28,11 +28,6 @@ class OutAsInput(CircuitError):
     """An output node is used as an input to another node."""
 
 
-class CycleDetected(CircuitError):
-    """The node graph contains a cycle (only reachable through manual
-    construction that bypasses ``build``)."""
-
-
 class InvalidParty(CircuitError):
     """A party label is present on a non-input node or is not a known party."""
 
@@ -103,14 +98,19 @@ def _log10_floor(n: int) -> int:
     return k
 
 
+def _shown(x) -> str:
+    """``repr(x)``, but ``about 10^k`` for an int of 16 digits or more."""
+    if isinstance(x, int) and abs(x) >= 10**15:
+        return f"about {'-' if x < 0 else ''}10^{_log10_floor(abs(x))}"
+    return repr(x)
+
+
 class SearchSpaceTooLarge(MpcostError):
     """The exhaustive solver's search space exceeds the configured cap."""
 
     def __init__(self, space: int, max_space: int):
-        shown = str(space) if space < 10**15 else f"about 10^{_log10_floor(space)}"
-        super().__init__(
-            f"search space has {shown} assignments, cap is {max_space}"
-        )
+        super().__init__(f"search space has {_shown(space)} assignments, "
+                         f"cap is {_shown(max_space)}")
         self.space = space
         self.max_space = max_space
 

@@ -389,7 +389,10 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     from the path's sums, each later addend at its least, gives a total no
     row below undercuts, and the first row below takes each later node's
     first candidate. The child goes when that ``(total, row)`` is not
-    below the incumbent's.
+    below the incumbent's. The key adds op addends only: each edge's least
+    conversion addend is ``0.0``, since every touched node's domain holds
+    the universal schemes (a profile has one; ``in``/``out`` allow all),
+    and adding ``0.0`` changes no bit of a sum that is never ``-0.0``.
     """
     op_p, op_n, op_t, inputs = (
         compiled.op_p, compiled.op_n, compiled.op_t, compiled.inputs
@@ -444,16 +447,11 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     for p in reversed(range(len(nodes))):
         u = nodes[p]
         low = min([b[u][s] for s in dom[u]])
-        conv_p = 0.0
-        conv_n = 0.0
         for j, mj, mu in into[u]:
-            pairs = [(r, s) for r in dom[j] for s in dom[u]]
-            low += min([ct[r][s] - mj[r] - mu[s] for r, s in pairs])
-            conv_p += min([cp[r][s] for r, s in pairs])
-            conv_n += min([cn[r][s] for r, s in pairs])
+            low += min([ct[r][s] - mj[r] - mu[s] for r in dom[j] for s in dom[u]])
         rest[p] = low + rest[p + 1]
-        least[p] = (min([op_p[u][s] for s in dom[u]]), conv_p,
-                    min([op_n[u][s] for s in dom[u]]), conv_n)
+        least[p] = (min([op_p[u][s] for s in dom[u]]),
+                    min([op_n[u][s] for s in dom[u]]))
     z = sum([max([op_t[u][s] for s in dom[u]]) for u in nodes])
     z += len(edges) * max(map(max, ct))
     z += 2 * sum([abs(m) for edge in edges for ms in edge[2:] for m in ms])
@@ -499,11 +497,9 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         cut = nodes[p]
         if row[:cut] != best_row[:cut]:
             kc, kn = tc, tn
-            for lp, lcp, ln, lcn in least[p:]:
+            for lp, ln in least[p:]:
                 kc += lp
-                kc += lcp
                 kn += ln
-                kn += lcn
             if (kc + kn, row[:cut] + first[cut:]) >= (best_total, best_row):
                 continue
         stack.extend((p, t, tc, tn, g) for t in reversed(dom[cut]))

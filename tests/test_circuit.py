@@ -20,10 +20,10 @@ from mpcost import (
 from mpcost.circuit import MAX_BITWIDTH
 from mpcost.errors import (
     ArityMismatch,
-    CycleDetected,
     DanglingInput,
     InvalidParty,
     MissingInput,
+    MpcostError,
     OutAsInput,
     ParseError,
     UnknownNode,
@@ -102,8 +102,55 @@ def test_cycle_detected_on_manual_construction():
         Node(1, OpKind.ADD, (2, 0)),
         Node(2, OpKind.ADD, (1, 0)),
     )
-    with pytest.raises(CycleDetected):
-        topological_order(Circuit(nodes))
+    with pytest.raises(DanglingInput, match="does not precede"):
+        Circuit(nodes)
+
+
+@pytest.mark.parametrize("nodes, match", [
+    ((Node(0, "in", ()),), "op must be an OpKind"),
+    ((Node(False, OpKind.IN, ()),), "dense and ascending"),
+    ((Node(0, OpKind.IN, ()), Node(1, OpKind.OUT, (2,)),
+      Node(2, OpKind.IN, ())), "does not precede"),
+], ids=["string-op", "bool-id", "forward-reference"])
+def test_direct_construction_checks_every_rule(nodes, match):
+    with pytest.raises(MpcostError, match=match):
+        Circuit(nodes)
+
+
+def test_bools_posing_as_ints_are_rejected_by_build():
+    with pytest.raises(ParseError, match="True"):
+        build([("in", []), ("in", []), ("add", [0, True]), ("out", [2])])
+    with pytest.raises(ParseError, match="bitwidth"):
+        build([("in", []), ("out", [0])], bitwidth=True)
+    with pytest.raises(ParseError, match="1.0"):
+        build([("in", []), ("out", [1.0])])
+    with pytest.raises(ParseError, match="name"):
+        build([("in", [], None, 5), ("out", [0])])
+
+
+def test_ints_too_long_to_print_are_rejected_with_mpcost_errors(adder):
+    huge = 10**5000  # past the interpreter's int-to-string digit limit
+    with pytest.raises(ParseError, match="about 10\\^5000"):
+        build([("in", []), ("out", [0])], bitwidth=huge)
+    with pytest.raises(ParseError, match="about 10\\^5000"):
+        Circuit((Node(huge, OpKind.IN, ()),))
+    with pytest.raises(DanglingInput, match="about -10\\^5000"):
+        build([("in", []), ("out", [-huge])])
+    with pytest.raises(ValueOutOfRange, match="about 10\\^5000"):
+        evaluate_plaintext(adder, {0: huge, 1: 0})
+
+
+def test_build_rejects_malformed_entries():
+    for entry in [("in",), ("out", 0), 7, ("in", [], None, None, None),
+                  ("out", 10**5000)]:
+        with pytest.raises(ParseError, match="expected"):
+            build([entry])
+
+
+def test_evaluate_rejects_values_that_are_not_ints(adder):
+    for value in (True, 1.5, "1", None):
+        with pytest.raises(ParseError, match="not an integer"):
+            evaluate_plaintext(adder, {0: value, 1: 0})
 
 
 def test_evaluate_adder(adder):
@@ -240,7 +287,7 @@ def test_parse_rejects_malformed_json():
                          ids=["zero", "max+1", "1e400"])
 def test_bitwidth_out_of_range_is_rejected(bitwidth):
     entries = [("in", []), ("out", [0])]
-    with pytest.raises(ValueError, match="bitwidth"):
+    with pytest.raises(ParseError, match="bitwidth"):
         build(entries, bitwidth=bitwidth)
     text = circuit_to_json(build(entries)).replace(
         '"bitwidth":32', f'"bitwidth":{bitwidth}')

@@ -343,6 +343,17 @@ def test_eval_missing_input_exits_1(capsys, adder_path, tmp_path):
     assert "no value" in err
 
 
+@pytest.mark.parametrize("value", [True, 1.5, "7", None])
+def test_eval_input_values_must_be_ints(capsys, adder_path, tmp_path, value):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps({"0": 7, "1": value}))
+    code, out, err = run(capsys, "eval", adder_path, str(inputs))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not an integer" in err
+
+
 @pytest.mark.parametrize("key", [
     "1_0", "01", "+1", " 1", pytest.param("1" * 5000, id="5000-digits")])
 def test_eval_input_keys_must_be_names_or_canonical_ids(capsys, adder_path, tmp_path, key):

@@ -567,6 +567,17 @@ def test_measurements_reject_malformed_structure(doc):
         measurements_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc, match", [
+    ({"measurements": [{**_CONV, "conversion": ["a", "y"], "op": "add",
+                        "scheme": "y"}]}, "keys must be"),
+    ({"measurements": [{**_ADD_YAO, "typo_key": 1}]}, "keys must be"),
+    ({"schemas": ["y"], "measurements": [_ADD_YAO]}, "'schemas'"),
+], ids=["conversion-with-op", "typo-key", "schemas"])
+def test_measurements_reject_unknown_key_sets(doc, match):
+    with pytest.raises(ParseError, match=match):
+        measurements_from_json(json.dumps(doc))
+
+
 def test_direct_construction_rejects_non_finite_inputs():
     with pytest.raises(ParseError):
         RawMeasurement.for_op(OpKind.ADD, "y", math.nan, 0.0)

@@ -316,6 +316,7 @@ def test_solver_limits_accept_only_positive_ints(field, value):
 def test_exhaustive_space_cap_names_huge_spaces(inter_m3_medium):
     # 3**9100 has more digits than str() of an int accepts
     assert "about 10^4341 assignments" in str(SearchSpaceTooLarge(3**9100, 10**7))
+    assert "cap is about 10^5000" in str(SearchSpaceTooLarge(10**5001, 10**5000))
     with pytest.raises(SearchSpaceTooLarge) as info:
         exhaustive_optimal(gen_chain(OpKind.ADD, 9100), inter_m3_medium)
     assert info.value.space == 3**9100

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from mpcost import (
     BiometricSpec,
+    Circuit,
     MatMulSpec,
+    Node,
     assignment_from_json,
     assignment_to_json,
+    build,
     circuit_from_json,
     circuit_to_json,
     gen_biometric,
@@ -230,13 +233,33 @@ def _measurements_direct(doc):
     return out
 
 
+def _circuit_direct(doc):
+    """``Circuit`` called directly on a circuit document's values."""
+    nodes = tuple(Node(n["id"], op_from_name(n["op"]), tuple(n["inputs"]),
+                       n.get("party"), n.get("name")) for n in doc["nodes"])
+    return Circuit(nodes, doc["bitwidth"])
+
+
+def _circuit_built(doc):
+    """``build`` called on a circuit document's values (it numbers the
+    nodes itself, so the ids are not passed)."""
+    return build([(n["op"], n["inputs"], n.get("party"), n.get("name"))
+                  for n in doc["nodes"]], doc["bitwidth"])
+
+
 DIRECT = {
+    "circuit": _circuit_direct,
     "profile": _profile_direct,
     "measurements": _measurements_direct,
     "prices": lambda doc: PriceSpec(**doc),
 }
 
 _NUMBER_PATHS = [
+    ("circuit", ("bitwidth",)),
+    ("circuit", ("nodes", 2, "id")),
+    ("circuit", ("nodes", 2, "inputs", 0)),
+    ("circuit", ("nodes", 0, "party")),
+    ("circuit", ("nodes", 0, "name")),
     ("profile", ("scale",)),
     ("profile", ("ops", "add", "yao", "p")),
     ("profile", ("ops", "add", "yao", "n")),
@@ -253,23 +276,48 @@ _NUMBER_PATHS = [
 ]
 _BAD_VALUES = [math.nan, math.inf, -math.inf, True, False, HUGE, -1, "1", None,
                [], {}]
+#: Values of ``_BAD_VALUES`` that a field accepts: ``None`` leaves a party
+#: or a name unset, and any string is a name.
+_ACCEPTED = {"party": [None], "name": [None, "1"]}
+
+
+def _bad_values(path):
+    extra = [1.5] if path == ("gb_bytes",) else []
+    return [v for v in _BAD_VALUES + extra if v not in _ACCEPTED.get(path[-1], [])]
+
+
+def _assert_rejected_alike(text, parse, direct, bad):
+    """``parse(text)`` and ``direct(bad)`` raise the same exception type
+    with the same message."""
+    with pytest.raises(MpcostError) as from_json:
+        parse(text)
+    with pytest.raises(MpcostError) as from_call:
+        direct(bad)
+    assert type(from_json.value) is type(from_call.value)
+    assert str(from_json.value) == str(from_call.value)
 
 
 @pytest.mark.parametrize("name, path, value", [
     pytest.param(name, path, value,
                  id=".".join(map(str, (name, *path, json.dumps(value)[:8]))))
     for name, path in _NUMBER_PATHS
-    for value in _BAD_VALUES + ([1.5] if path == ("gb_bytes",) else [])
+    for value in _bad_values(path)
 ])
 def test_json_and_direct_construction_reject_a_bad_number_alike(name, path, value):
     parse, doc, _ = PARSERS[name]
     bad = _replaced(doc, path, value)
-    with pytest.raises(MpcostError) as from_json:
-        parse(json.dumps(bad))
-    with pytest.raises(MpcostError) as direct:
-        DIRECT[name](bad)
-    assert type(from_json.value) is type(direct.value)
-    assert str(from_json.value) == str(direct.value)
+    _assert_rejected_alike(json.dumps(bad), parse, DIRECT[name], bad)
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(path, value, id=".".join(map(str, (*path, json.dumps(value)[:8]))))
+    for name, path in _NUMBER_PATHS
+    if name == "circuit" and path[-1] != "id"
+    for value in _bad_values(path)
+])
+def test_json_and_build_reject_a_bad_circuit_value_alike(path, value):
+    bad = _replaced(PARSERS["circuit"][1], path, value)
+    _assert_rejected_alike(json.dumps(bad), circuit_from_json, _circuit_built, bad)
 
 
 # --- node-id keys ------------------------------------------------------------------
