@@ -7,6 +7,13 @@ profile, and searches for the node-to-scheme assignment with the lowest
 total monetary cost. Several heuristics and an exact solver for small
 circuits are provided, together with bundled cloud-derived profiles and the
 case-study circuit generators.
+
+Importing the package loads only what ``mpcost optimize`` and ``mpcost
+compare`` run: circuits, the cost model, the strategies and the bundled
+profiles. The circuit generators (:mod:`mpcost.casegen`) and profile
+derivation (:mod:`mpcost.derive`) load on first use of one of their
+names here, such as ``mpcost.gen_matmul``, or on ``from mpcost import
+*``.
 """
 
 from .circuit import (
@@ -31,31 +38,16 @@ from .cost_model import (
     CostProfile,
     CostReport,
     NodeCost,
-    PriceSpec,
-    RawMeasurement,
     Violation,
     assignment_from_json,
     assignment_to_json,
     check_feasible,
-    derive_profile,
-    load_measurements,
-    load_prices,
     load_profile,
     node_cost,
     profile_from_json,
     profile_to_json,
     save_profile,
     total_cost,
-)
-from .casegen import (
-    BiometricSpec,
-    MatMulSpec,
-    biometric_inputs,
-    gen_biometric,
-    gen_chain,
-    gen_matmul,
-    gen_random,
-    matmul_inputs,
 )
 from .optimizer import (
     OptimizeResult,
@@ -71,6 +63,31 @@ from .profiles import BUILTIN_PROFILES, builtin_names, load_builtin
 from . import errors
 
 __version__ = "0.1.0"
+
+#: Names served from a module that loads on first use (see the docstring).
+_LAZY = {
+    **dict.fromkeys(
+        ("BiometricSpec", "MatMulSpec", "biometric_inputs", "gen_biometric",
+         "gen_chain", "gen_matmul", "gen_random", "matmul_inputs"),
+        "casegen",
+    ),
+    **dict.fromkeys(
+        ("PriceSpec", "RawMeasurement", "derive_profile", "load_measurements",
+         "load_prices"),
+        "derive",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ARITHMETIC",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .circuit import COMPUTE_OPS, Circuit, OpKind, build
-from .errors import NonBinaryOp
+from .errors import InvalidArgument, NonBinaryOp
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class BiometricSpec:
 
     def __post_init__(self):
         if self.rows < 1 or self.attrs < 1:
-            raise ValueError("rows and attrs must be at least 1")
+            raise InvalidArgument("rows and attrs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class MatMulSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise InvalidArgument("n must be at least 1")
 
 
 def gen_biometric(spec: BiometricSpec) -> Circuit:
@@ -116,9 +116,9 @@ def biometric_inputs(
     if len(server_rows) != spec.rows or any(
         len(row) != spec.attrs for row in server_rows
     ):
-        raise ValueError("server data does not match the spec shape")
+        raise InvalidArgument("server data does not match the spec shape")
     if len(client) != spec.attrs:
-        raise ValueError("client record does not match the spec shape")
+        raise InvalidArgument("client record does not match the spec shape")
     inputs: dict[int, int] = {}
     nid = 0
     for row in server_rows:
@@ -181,7 +181,7 @@ def matmul_inputs(
     if len(a) != n or len(b) != n or any(len(r) != n for r in a) or any(
         len(r) != n for r in b
     ):
-        raise ValueError("matrices do not match the spec shape")
+        raise InvalidArgument("matrices do not match the spec shape")
     inputs: dict[int, int] = {}
     nid = 0
     for row in a:
@@ -203,7 +203,7 @@ def gen_chain(op: OpKind, length: int, bitwidth: int = 32) -> Circuit:
     if op.arity != 2:
         raise NonBinaryOp(f"chain links must be binary ops, got {op}")
     if length < 1:
-        raise ValueError("length must be at least 1")
+        raise InvalidArgument("length must be at least 1")
     entries: list[tuple] = [(OpKind.IN, [], None, "x[0]")]
     prev = 0
     for i in range(1, length + 1):
@@ -231,7 +231,7 @@ def gen_random(
     identical circuits.
     """
     if n_ops < 1:
-        raise ValueError("n_ops must be at least 1")
+        raise InvalidArgument("n_ops must be at least 1")
     rng = random.Random(seed)
     if op_weights is None:
         ops = list(COMPUTE_OPS)
@@ -239,7 +239,7 @@ def gen_random(
     else:
         ops = [op for op in COMPUTE_OPS if op_weights.get(op, 0) > 0]
         if not ops:
-            raise ValueError("op_weights leaves no op to draw from")
+            raise InvalidArgument("op_weights leaves no op to draw from")
         weights = [float(op_weights[op]) for op in ops]
 
     entries: list[tuple] = []

@@ -14,10 +14,9 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -99,9 +98,48 @@ def op_from_name(name: str) -> OpKind:
         raise ParseError(f"unknown op {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Node:
-    """One operation instance inside a circuit.
+class _Value:
+    """Base of the value classes that validate or cache, in place of a
+    frozen dataclass: importing :mod:`dataclasses` costs every process
+    about 13 ms, and building each such class 1.4 ms (Python 3.11,
+    2-vCPU x86-64 VM).
+
+    ``__init__`` stores the fields with :meth:`_store`; after that no
+    attribute can be set or deleted (``functools.cached_property`` writes
+    the instance ``__dict__`` directly). Two instances of one class are
+    equal, hash and print by the fields named in ``_compared``."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _store(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={self.__dict__[name]!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Node(NamedTuple):
+    """One operation instance inside a circuit (an immutable named tuple).
 
     ``inputs`` lists the ids of the nodes whose results feed this node,
     in positional order (for ``mux``: selector, then-value, else-value).
@@ -115,16 +153,17 @@ class Node:
     name: str | None = None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Value):
     """An immutable, topologically ordered operation DAG. However it is
     made, construction checks every rule of one (:func:`_validate`)."""
 
     nodes: tuple[Node, ...]
-    bitwidth: int = 32
+    bitwidth: int
+    _compared = ("nodes", "bitwidth")
 
-    def __post_init__(self):
-        _validate(self.nodes, self.bitwidth)
+    def __init__(self, nodes: tuple[Node, ...], bitwidth: int = 32):
+        _validate(nodes, bitwidth)
+        self._store(nodes=nodes, bitwidth=bitwidth)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -133,6 +172,12 @@ class Circuit:
         if not 0 <= node_id < len(self.nodes):
             raise UnknownNode(f"no node with id {node_id}")
         return self.nodes[node_id]
+
+    @cached_property
+    def node_ops(self) -> tuple[OpKind, ...]:
+        """Each node's operation, in id order: read once per circuit, as a
+        named tuple's field read costs about twice a dataclass's."""
+        return tuple([n.op for n in self.nodes])
 
     @cached_property
     def in_ids(self) -> tuple[int, ...]:
@@ -154,15 +199,15 @@ class Circuit:
         """For each node id, the ids of nodes consuming it, one entry per
         edge (a node reading the same input twice appears twice)."""
         edges: list[list[int]] = [[] for _ in self.nodes]
-        for n in self.nodes:
+        for i, n in enumerate(self.nodes):
             for j in n.inputs:
-                edges[j].append(n.id)
+                edges[j].append(i)
         return tuple(tuple(e) for e in edges)
 
     def ops_present(self) -> tuple[OpKind, ...]:
         """Distinct priced operations used by this circuit, in
         :data:`COMPUTE_OPS` order."""
-        present = {n.op for n in self.nodes}
+        present = set(self.node_ops)
         return tuple(op for op in COMPUTE_OPS if op in present)
 
 
@@ -176,23 +221,26 @@ def _validate(nodes: tuple[Node, ...], bitwidth: int) -> None:
     if not _is_int(bitwidth) or not 1 <= bitwidth <= MAX_BITWIDTH:
         raise ParseError(
             f"bitwidth must be an int in 1..{MAX_BITWIDTH}, got {_shown(bitwidth)}")
+    in_, out = OpKind.IN, OpKind.OUT  # locals: an enum member read is slow
     for i, node in enumerate(nodes):
-        op = node.op
-        if not _is_int(node.id) or node.id != i:
+        if not isinstance(node, Node):
+            raise ParseError(f"node {i}: expected a Node, got {type(node).__name__}")
+        node_id, op, inputs, party, name = node
+        if not _is_int(node_id) or node_id != i:
             raise ParseError(
                 f"node ids must be dense and ascending; "
-                f"expected {i}, got {_shown(node.id)}"
+                f"expected {i}, got {_shown(node_id)}"
             )
         if not isinstance(op, OpKind):
             raise ParseError(f"node {i}: op must be an OpKind, got {_shown(op)}")
-        if not isinstance(node.inputs, tuple):
+        if not isinstance(inputs, tuple):
             raise ParseError(f"node {i}: inputs must be a tuple of ids")
-        if len(node.inputs) != op.arity:
+        if len(inputs) != op.arity:
             raise ArityMismatch(
                 f"node {i}: op {op} takes {op.arity} "
-                f"input(s), got {len(node.inputs)}"
+                f"input(s), got {len(inputs)}"
             )
-        for j in node.inputs:
+        for j in inputs:
             if not _is_int(j):
                 raise ParseError(f"node {i}: input {j!r} is not a node id")
             if not 0 <= j < len(nodes):
@@ -202,17 +250,17 @@ def _validate(nodes: tuple[Node, ...], bitwidth: int) -> None:
                     f"node {i} references id {j}, which does not "
                     f"precede it (node list must be topologically ordered)"
                 )
-            if nodes[j].op is OpKind.OUT:
+            if nodes[j].op is out:
                 raise OutAsInput(f"node {i} uses out node {j} as input")
-        if node.party is not None:
-            if op is not OpKind.IN:
+        if party is not None:
+            if op is not in_:
                 raise InvalidParty(f"node {i}: party label only allowed on in nodes")
-            if node.party not in PARTIES:
+            if party not in PARTIES:
                 raise InvalidParty(
                     f"node {i}: party must be one of {PARTIES}, "
-                    f"got {_shown(node.party)}"
+                    f"got {_shown(party)}"
                 )
-        if node.name is not None and not isinstance(node.name, str):
+        if name is not None and not isinstance(name, str):
             raise ParseError(f"node {i}: name must be a string")
 
 
@@ -319,7 +367,7 @@ def inputs_by_name(circuit: Circuit) -> dict[str, int]:
 # are omitted when absent. ``circuit_to_json`` is canonical: re-encoding a
 # loaded circuit reproduces the file byte for byte.
 
-_NODE_KEYS = {"id", "op", "inputs", "party", "name"}
+_NODE_KEYS = frozenset({"id", "op", "inputs", "party", "name"})
 
 
 def parse_json(text: str, what: str):
@@ -352,12 +400,12 @@ def parse_node_id(key: str, what: str) -> int:
 
 def circuit_to_json(circuit: Circuit) -> str:
     nodes = []
-    for n in circuit.nodes:
-        obj: dict = {"id": n.id, "op": n.op.value, "inputs": list(n.inputs)}
-        if n.party is not None:
-            obj["party"] = n.party
-        if n.name is not None:
-            obj["name"] = n.name
+    for i, op, inputs, party, name in circuit.nodes:
+        obj: dict = {"id": i, "op": op.value, "inputs": list(inputs)}
+        if party is not None:
+            obj["party"] = party
+        if name is not None:
+            obj["name"] = name
         nodes.append(obj)
     doc = {"bitwidth": circuit.bitwidth, "nodes": nodes}
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
@@ -378,17 +426,18 @@ def circuit_from_json(text: str) -> Circuit:
     for i, obj in enumerate(raw_nodes):
         if not isinstance(obj, dict):
             raise ParseError(f"node {i} is not an object")
-        extra = set(obj) - _NODE_KEYS
-        if extra:
-            raise ParseError(f"node {i}: unexpected key(s) {sorted(extra)}")
-        for key in ("id", "op", "inputs"):
-            if key not in obj:
-                raise ParseError(f"node {i}: missing {key!r}")
-        if not isinstance(obj["op"], str):
+        if not obj.keys() <= _NODE_KEYS:
+            raise ParseError(
+                f"node {i}: unexpected key(s) {sorted(obj.keys() - _NODE_KEYS)}")
+        try:  # the first missing key, in this order, is the one reported
+            node_id, op, inputs = obj["id"], obj["op"], obj["inputs"]
+        except KeyError as e:
+            raise ParseError(f"node {i}: missing {e.args[0]!r}") from None
+        if not isinstance(op, str):
             raise ParseError(f"node {i}: op must be a string")
-        if not isinstance(obj["inputs"], list):
+        if not isinstance(inputs, list):
             raise ParseError(f"node {i}: inputs must be a list of ids")
-        nodes.append(Node(obj["id"], op_from_name(obj["op"]), tuple(obj["inputs"]),
+        nodes.append(Node(node_id, op_from_name(op), tuple(inputs),
                           obj.get("party"), obj.get("name")))
     return Circuit(tuple(nodes), doc.get("bitwidth", 32))
 

@@ -8,6 +8,10 @@ expected, either a JSON file path or the name of a bundled profile
 Exit codes are stable: 0 success, 1 parse/validation problems (including
 usage errors), 2 infeasible or unsupported scheme requests, 3 exhaustive
 search-space cap exceeded.
+
+A process pays only for the command it runs: ``gen`` and
+``derive-profile`` import their modules when they run, and :func:`main`
+adds arguments only to the invoked subcommand's parser.
 """
 
 from __future__ import annotations
@@ -18,15 +22,6 @@ import os
 import sys
 
 from . import profiles as builtin_profiles
-from .casegen import (
-    BiometricSpec,
-    MatMulSpec,
-    gen_biometric,
-    gen_chain,
-    gen_matmul,
-    gen_random,
-    node_count_summary,
-)
 from .circuit import (
     Circuit,
     circuit_to_json,
@@ -42,9 +37,6 @@ from .cost_model import (
     CostProfile,
     CostReport,
     assignment_to_json,
-    derive_profile,
-    load_measurements,
-    load_prices,
     load_profile,
     profile_to_json,
 )
@@ -179,13 +171,14 @@ def cmd_compare(args) -> int:
     baseline = default_scheme(circuit, profile)
     compiled = Compiled(circuit, profile)
     # Each heuristic row keeps the sums its candidate was scored with, so
-    # only the exact row is summed here.
+    # only the exact row is summed here. No row needs per-node records.
     runs = candidates(compiled, limits)
     runs[f"pure-{baseline}"] = runs[f"fixed:{baseline}"]
     labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:
-        runs["exhaustive"] = (None, exact_pass(compiled, limits), {})
+        row = exact_pass(compiled, limits)
+        runs["exhaustive"] = (compiled.sums(row), row, {})
         labels.append("exhaustive")
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
@@ -231,6 +224,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .casegen import (
+        BiometricSpec,
+        MatMulSpec,
+        gen_biometric,
+        gen_chain,
+        gen_matmul,
+        gen_random,
+        node_count_summary,
+    )
+
     if args.kind == "biometric":
         circuit = gen_biometric(
             BiometricSpec(rows=args.rows, attrs=args.attrs, bitwidth=args.bitwidth)
@@ -277,6 +280,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_derive_profile(args) -> int:
+    from .derive import derive_profile, load_measurements, load_prices
+
     measurements, schemes = load_measurements(args.measurements)
     prices = load_prices(args.prices)
     profile = derive_profile(
@@ -292,45 +297,41 @@ def cmd_profiles_list(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="mpcost",
-        description="Assign secret-sharing schemes to circuit nodes so the "
-        "modeled cloud cost (compute + network) is minimal.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_limits(p) -> None:
+    p.add_argument("--max-space", type=int, default=10**7,
+                   help="cap on the exhaustive search-space size")
+    p.add_argument("--max-passes", type=int, default=None,
+                   help="cap on hill-climbing sweeps")
 
-    def add_limits(p):
-        p.add_argument("--max-space", type=int, default=10**7,
-                       help="cap on the exhaustive search-space size")
-        p.add_argument("--max-passes", type=int, default=None,
-                       help="cap on hill-climbing sweeps")
 
-    def add_output(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit a single JSON document")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--unit", choices=sorted(UNIT_FACTOR), default="cent",
-                       help="unit for reported costs (default: cent)")
+def _add_output(p) -> None:
+    p.add_argument("--json", action="store_true",
+                   help="emit a single JSON document")
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    p.add_argument("--unit", choices=sorted(UNIT_FACTOR), default="cent",
+                   help="unit for reported costs (default: cent)")
 
-    p = sub.add_parser("optimize", help="assign schemes with one strategy")
+
+def _optimize_arguments(p) -> None:
     p.add_argument("circuit", help="circuit JSON file")
     p.add_argument("profile", help="profile JSON file or bundled profile name")
     p.add_argument("--heuristic", choices=HEURISTICS, default="best")
     p.add_argument("--scheme",
                    help="scheme for 'pure' and the starting point for 'hill'")
-    add_limits(p)
-    add_output(p)
+    _add_limits(p)
+    _add_output(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("compare", help="run all strategies and tabulate them")
+
+def _compare_arguments(p) -> None:
     p.add_argument("circuit")
     p.add_argument("profile")
-    add_limits(p)
-    add_output(p)
+    _add_limits(p)
+    _add_output(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("gen", help="generate a circuit")
+
+def _gen_arguments(p) -> None:
     gen_sub = p.add_subparsers(dest="kind", required=True)
     g = gen_sub.add_parser("biometric", help="nearest-record matching circuit")
     g.add_argument("--rows", type=int, default=30)
@@ -350,14 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--out", help="write the circuit here instead of stdout")
         g.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("eval", help="run the plaintext evaluator")
+
+def _eval_arguments(p) -> None:
     p.add_argument("circuit")
     p.add_argument("inputs", help="JSON mapping in-node ids or names to values")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("derive-profile",
-                       help="price raw measurements into a profile")
+
+def _derive_profile_arguments(p) -> None:
     p.add_argument("measurements")
     p.add_argument("prices")
     p.add_argument("--name", default="derived")
@@ -365,16 +367,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_derive_profile)
 
-    p = sub.add_parser("profiles", help="bundled profile utilities")
+
+def _profiles_arguments(p) -> None:
     prof_sub = p.add_subparsers(dest="profiles_command", required=True)
     g = prof_sub.add_parser("list", help="list bundled profile names")
     g.set_defaults(func=cmd_profiles_list)
 
+
+#: Subcommand -> (help line, function adding its arguments), in listing order.
+COMMANDS = {
+    "optimize": ("assign schemes with one strategy", _optimize_arguments),
+    "compare": ("run all strategies and tabulate them", _compare_arguments),
+    "gen": ("generate a circuit", _gen_arguments),
+    "eval": ("run the plaintext evaluator", _eval_arguments),
+    "derive-profile": ("price raw measurements into a profile",
+                       _derive_profile_arguments),
+    "profiles": ("bundled profile utilities", _profiles_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser. It lists every subcommand, but gives only
+    ``command``'s parser its arguments, or every parser when ``command`` is
+    ``None``: argparse reads the terminal size on each ``add_argument``."""
+    parser = _Parser(
+        prog="mpcost",
+        description="Assign secret-sharing schemes to circuit nodes so the "
+        "modeled cloud cost (compute + network) is minimal.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a command first (--help, a misspelt command) is parsed,
+    # and reported, by the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -18,8 +18,11 @@ the circuit and the profile into a :class:`Compiled` form: plain Python
 float rows per node and conversion matrices, indexed by scheme position.
 :meth:`Compiled.sums` is the one fold that every total and report comes
 from: every strategy, the exact solver included, scores assignments with
-it, and it builds the per-node records of a :class:`CostReport` only
-when they are read.
+it, and it builds the per-node records of a :class:`CostReport` either
+in the fold that gives the report's totals or, when a strategy already
+has those, only when they are read.
+
+Deriving a profile from raw measurements lives in :mod:`mpcost.derive`.
 
 All cost functions are pure and profiles are immutable, so everything
 here is safe for concurrent use.
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -38,16 +40,15 @@ from .circuit import (
     Circuit,
     OpKind,
     _is_int,
+    _Value,
     op_from_name,
     parse_json,
     parse_node_id,
 )
 from .errors import (
-    DuplicateMeasurement,
     InfeasibleAssignment,
     MissingConversion,
     NegativeCost,
-    NegativeInput,
     NoUniversalScheme,
     ParseError,
 )
@@ -63,8 +64,7 @@ YAO = "yao"
 Assignment = dict[int, str]
 
 
-@dataclass(frozen=True)
-class CostProfile:
+class CostProfile(_Value):
     """Unit costs for one deployment scenario.
 
     ``op_costs`` maps ``(op, scheme)`` to ``(compute, network)`` in stored
@@ -83,8 +83,11 @@ class CostProfile:
     schemes: tuple[str, ...]
     op_costs: dict[tuple[OpKind, str], tuple[float, float]]
     conversions: dict[tuple[str, str], tuple[float, float]]
+    _compared = ("name", "scale", "schemes", "op_costs", "conversions")
 
-    def __post_init__(self):
+    def __init__(self, name, scale, schemes, op_costs, conversions):
+        self._store(name=name, scale=scale, schemes=schemes, op_costs=op_costs,
+                    conversions=conversions)
         if not self.schemes:
             raise NoUniversalScheme(f"profile {self.name!r} declares no schemes")
         if len(set(self.schemes)) != len(self.schemes):
@@ -265,32 +268,41 @@ class NodeCost(NamedTuple):
         return self.compute + self.network
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(_Value):
     """Total cost of an assigned circuit, in cents, and its per-node
     breakdown. Reports compare by their three totals.
 
-    ``per_node`` maps each node id to its :class:`NodeCost`. It is built
-    on first read, by the fold that gave the totals run again on the
+    ``per_node`` maps each node id to its :class:`NodeCost`. It holds the
+    ``records`` of the fold that gave the totals when that fold kept them;
+    otherwise it is built on first read, by that fold run again on the
     report's compiled form and row, and then kept.
     """
 
     total_compute: float
     total_network: float
     total: float
-    compiled: Compiled = field(repr=False, compare=False)
-    row: tuple[int, ...] = field(repr=False, compare=False)
+    compiled: Compiled
+    row: tuple[int, ...]
+    records: list[NodeCost] | None
+    _compared = ("total_compute", "total_network", "total")
+
+    def __init__(self, total_compute, total_network, total, compiled, row,
+                 records=None):
+        self._store(total_compute=total_compute, total_network=total_network,
+                    total=total, compiled=compiled, row=row, records=records)
 
     @cached_property
     def per_node(self) -> dict[int, NodeCost]:
-        records: list[NodeCost] = []
-        self.compiled.sums(self.row, records)
+        records = self.records
+        if records is None:
+            records = []
+            self.compiled.sums(self.row, records)
         return dict(enumerate(records))
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One feasibility problem found by :func:`check_feasible`."""
+class Violation(NamedTuple):
+    """One feasibility problem found by :func:`check_feasible` (an
+    immutable named tuple)."""
 
     node: int
     reason: str
@@ -356,14 +368,14 @@ class Compiled:
 
     def __init__(self, circuit: Circuit, profile: CostProfile):
         op_p, op_n, op_t, cands, self.cp, self.cn, self.ct = profile._tables
-        ops = [node.op for node in circuit.nodes]
+        ops = circuit.node_ops
         self.circuit = circuit
         self.profile = profile
         self.op_p = [op_p[op] for op in ops]
         self.op_n = [op_n[op] for op in ops]
         self.op_t = [op_t[op] for op in ops]
         self.cands = [cands[op] for op in ops]
-        self.inputs = tuple(node.inputs for node in circuit.nodes)
+        self.inputs = tuple([node.inputs for node in circuit.nodes])
         self.consumers = circuit.consumer_edges
 
     def indices(self, assignment: Mapping[int, str]) -> list[int]:
@@ -430,10 +442,15 @@ class Compiled:
     ) -> CostReport:
         """Cost report of ``idx``. ``sums``, when given, must be
         :meth:`sums` of ``idx``, which a caller has already computed; the
-        per-node records are built only when the report's ``per_node`` is
-        first read."""
-        tc, tn = self.sums(idx) if sums is None else sums
-        return CostReport(tc, tn, tc + tn, self, tuple(idx))
+        per-node records are then built only when the report's
+        ``per_node`` is first read. Without ``sums``, one fold gives both
+        the totals and the records."""
+        records = None
+        if sums is None:
+            records = []
+            sums = self.sums(idx, records)
+        tc, tn = sums
+        return CostReport(tc, tn, tc + tn, self, tuple(idx), records)
 
 
 def total_cost(
@@ -491,138 +508,6 @@ def assignment_from_json(text: str) -> Assignment:
             raise ParseError(f"assignment for node {key} must be a scheme name")
         out[node_id] = value
     return out
-
-
-# --- deriving profiles from raw measurements ---------------------------------
-
-
-@dataclass(frozen=True)
-class PriceSpec:
-    """Cloud price sheet used to turn measured seconds and bytes into cents.
-
-    ``vm_rate_a``/``vm_rate_b`` are the two parties' VM prices in cents per
-    hour (both machines run for the full protocol, so compute cost uses
-    their sum). ``net_rate`` is cents per GB transferred; ``gb_bytes``
-    fixes the GB convention (decimal by default).
-    """
-
-    vm_rate_a: float
-    vm_rate_b: float
-    net_rate: float
-    gb_bytes: int = 10**9
-
-    def __post_init__(self):
-        rates = ("vm_rate_a", "vm_rate_b", "net_rate")
-        for key in (*rates, "gb_bytes"):
-            if not _is_finite(getattr(self, key)):
-                raise ParseError(f"invalid price sheet: {key} must be a finite number")
-        if not float(self.gb_bytes).is_integer():
-            raise ParseError("invalid price sheet: gb_bytes must be an integer")
-        for key in rates:
-            if getattr(self, key) < 0:
-                raise NegativeInput(f"invalid price sheet: {key} must be non-negative")
-        if self.gb_bytes <= 0:
-            raise NegativeInput("invalid price sheet: gb_bytes must be positive")
-
-
-@dataclass(frozen=True)
-class RawMeasurement:
-    """Externally measured per-operation averages.
-
-    Exactly one of (``op``, ``scheme``) or (``source``, ``target``) must be
-    set, describing either an operation benchmark or a conversion
-    benchmark. Values are averages over a benchmark run: wall seconds per
-    operation and bytes transferred per operation.
-    """
-
-    seconds_per_op: float
-    bytes_per_op: float
-    op: OpKind | None = None
-    scheme: str | None = None
-    source: str | None = None
-    target: str | None = None
-
-    def __post_init__(self):
-        is_op = self.op is not None and self.scheme is not None
-        is_conv = self.source is not None and self.target is not None
-        if is_op == is_conv:
-            raise ValueError(
-                "measurement must set either (op, scheme) or (source, target)"
-            )
-        where = (f"{self.source}->{self.target}" if is_conv
-                 else f"({self.op}, {self.scheme})")
-        numbers = ("seconds_per_op", "bytes_per_op")
-        for key in numbers:
-            if not _is_finite(getattr(self, key)):
-                raise ParseError(f"measurement {where}: {key} must be a finite number")
-        for key in numbers:
-            if getattr(self, key) < 0:
-                raise NegativeInput(f"measurement {where}: {key} must be non-negative")
-
-    @classmethod
-    def for_op(cls, op: OpKind, scheme: str, seconds_per_op: float,
-               bytes_per_op: float) -> "RawMeasurement":
-        return cls(seconds_per_op, bytes_per_op, op=op, scheme=scheme)
-
-    @classmethod
-    def for_conversion(cls, source: str, target: str, seconds_per_op: float,
-                       bytes_per_op: float) -> "RawMeasurement":
-        return cls(seconds_per_op, bytes_per_op, source=source, target=target)
-
-    @property
-    def is_conversion(self) -> bool:
-        return self.source is not None
-
-
-def derive_profile(
-    measurements: Sequence[RawMeasurement],
-    prices: PriceSpec,
-    name: str,
-    scale: float = 1.0,
-    schemes: Sequence[str] | None = None,
-) -> CostProfile:
-    """Price raw measurements with a cloud price sheet.
-
-    For every measurement, compute cost is
-    ``seconds_per_op * (vm_rate_a + vm_rate_b) / 3600`` cents and network
-    cost is ``bytes_per_op * net_rate / gb_bytes`` cents; both are divided
-    by ``scale`` for storage. ``schemes`` fixes the canonical scheme order
-    (default: sorted order of the schemes that appear).
-
-    The resulting profile must pass full validation, so the measurement
-    set has to cover every conversion pair and leave at least one scheme
-    supporting every operation.
-    """
-    _check_scale(name, scale)
-    op_costs: dict[tuple[OpKind, str], tuple[float, float]] = {}
-    conversions: dict[tuple[str, str], tuple[float, float]] = {}
-    seen: set[str] = set()
-    # In floats, so int and float spellings agree bit for bit and none overflows.
-    vm_rate = float(prices.vm_rate_a) + float(prices.vm_rate_b)
-    net_rate = float(prices.net_rate)
-    for m in measurements:
-        p_cents = float(m.seconds_per_op) * vm_rate / 3600.0
-        n_cents = float(m.bytes_per_op) * net_rate / prices.gb_bytes
-        entry = (p_cents / scale, n_cents / scale)
-        if m.is_conversion:
-            key = (m.source, m.target)
-            if key in conversions:
-                raise DuplicateMeasurement(
-                    f"duplicate conversion measurement {m.source}->{m.target}"
-                )
-            conversions[key] = entry
-            seen.update(key)
-        else:
-            key = (m.op, m.scheme)
-            if key in op_costs:
-                raise DuplicateMeasurement(
-                    f"duplicate measurement for ({m.op}, {m.scheme})"
-                )
-            op_costs[key] = entry
-            seen.add(m.scheme)
-    if schemes is None:
-        schemes = tuple(sorted(seen))
-    return CostProfile(name, scale, tuple(schemes), op_costs, conversions)
 
 
 # --- profile JSON -------------------------------------------------------------
@@ -721,83 +606,3 @@ def save_profile(profile: CostProfile, path) -> None:
 def load_profile(path) -> CostProfile:
     with open(path, "r", encoding="utf-8") as f:
         return profile_from_json(f.read())
-
-
-# --- measurement / price JSON --------------------------------------------------
-
-
-#: The key set of an op measurement and of a conversion measurement.
-_MEASUREMENT_KEYS = ({"op", "scheme", "seconds_per_op", "bytes_per_op"},
-                     {"conversion", "seconds_per_op", "bytes_per_op"})
-
-
-def measurements_from_json(text: str) -> tuple[list[RawMeasurement], list[str] | None]:
-    """Parse a measurement file. Returns the measurements and the declared
-    scheme order (``None`` when the file leaves it implicit).
-
-    Format::
-
-        {"schemes": ["arithmetic", "yao"],
-         "measurements": [
-           {"op": "add", "scheme": "yao", "seconds_per_op": 1e-3, "bytes_per_op": 416},
-           {"conversion": ["yao", "arithmetic"], "seconds_per_op": 2e-3, "bytes_per_op": 512}
-         ]}
-    """
-    doc = parse_json(text, "measurements")
-    if not isinstance(doc, dict) or not isinstance(doc.get("measurements"), list):
-        raise ParseError("measurements JSON must contain a 'measurements' list")
-    extra = set(doc) - {"schemes", "measurements"}
-    if extra:
-        raise ParseError(f"unexpected measurements key(s): {sorted(extra)}")
-    schemes = doc.get("schemes")
-    if schemes is not None and (
-        not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes)
-    ):
-        raise ParseError("'schemes' must be a list of names")
-    out = []
-    for i, obj in enumerate(doc["measurements"]):
-        if not isinstance(obj, dict) or set(obj) not in _MEASUREMENT_KEYS:
-            raise ParseError(
-                f"measurement {i}: keys must be {sorted(_MEASUREMENT_KEYS[0])} "
-                f"or {sorted(_MEASUREMENT_KEYS[1])}"
-            )
-        is_conversion = "conversion" in obj
-        names = obj["conversion"] if is_conversion else [obj["op"], obj["scheme"]]
-        if not (isinstance(names, list) and len(names) == 2
-                and all(isinstance(name, str) for name in names)):
-            raise ParseError(
-                f"measurement {i}: needs an 'op' and a 'scheme' name, or a "
-                f"'conversion' pair of scheme names"
-            )
-        numbers = obj["seconds_per_op"], obj["bytes_per_op"]
-        if is_conversion:
-            out.append(RawMeasurement.for_conversion(*names, *numbers))
-        else:
-            op, scheme = names
-            out.append(RawMeasurement.for_op(op_from_name(op), scheme, *numbers))
-    return out, schemes
-
-
-def prices_from_json(text: str) -> PriceSpec:
-    """Parse a price sheet: ``{"vm_rate_a": .., "vm_rate_b": .., "net_rate": ..,
-    "gb_bytes": ..}`` with ``gb_bytes`` optional (default ``10**9``)."""
-    doc = parse_json(text, "prices")
-    if not isinstance(doc, dict):
-        raise ParseError("prices JSON must be an object")
-    extra = set(doc) - {"vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"}
-    if extra:
-        raise ParseError(f"unexpected price key(s): {sorted(extra)}")
-    for key in ("vm_rate_a", "vm_rate_b", "net_rate"):
-        if key not in doc:
-            raise ParseError(f"invalid price sheet: missing {key!r}")
-    return PriceSpec(**doc)
-
-
-def load_measurements(path) -> tuple[list[RawMeasurement], list[str] | None]:
-    with open(path, "r", encoding="utf-8") as f:
-        return measurements_from_json(f.read())
-
-
-def load_prices(path) -> PriceSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return prices_from_json(f.read())

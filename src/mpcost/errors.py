@@ -10,6 +10,11 @@ class MpcostError(Exception):
     """Base class for all mpcost errors."""
 
 
+class InvalidArgument(MpcostError, ValueError):
+    """A library argument is outside its domain, such as a solver cap of 0
+    or a generator shape below 1; so it is also a ``ValueError``."""
+
+
 # --- circuit construction / evaluation ---------------------------------
 
 class CircuitError(MpcostError):

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
-from .circuit import Circuit, OpKind, _is_int
+from .circuit import Circuit, OpKind, _is_int, _Value
 from .cost_model import (
     Assignment,
     Compiled,
@@ -31,28 +31,29 @@ from .cost_model import (
     CostReport,
     total_cost,  # noqa: F401  (unused; perfbench's tracer patches it here)
 )
-from .errors import SearchSpaceTooLarge, UnsupportedScheme
+from .errors import InvalidArgument, SearchSpaceTooLarge, UnsupportedScheme
 
 
-@dataclass(frozen=True)
-class SolverLimits:
+class SolverLimits(_Value):
     """Caps that keep the solvers bounded.
 
     ``max_space`` limits the exact solver's search space (the product of
     the candidate-scheme counts over the priced nodes). ``max_passes``
     caps hill-climbing sweeps; ``None`` means ``m * len(schemes)``. Each
     cap is an ``int`` (not a ``bool``) of at least 1, else the constructor
-    raises ``ValueError``.
+    raises :class:`~mpcost.errors.InvalidArgument` (a ``ValueError``).
     """
 
-    max_space: int = 10**7
-    max_passes: int | None = None
+    max_space: int
+    max_passes: int | None
+    _compared = ("max_space", "max_passes")
 
-    def __post_init__(self):
-        if not _is_count(self.max_space):
-            raise ValueError("max_space must be positive")
-        if self.max_passes is not None and not _is_count(self.max_passes):
-            raise ValueError("max_passes must be positive")
+    def __init__(self, max_space: int = 10**7, max_passes: int | None = None):
+        if not _is_count(max_space):
+            raise InvalidArgument("max_space must be positive")
+        if max_passes is not None and not _is_count(max_passes):
+            raise InvalidArgument("max_passes must be positive")
+        self._store(max_space=max_space, max_passes=max_passes)
 
 
 def _is_count(x) -> bool:
@@ -60,9 +61,8 @@ def _is_count(x) -> bool:
     return _is_int(x) and x >= 1
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
-    """Outcome of one optimization run.
+class OptimizeResult(NamedTuple):
+    """Outcome of one optimization run (an immutable named tuple).
 
     ``iterations`` counts hill-climbing sweeps (1 for the other
     strategies). ``sweep_totals`` records the total cost in cents before
@@ -199,12 +199,13 @@ def top_down_pass(compiled: Compiled) -> list[int]:
     circuit = compiled.circuit
     ct = compiled.ct
     out = OpKind.OUT  # a local: reading an enum member costs about 0.2 us
-    idx: list = [None] * len(circuit.nodes)
-    for node, row, cands, consumers in zip(
-        reversed(circuit.nodes), reversed(compiled.op_t),
+    n = len(circuit.nodes)
+    idx: list = [None] * n
+    for i, op, row, cands, consumers in zip(
+        reversed(range(n)), reversed(circuit.node_ops), reversed(compiled.op_t),
         reversed(compiled.cands), reversed(compiled.consumers),
     ):
-        if node.op is out:
+        if op is out:
             continue
         best_scheme = None
         best_cost = None
@@ -218,7 +219,7 @@ def top_down_pass(compiled: Compiled) -> list[int]:
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_scheme = s
-        idx[node.id] = best_scheme
+        idx[i] = best_scheme
     for i in circuit.out_ids:
         idx[i] = idx[compiled.inputs[i][0]]
     return idx
@@ -467,12 +468,18 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         best_row[u] = dom[u][terms.index(min(terms))]
     best_total = compiled.total(best_row)
 
+    # Each entry carries whether its parent's path is the incumbent's, as
+    # of incumbent ``version``. A new incumbent is a leaf below an earlier
+    # sibling of every entry still stacked, so those are all off its path.
     row = first[:]
-    stack = [(0, s, 0.0, 0.0, 0.0) for s in reversed(dom[nodes[0]])] if nodes else []
+    version = 0
+    stack = ([(0, s, 0.0, 0.0, 0.0, True, 0) for s in reversed(dom[nodes[0]])]
+             if nodes else [])
     while stack:
-        p, s, tc, tn, g = stack.pop()
+        p, s, tc, tn, g, on_path, seen = stack.pop()
         u = nodes[p]
         row[u] = s
+        on_path = on_path and seen == version and s == best_row[u]
         conv_p = 0.0
         conv_n = 0.0
         t = b[u][s]
@@ -491,18 +498,19 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         if p == len(nodes):
             if (tc + tn, row) < (best_total, best_row):
                 best_total, best_row = tc + tn, row[:]
+                version += 1
             continue
         if g + rest[p] > best_total * band + slack:
             continue
         cut = nodes[p]
-        if row[:cut] != best_row[:cut]:
+        if not on_path:
             kc, kn = tc, tn
             for lp, ln in least[p:]:
                 kc += lp
                 kn += ln
             if (kc + kn, row[:cut] + first[cut:]) >= (best_total, best_row):
                 continue
-        stack.extend((p, t, tc, tn, g) for t in reversed(dom[cut]))
+        stack.extend((p, t, tc, tn, g, on_path, version) for t in reversed(dom[cut]))
     return best_row
 
 

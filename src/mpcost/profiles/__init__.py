@@ -17,12 +17,15 @@ VM models: ``m3.medium``, ``m3.large`` (memory optimized), ``c4.large``,
 
 from __future__ import annotations
 
-from importlib.resources import files
+import os
 
 from ..cost_model import CostProfile, profile_from_json
 from ..errors import ParseError
 
 _VMS = ("m3.medium", "m3.large", "c4.large", "c4.xlarge")
+#: The bundled JSON files. They are plain files next to this module:
+#: ``importlib.resources`` would cost every process its 30-odd imports.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 #: Names of the bundled profiles, intra before inter.
 BUILTIN_PROFILES = tuple(
@@ -42,7 +45,8 @@ def builtin_text(name: str) -> str:
         raise ParseError(
             f"unknown profile {name!r}; available: {', '.join(BUILTIN_PROFILES)}"
         )
-    return (files(__package__) / "data" / f"{name}.json").read_text("utf-8")
+    with open(os.path.join(_DATA, f"{name}.json"), encoding="utf-8") as f:
+        return f.read()
 
 
 def load_builtin(name: str) -> CostProfile:

@@ -111,7 +111,8 @@ def test_cycle_detected_on_manual_construction():
     ((Node(False, OpKind.IN, ()),), "dense and ascending"),
     ((Node(0, OpKind.IN, ()), Node(1, OpKind.OUT, (2,)),
       Node(2, OpKind.IN, ())), "does not precede"),
-], ids=["string-op", "bool-id", "forward-reference"])
+    (((0, OpKind.IN, (), None, None),), "expected a Node, got tuple"),
+], ids=["string-op", "bool-id", "forward-reference", "plain-tuple"])
 def test_direct_construction_checks_every_rule(nodes, match):
     with pytest.raises(MpcostError, match=match):
         Circuit(nodes)

@@ -25,7 +25,7 @@ from mpcost import (
     save_circuit,
     top_down,
 )
-from mpcost import cost_model
+from mpcost import cost_model, derive
 from mpcost.circuit import COMPUTE_OPS
 from mpcost.cli import main
 from mpcost.cost_model import Compiled, NodeCost
@@ -470,9 +470,9 @@ def test_int_and_float_spellings_derive_the_same_profile(capsys, tmp_path, field
         code, out, _ = run(capsys, "derive-profile", str(m_path), str(p_path))
         assert code == 0
         outputs.append(out)
-        measurements, schemes = cost_model.measurements_from_json(texts[0])
-        profiles.append(cost_model.derive_profile(
-            measurements, cost_model.prices_from_json(texts[1]), "derived",
+        measurements, schemes = derive.measurements_from_json(texts[0])
+        profiles.append(derive.derive_profile(
+            measurements, derive.prices_from_json(texts[1]), "derived",
             schemes=schemes))
     assert outputs[0] == outputs[1]
     assert profiles[0] == profiles[1]

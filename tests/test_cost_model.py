@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcost import (
+    Circuit,
+    CostReport,
+    Node,
     OpKind,
+    OptimizeResult,
     PriceSpec,
     RawMeasurement,
+    SolverLimits,
+    Violation,
     assignment_from_json,
     assignment_to_json,
+    bottom_up,
     build,
     check_feasible,
     derive_profile,
@@ -19,16 +26,12 @@ from mpcost import (
     node_cost,
     profile_from_json,
     profile_to_json,
+    top_down,
     total_cost,
 )
 from mpcost.circuit import COMPUTE_OPS
-from mpcost.cost_model import (
-    Compiled,
-    CostProfile,
-    NodeCost,
-    measurements_from_json,
-    prices_from_json,
-)
+from mpcost.cost_model import Compiled, CostProfile, NodeCost
+from mpcost.derive import measurements_from_json, prices_from_json
 from mpcost.errors import (
     DuplicateMeasurement,
     InfeasibleAssignment,
@@ -268,6 +271,103 @@ def test_node_cost_contract():
         rec.extra = 0.0
     assert rec == NodeCost(1.0, 2.0, 0.25, 0.5)
     assert hash(rec) == hash(NodeCost(1.0, 2.0, 0.25, 0.5))
+
+
+_EMPTY_REPORT = Compiled(build([("in", [])]), make_profile()).report([0])
+
+
+@pytest.mark.parametrize("record, expected_repr", [
+    (Node(2, OpKind.ADD, (0, 1)),
+     "Node(id=2, op=<OpKind.ADD: 'add'>, inputs=(0, 1), party=None, name=None)"),
+    (Violation(3, "no scheme assigned"),
+     "Violation(node=3, reason='no scheme assigned')"),
+    (OptimizeResult({0: "a"}, _EMPTY_REPORT, "fixed:a"),
+     "OptimizeResult(assignment={0: 'a'}, report=CostReport(total_compute=0.0, "
+     "total_network=0.0, total=0.0), heuristic='fixed:a', iterations=1, "
+     "limit_exceeded=False, sweep_totals=())"),
+])
+def test_record_contract(record, expected_repr):
+    """Node, Violation and OptimizeResult are named tuples, as NodeCost is:
+    equal by fields, hashable when their fields are, immutable, and shown
+    as their dataclass forms were."""
+    cls = type(record)
+    assert repr(record) == expected_repr
+    copy = cls(*record)
+    assert copy == record and copy is not record
+    assert copy != cls(*record[:-1], "other")
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    if cls is OptimizeResult:  # its assignment is a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(copy) == hash(record)
+
+
+_ADDER = build([("in", []), ("in", []), ("add", [0, 1]), ("out", [2])])
+
+
+@pytest.mark.parametrize("make, shown, hashable", [
+    (lambda: Circuit(_ADDER.nodes, 8), ("nodes", "bitwidth"), True),
+    (make_profile, ("name", "scale", "schemes", "op_costs", "conversions"), False),
+    (lambda: Compiled(_ADDER, make_profile()).report([1, 1, 1, 1]),
+     ("total_compute", "total_network", "total"), True),
+    (lambda: SolverLimits(5), ("max_space", "max_passes"), True),
+], ids=["Circuit", "CostProfile", "CostReport", "SolverLimits"])
+def test_value_contract(make, shown, hashable):
+    """The value classes behave as the frozen dataclasses they replace:
+    equal, hashed and shown by their compared fields, and immutable."""
+    value, twin = make(), make()
+    cls = type(value)
+    assert value == twin and value is not twin
+    assert value != tuple(getattr(value, name) for name in shown)
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={getattr(value, name)!r}" for name in shown) + ")"
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:  # it holds dicts
+        with pytest.raises(TypeError):
+            hash(value)
+    for name in shown:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert value == twin
+
+
+def test_reports_compare_by_their_totals_only():
+    report = Compiled(_ADDER, make_profile()).report([1, 1, 1, 1])
+    totals = report.total_compute, report.total_network, report.total
+    assert report == CostReport(*totals, None, ())
+    assert report != CostReport(*totals[:2], totals[2] + 1.0, report.compiled,
+                                report.row)
+
+
+@pytest.mark.parametrize("how", ["total_cost", "bottom-up", "top-down"])
+def test_read_records_come_from_the_totals_fold(how, inter_m3_medium, monkeypatch):
+    c = gen_random(7, n_ops=12)
+    folds = []
+    fold = Compiled.sums
+
+    def counted(self, idx, records=None):
+        folds.append(records is not None)
+        return fold(self, idx, records)
+
+    monkeypatch.setattr(Compiled, "sums", counted)
+    if how == "total_cost":
+        report = total_cost(c, {i: "yao" for i in range(len(c.nodes))},
+                            inter_m3_medium)
+    else:
+        run = bottom_up if how == "bottom-up" else top_down
+        report = run(c, inter_m3_medium).report
+    assert len(report.per_node) == len(c.nodes)
+    assert folds == [True]
 
 
 def test_total_cost_scales_linearly_with_profile():

@@ -1,8 +1,10 @@
-"""mpcost never loads numpy.
+"""What an mpcost process imports.
 
-Every strategy, the exact solver included, runs in plain Python. Each
-case runs in a fresh interpreter, so no earlier import in the test session
-can hide a module-level one; one case makes ``import numpy`` fail outright.
+mpcost never loads numpy: every strategy, the exact solver included, runs
+in plain Python. ``optimize`` and ``compare`` load neither the circuit
+generators, nor profile derivation, nor ``importlib.resources``. Each case
+runs in a fresh interpreter, so no earlier import in the test session can
+hide a module-level one; one case makes ``import numpy`` fail outright.
 """
 
 import json
@@ -94,3 +96,50 @@ def test_runs_where_numpy_cannot_be_imported(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0,", "0]"]
+
+
+COLD_START = """\
+import json, sys
+import mpcost, mpcost.cli
+
+LAZY = ("mpcost.casegen", "mpcost.derive", "importlib.resources")
+path, out, measurements, prices = sys.argv[1:]
+seen = {"import": [m for m in LAZY if m in sys.modules]}
+for cmd in ("optimize", "compare"):
+    code = mpcost.cli.main([cmd, path, "inter-m3.medium", "--json", "--out", out])
+    seen[cmd] = [code] + [m for m in LAZY if m in sys.modules]
+seen["gen"] = [mpcost.cli.main(["gen", "matmul", "--n", "2", "--out", out]),
+               mpcost.load_circuit(out) == mpcost.gen_matmul(mpcost.MatMulSpec(2))]
+seen["derive-profile"] = [
+    mpcost.cli.main(["derive-profile", measurements, prices, "--out", out]),
+    mpcost.load_profile(out).schemes]
+seen["lazy"] = [mpcost.gen_matmul is mpcost.casegen.gen_matmul,
+                mpcost.derive_profile is mpcost.derive.derive_profile]
+namespace = {}
+exec("from mpcost import *", namespace)
+seen["star"] = sorted(set(mpcost.__all__) - set(namespace))
+print(json.dumps(seen))
+"""
+
+
+def test_optimize_and_compare_load_only_what_they_run(matmul5, tmp_path):
+    measurements = tmp_path / "measurements.json"
+    measurements.write_text(json.dumps({"measurements": [
+        {"op": op, "scheme": "y", "seconds_per_op": 1e-3, "bytes_per_op": 416}
+        for op in ("add", "sub", "mul", "and", "xor", "mux", "eq", "ge")]}))
+    prices = tmp_path / "prices.json"
+    prices.write_text(json.dumps({"vm_rate_a": 7, "vm_rate_b": 7, "net_rate": 6}))
+    # -S: no site hook may import a module for mpcost
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START, str(matmul5),
+         str(tmp_path / "out.json"), str(measurements), str(prices)],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [], "optimize": [0], "compare": [0],
+        "gen": [0, True], "derive-profile": [0, ["y"]],
+        "lazy": [True, True], "star": [],
+    }

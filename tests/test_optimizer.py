@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from mpcost import (
     OpKind,
+    RawMeasurement,
     SolverLimits,
     assignment_to_json,
     best_of,
+    biometric_inputs,
     bottom_up,
     build,
     check_feasible,
@@ -21,6 +23,7 @@ from mpcost import (
     gen_chain,
     gen_random,
     hill_climbing,
+    matmul_inputs,
     top_down,
     total_cost,
 )
@@ -28,7 +31,12 @@ from mpcost import cost_model, optimizer
 from mpcost.casegen import BiometricSpec, MatMulSpec, gen_matmul
 from mpcost.circuit import COMPUTE_OPS
 from mpcost.cost_model import Compiled, CostProfile, NodeCost
-from mpcost.errors import SearchSpaceTooLarge, UnsupportedScheme
+from mpcost.errors import (
+    InvalidArgument,
+    MpcostError,
+    SearchSpaceTooLarge,
+    UnsupportedScheme,
+)
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 from test_exact_golden import mux_ladder
 
@@ -311,6 +319,28 @@ def test_exhaustive_space_cap(inter_m3_medium):
 def test_solver_limits_accept_only_positive_ints(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         SolverLimits(**{field: value})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SolverLimits(max_space=0),
+    lambda: SolverLimits(max_passes=-1),
+    lambda: RawMeasurement(1.0, 1.0),
+    lambda: RawMeasurement(1.0, 1.0, op=OpKind.ADD, scheme="y", source="y",
+                           target="a"),
+    lambda: gen_chain(OpKind.ADD, 0),
+    lambda: gen_random(0, 0),
+    lambda: gen_random(0, 3, {OpKind.ADD: 0}),
+    lambda: MatMulSpec(0),
+    lambda: BiometricSpec(rows=0),
+    lambda: biometric_inputs(BiometricSpec(1, 2), [[1]], [1, 2]),
+    lambda: matmul_inputs(MatMulSpec(1), [[1]], [[1, 2]]),
+])
+def test_argument_errors_are_mpcost_errors(call):
+    # InvalidArgument is also a ValueError, which these raised before
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, MpcostError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_exhaustive_space_cap_names_huge_spaces(inter_m3_medium):

@@ -27,8 +27,8 @@ from mpcost import (
     profile_to_json,
 )
 from mpcost.circuit import COMPUTE_OPS, op_from_name
-from mpcost.cost_model import (
-    CostProfile,
+from mpcost.cost_model import CostProfile
+from mpcost.derive import (
     PriceSpec,
     RawMeasurement,
     measurements_from_json,
