@@ -12,8 +12,8 @@ evaluator.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .circuit import COMPUTE_OPS, Circuit, OpKind, build
 from .errors import InvalidArgument, NonBinaryOp

@@ -14,9 +14,10 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -138,19 +139,17 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Node(NamedTuple):
+class Node(namedtuple("Node", "id op inputs party name", defaults=(None, None))):
     """One operation instance inside a circuit (an immutable named tuple).
 
-    ``inputs`` lists the ids of the nodes whose results feed this node,
-    in positional order (for ``mux``: selector, then-value, else-value).
-    ``party`` is metadata naming which side supplies an input node.
+    ``id`` is an ``int`` and ``op`` an :class:`OpKind`. ``inputs`` is a
+    tuple of the ids of the nodes whose results feed this node, in
+    positional order (for ``mux``: selector, then-value, else-value).
+    ``party`` (``str`` or ``None``) is metadata naming which side supplies
+    an input node; ``name`` is an optional label.
     """
 
-    id: int
-    op: OpKind
-    inputs: tuple[int, ...]
-    party: str | None = None
-    name: str | None = None
+    __slots__ = ()
 
 
 class Circuit(_Value):

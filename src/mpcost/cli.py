@@ -57,6 +57,7 @@ from .optimizer import (
     exhaustive_optimal,
     fixed_sharing,
     hill_climbing,
+    row_sums,
     top_down,
 )
 
@@ -170,18 +171,19 @@ def cmd_compare(args) -> int:
     limits = SolverLimits(max_space=args.max_space, max_passes=args.max_passes)
     baseline = default_scheme(circuit, profile)
     compiled = Compiled(circuit, profile)
-    # Each heuristic row keeps the sums its candidate was scored with, so
-    # only the exact row is summed here. No row needs per-node records.
+    # Each heuristic row keeps the sums its candidate was scored with, and
+    # the exact row takes a candidate's when it lands on its row. No row
+    # needs per-node records.
     runs = candidates(compiled, limits)
-    runs[f"pure-{baseline}"] = runs[f"fixed:{baseline}"]
     labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:
         row = exact_pass(compiled, limits)
-        runs["exhaustive"] = (compiled.sums(row), row, {})
+        runs["exhaustive"] = (row_sums(compiled, row, runs), row, {})
         labels.append("exhaustive")
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
+    runs[f"pure-{baseline}"] = runs[f"fixed:{baseline}"]
     reports = []
     for label in labels:
         sums, idx, _ = runs[label]

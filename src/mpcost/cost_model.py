@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .circuit import (
     COMPUTE_OPS,
@@ -247,13 +248,12 @@ def _check_price(name: str, what: str, price) -> None:
 # --- per-node and total cost ------------------------------------------------
 
 
-class NodeCost(NamedTuple):
-    """Cost breakdown for one node, in cents (an immutable named tuple)."""
+class NodeCost(namedtuple(
+        "NodeCost", "op_compute op_network conv_compute conv_network")):
+    """Cost breakdown for one node, in cents (an immutable named tuple of
+    four floats)."""
 
-    op_compute: float
-    op_network: float
-    conv_compute: float
-    conv_network: float
+    __slots__ = ()
 
     @property
     def compute(self) -> float:
@@ -300,12 +300,11 @@ class CostReport(_Value):
         return dict(enumerate(records))
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "node reason")):
     """One feasibility problem found by :func:`check_feasible` (an
-    immutable named tuple)."""
+    immutable named tuple): the ``node`` id and the ``reason`` text."""
 
-    node: int
-    reason: str
+    __slots__ = ()
 
 
 def node_cost(

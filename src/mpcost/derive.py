@@ -10,8 +10,8 @@ it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .circuit import OpKind, op_from_name, parse_json
 from .cost_model import CostProfile, _check_scale, _is_finite

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from operator import add
-from typing import NamedTuple
 
 from .circuit import Circuit, OpKind, _is_int, _Value
 from .cost_model import (
-    Assignment,
     Compiled,
     CostProfile,
-    CostReport,
     total_cost,  # noqa: F401  (unused; perfbench's tracer patches it here)
 )
 from .errors import InvalidArgument, SearchSpaceTooLarge, UnsupportedScheme
@@ -39,7 +37,8 @@ class SolverLimits(_Value):
 
     ``max_space`` limits the exact solver's search space (the product of
     the candidate-scheme counts over the priced nodes). ``max_passes``
-    caps hill-climbing sweeps; ``None`` means ``m * len(schemes)``. Each
+    caps hill-climbing sweeps; ``None`` means the circuit's node count
+    times the profile's scheme count (at least 1). Each
     cap is an ``int`` (not a ``bool``) of at least 1, else the constructor
     raises :class:`~mpcost.errors.InvalidArgument` (a ``ValueError``).
     """
@@ -61,21 +60,22 @@ def _is_count(x) -> bool:
     return _is_int(x) and x >= 1
 
 
-class OptimizeResult(NamedTuple):
+class OptimizeResult(namedtuple(
+        "OptimizeResult",
+        "assignment report heuristic iterations limit_exceeded sweep_totals",
+        defaults=(1, False, ()))):
     """Outcome of one optimization run (an immutable named tuple).
 
-    ``iterations`` counts hill-climbing sweeps (1 for the other
-    strategies). ``sweep_totals`` records the total cost in cents before
-    the first sweep and after each sweep; ``limit_exceeded`` is set when
-    hill climbing was cut off by ``max_passes`` while still improving.
+    ``assignment`` maps node ids to scheme names, ``report`` is its
+    :class:`~mpcost.cost_model.CostReport` and ``heuristic`` the label of
+    the strategy that produced it. ``iterations`` counts hill-climbing
+    sweeps (1 for the other strategies). ``sweep_totals`` records the
+    total cost in cents before the first sweep and after each sweep;
+    ``limit_exceeded`` is set when hill climbing was cut off by
+    ``max_passes`` while still improving.
     """
 
-    assignment: Assignment
-    report: CostReport
-    heuristic: str
-    iterations: int = 1
-    limit_exceeded: bool = False
-    sweep_totals: tuple[float, ...] = ()
+    __slots__ = ()
 
 
 def default_scheme(circuit: Circuit, profile: CostProfile) -> str:
@@ -248,18 +248,31 @@ def hill_climbing(
     gives.
     """
     compiled = Compiled(circuit, profile)
-    idx, sums, extra = hill_pass(compiled, init_scheme, limits or SolverLimits())
+    idx, sums, extra = hill_pass(
+        compiled, init_scheme, limits or SolverLimits(), {})
     return _result(compiled, idx, "hill-climbing", sums, **extra)
 
 
 def hill_pass(
-    compiled: Compiled, init_scheme: str, limits: SolverLimits
+    compiled: Compiled, init_scheme: str, limits: SolverLimits, scored: dict
 ) -> tuple[list[int], tuple[float, float], dict]:
     """Scheme indices of :func:`hill_climbing`, their
     :meth:`~mpcost.cost_model.Compiled.sums`, and the result's
     ``iterations``, ``limit_exceeded`` and ``sweep_totals`` as keyword
-    arguments of :class:`OptimizeResult`."""
-    init = _require_support(compiled, init_scheme)
+    arguments of :class:`OptimizeResult`.
+
+    ``scored`` holds earlier candidates as :func:`candidates` returns
+    them. A ``fixed:<init_scheme>`` entry gives the start's sums, and a
+    sweep that ends on a row one of them holds takes its sums
+    (:func:`row_sums`); no sweep's row is kept.
+    """
+    start = scored.get(f"fixed:{init_scheme}")
+    if start is None:
+        init = _require_support(compiled, init_scheme)
+        sums = compiled.uniform_sums(init)
+    else:  # a universal scheme: its fixed candidate is the start
+        init = compiled.profile.scheme_index[init_scheme]
+        sums = start[0]
     n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
     if max_passes is None:
@@ -275,7 +288,6 @@ def hill_pass(
     # schemes. A node none of these moved for since its last visit is at
     # the same first minimum and would not move, so it is skipped.
     stale = [True] * n
-    sums = compiled.uniform_sums(init)
     sweep_totals = [sums[0] + sums[1]]
     sweeps = 0
     limit_exceeded = False
@@ -310,7 +322,7 @@ def hill_pass(
         if not changed:
             sweep_totals.append(sweep_totals[-1])  # the same assignment
             break
-        sums = compiled.sums(idx)
+        sums = row_sums(compiled, idx, scored)
         sweep_totals.append(sums[0] + sums[1])
         if sweeps >= max_passes:
             limit_exceeded = True
@@ -526,10 +538,12 @@ def candidates(
     in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing`` from
     ``hill_init`` (by default :func:`default_scheme`).
 
-    ``sums`` are each row's :meth:`~mpcost.cost_model.Compiled.sums`,
-    folded once: a fixed row's by
-    :meth:`~mpcost.cost_model.Compiled.uniform_sums`, and hill climbing's
-    by its own sweeps.
+    ``sums`` are each row's :meth:`~mpcost.cost_model.Compiled.sums`, and
+    each distinct row is folded once: a fixed row by
+    :meth:`~mpcost.cost_model.Compiled.uniform_sums`, any other row only
+    when no earlier candidate holds it (:func:`row_sums`). Hill climbing
+    starts from its fixed candidate's sums when ``hill_init`` is
+    universal.
     """
     profile = compiled.profile
     universal = profile.universal_schemes(compiled.circuit.ops_present())
@@ -541,12 +555,25 @@ def candidates(
         scored[f"fixed:{name}"] = (compiled.uniform_sums(s), [s] * n, {})
     for label, idx in (("bottom-up", bottom_up_pass(compiled)),
                        ("top-down", top_down_pass(compiled))):
-        scored[label] = (compiled.sums(idx), idx, {})
+        scored[label] = (row_sums(compiled, idx, scored), idx, {})
     if hill_init is None:
         hill_init = _preferred(universal)
-    idx, sums, extra = hill_pass(compiled, hill_init, limits)
+    idx, sums, extra = hill_pass(compiled, hill_init, limits, scored)
     scored["hill-climbing"] = (sums, idx, extra)
     return scored
+
+
+def row_sums(
+    compiled: Compiled, idx: list[int], scored: dict
+) -> tuple[float, float]:
+    """:meth:`~mpcost.cost_model.Compiled.sums` of ``idx``: those of the
+    first candidate in ``scored`` (as :func:`candidates` returns them)
+    whose row equals ``idx``, else one fold. The fold of an equal row
+    gives the same floats, so the result is the same bit for bit."""
+    for sums, row, _ in scored.values():
+        if row == idx:
+            return sums
+    return compiled.sums(idx)
 
 
 def best_of(

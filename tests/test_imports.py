@@ -2,7 +2,8 @@
 
 mpcost never loads numpy: every strategy, the exact solver included, runs
 in plain Python. ``optimize`` and ``compare`` load neither the circuit
-generators, nor profile derivation, nor ``importlib.resources``. Each case
+generators, nor profile derivation, nor ``importlib.resources``, nor
+``typing`` (the records are ``collections.namedtuple`` classes). Each case
 runs in a fresh interpreter, so no earlier import in the test session can
 hide a module-level one; one case makes ``import numpy`` fail outright.
 """
@@ -102,12 +103,12 @@ COLD_START = """\
 import json, sys
 import mpcost, mpcost.cli
 
-LAZY = ("mpcost.casegen", "mpcost.derive", "importlib.resources")
+UNUSED = ("mpcost.casegen", "mpcost.derive", "importlib.resources", "typing")
 path, out, measurements, prices = sys.argv[1:]
-seen = {"import": [m for m in LAZY if m in sys.modules]}
+seen = {"import": [m for m in UNUSED if m in sys.modules]}
 for cmd in ("optimize", "compare"):
     code = mpcost.cli.main([cmd, path, "inter-m3.medium", "--json", "--out", out])
-    seen[cmd] = [code] + [m for m in LAZY if m in sys.modules]
+    seen[cmd] = [code] + [m for m in UNUSED if m in sys.modules]
 seen["gen"] = [mpcost.cli.main(["gen", "matmul", "--n", "2", "--out", out]),
                mpcost.load_circuit(out) == mpcost.gen_matmul(mpcost.MatMulSpec(2))]
 seen["derive-profile"] = [

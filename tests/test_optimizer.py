@@ -723,20 +723,115 @@ def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
     circuit = gen_matmul(MatMulSpec(n=5))
     hill = hill_climbing(circuit, inter_m3_medium, "yao")
     moved = hill.iterations - (0 if hill.limit_exceeded else 1)
-    calls = []
+    folded = []
     sums = Compiled.sums
 
     def counted_sums(self, idx, records=None):
-        calls.append(records)
+        folded.append((list(idx), records))
         return sums(self, idx, records)
 
     monkeypatch.setattr(Compiled, "sums", counted_sums)
-    best_of(circuit, inter_m3_medium)
-    # Bottom-up and top-down once each, then one per hill sweep that
-    # moved; fixed rows take the uniform fold, and the winner's report
+    scored = optimizer.candidates(Compiled(circuit, inter_m3_medium), SolverLimits())
+    # Bottom-up, top-down and hill climbing's last sweep all land on the
+    # fixed arithmetic row, so they take its uniform fold's sums: only hill
+    # climbing's earlier moved sweeps fold, each on a row no candidate has.
+    arithmetic = scored["fixed:arithmetic"][1]
+    assert all(scored[label][1] == arithmetic
+               for label in ("bottom-up", "top-down", "hill-climbing"))
+    assert moved > 1
+    rows = [row for _, row, _ in scored.values()]
+    assert len(folded) == moved - 1
+    assert all(records is None and row not in rows for row, records in folded)
+    # best_of folds those same rows and nothing more: the winner's report
     # reuses its candidate's sums.
-    assert moved > 0
-    assert calls == [None] * (2 + moved)
+    folded.clear()
+    best_of(circuit, inter_m3_medium)
+    assert len(folded) == moved - 1
+
+
+def reference_candidates(compiled, limits, hill_init=None):
+    """:func:`optimizer.candidates` as specified, with every row folded by
+    ``Compiled.sums`` and hill climbing run by :func:`reference_hill_climb`."""
+    circuit, profile = compiled.circuit, compiled.profile
+    n = len(circuit.nodes)
+    rows = {f"fixed:{name}": [profile.scheme_index[name]] * n
+            for name in profile.universal_schemes(circuit.ops_present())}
+    rows["bottom-up"] = optimizer.bottom_up_pass(compiled)
+    rows["top-down"] = optimizer.top_down_pass(compiled)
+    scored = {label: (compiled.sums(row), row, {}) for label, row in rows.items()}
+    init = hill_init or optimizer.default_scheme(circuit, profile)
+    assignment, iterations, limit_exceeded, totals = reference_hill_climb(
+        circuit, profile, init, limits.max_passes)
+    row = compiled.indices(assignment)
+    scored["hill-climbing"] = (compiled.sums(row), row, {
+        "iterations": iterations, "limit_exceeded": limit_exceeded,
+        "sweep_totals": totals})
+    return scored
+
+
+def shown(scored):
+    """Every field of a candidate list, floats by ``.hex()``."""
+    return [
+        (label, list(row), [x.hex() for x in sums],
+         {k: [t.hex() for t in v] if k == "sweep_totals" else v
+          for k, v in extra.items()})
+        for label, (sums, row, extra) in scored.items()
+    ]
+
+
+def check_candidates(circuit, profile, max_passes=None):
+    """``candidates`` equals the reference from every universal hill start
+    and the default one, and raises what ``hill_climbing`` raises from a
+    declared scheme that is not universal and from an undeclared one."""
+    compiled = Compiled(circuit, profile)
+    limits = SolverLimits(max_passes=max_passes)
+    universal = profile.universal_schemes(circuit.ops_present())
+    for init in (None, *universal):
+        assert shown(optimizer.candidates(compiled, limits, init)) == shown(
+            reference_candidates(compiled, limits, init))
+    partial = [s for s in profile.schemes if s not in universal]
+    for init in partial[:1] + ["no-such-scheme"]:
+        with pytest.raises(UnsupportedScheme) as want:
+            hill_climbing(circuit, profile, init, limits)
+        with pytest.raises(UnsupportedScheme) as got:
+            optimizer.candidates(compiled, limits, init)
+        assert str(got.value) == str(want.value)
+    return partial
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES)
+def test_candidates_match_a_reference_that_folds_every_row(all_profiles, name):
+    """Reusing an earlier candidate's sums for an equal row changes no
+    field of any candidate, on seeded random circuits of 1-60 ops."""
+    partial_seen = False
+    for seed in range(40):
+        circuit = gen_random(seed, n_ops=1 + (seed * 7) % 60)
+        partial_seen |= bool(check_candidates(
+            circuit, all_profiles[name], max_passes=(None, 1, 2)[seed % 3]))
+    assert partial_seen  # some circuit has a start that is not universal
+
+
+@pytest.mark.parametrize("make, name, coincide", [
+    (lambda: gen_matmul(MatMulSpec(n=5)), "inter-m3.medium", True),
+    (lambda: gen_matmul(MatMulSpec(n=5)), "inter-m3.large", True),
+    (lambda: gen_matmul(MatMulSpec(n=5)), "intra-c4.large", True),
+    (lambda: gen_biometric(BiometricSpec(30, 5)), "inter-m3.medium", True),
+    (lambda: gen_biometric(BiometricSpec(30, 5)), "intra-c4.large", False),
+], ids=["matmul5-inter-m3.medium", "matmul5-inter-m3.large",
+        "matmul5-intra-c4.large", "biometric30x5-inter-m3.medium",
+        "biometric30x5-intra-c4.large"])
+def test_candidates_match_the_reference_on_the_case_studies(
+        all_profiles, make, name, coincide):
+    """On matmul(5) the greedy and hill rows coincide with the fixed
+    arithmetic row, and on biometric(30, 5) under inter-m3.medium hill
+    climbing ends on bottom-up's row; under intra-c4.large no two of its
+    candidates share a row."""
+    circuit, profile = make(), all_profiles[name]
+    check_candidates(circuit, profile)
+    rows = [row for _, row, _ in optimizer.candidates(
+        Compiled(circuit, profile), SolverLimits()).values()]
+    distinct = len({tuple(row) for row in rows})
+    assert (distinct < len(rows)) is coincide
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
