@@ -8,7 +8,6 @@ from mpcost import (
     circuit_from_json,
     circuit_to_json,
     evaluate_plaintext,
-    topological_order,
 )
 
 # A circuit is a list of (op, inputs[, party[, name]]) entries; ids are
@@ -30,7 +29,8 @@ for node in circuit.nodes:
         label += f"  ({node.name})"
     print(label)
 
-print("\ntopological order:", topological_order(circuit))
+# Every node reads only earlier ids, so the id order is a topological order.
+print("\ntopological order:", [node.id for node in circuit.nodes])
 
 # Evaluation is plain modular arithmetic: values live in Z_{2^bitwidth}.
 outputs = evaluate_plaintext(circuit, {0: 20, 1: 3})

@@ -11,7 +11,6 @@ from mpcost import (
     builtin_names,
     derive_profile,
     load_builtin,
-    node_cost,
     total_cost,
 )
 from mpcost.circuit import COMPUTE_OPS
@@ -25,17 +24,17 @@ for scheme in profile.schemes_for(OpKind.MUL):
     print(f"  {scheme:>10}:", profile.op_cost_cents(OpKind.MUL, scheme))
 print("yao -> arithmetic conversion:", profile.conv_cost_cents("yao", "arithmetic"))
 
-# Pricing one node: the operation itself plus one conversion per input
-# edge whose producer uses a different scheme.
+# Pricing an assigned circuit: each node pays its operation plus one
+# conversion per input edge whose producer uses a different scheme, and
+# the report keeps that breakdown per node.
 circuit = build([("in", []), ("in", []), ("mul", [0, 1]), ("out", [2])])
 assignment = {0: "yao", 1: "yao", 2: "arithmetic", 3: "arithmetic"}
-rec = node_cost(circuit, 2, assignment, profile)
+report = total_cost(circuit, assignment, profile)
+rec = report.per_node[2]
 print("\nmul on arithmetic with yao inputs:")
 print(f"  op      (compute, network) = ({rec.op_compute:.3e}, {rec.op_network:.3e})")
 print(f"  convert (compute, network) = ({rec.conv_compute:.3e}, {rec.conv_network:.3e})")
 print(f"  node total: {rec.total:.6e} cents")
-
-report = total_cost(circuit, assignment, profile)
 print(f"  circuit total: {report.total:.6e} cents")
 
 # Deriving a profile: externally measured per-op seconds and bytes are

@@ -28,7 +28,6 @@ from .circuit import (
     inputs_by_name,
     load_circuit,
     save_circuit,
-    topological_order,
 )
 from .cost_model import (
     ARITHMETIC,
@@ -43,7 +42,6 @@ from .cost_model import (
     assignment_to_json,
     check_feasible,
     load_profile,
-    node_cost,
     profile_from_json,
     profile_to_json,
     save_profile,
@@ -136,12 +134,10 @@ __all__ = [
     "load_prices",
     "load_profile",
     "matmul_inputs",
-    "node_cost",
     "profile_from_json",
     "profile_to_json",
     "save_circuit",
     "save_profile",
     "top_down",
-    "topological_order",
     "total_cost",
 ]

@@ -11,11 +11,13 @@ evaluator.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuit import COMPUTE_OPS, Circuit, OpKind, build
+from .cost_model import _is_finite
 from .errors import InvalidArgument, NonBinaryOp
 
 
@@ -55,14 +57,11 @@ def gen_biometric(spec: BiometricSpec) -> Circuit:
     earlier row wins. Two outputs: the minimal distance (``min_dist``)
     and its row index (``min_index``).
     """
-    entries: list[tuple] = []
-    server = [
-        [len(entries) for _ in range(spec.attrs)] for _ in range(spec.rows)
+    # The server's value (r, k) is node r * attrs + k.
+    entries: list[tuple] = [
+        (OpKind.IN, [], "server", f"s[{r},{k}]")
+        for r in range(spec.rows) for k in range(spec.attrs)
     ]
-    for r in range(spec.rows):
-        for k in range(spec.attrs):
-            server[r][k] = len(entries)
-            entries.append((OpKind.IN, [], "server", f"s[{r},{k}]"))
     client = []
     for k in range(spec.attrs):
         client.append(len(entries))
@@ -77,7 +76,7 @@ def gen_biometric(spec: BiometricSpec) -> Circuit:
         subs = []
         for k in range(spec.attrs):
             subs.append(len(entries))
-            entries.append((OpKind.SUB, [server[r][k], client[k]]))
+            entries.append((OpKind.SUB, [r * spec.attrs + k, client[k]]))
         squares = []
         for k in range(spec.attrs):
             squares.append(len(entries))
@@ -119,19 +118,8 @@ def biometric_inputs(
         raise InvalidArgument("server data does not match the spec shape")
     if len(client) != spec.attrs:
         raise InvalidArgument("client record does not match the spec shape")
-    inputs: dict[int, int] = {}
-    nid = 0
-    for row in server_rows:
-        for v in row:
-            inputs[nid] = v
-            nid += 1
-    for v in client:
-        inputs[nid] = v
-        nid += 1
-    for r in range(spec.rows):
-        inputs[nid] = r
-        nid += 1
-    return inputs
+    server = [v for row in server_rows for v in row]
+    return dict(enumerate([*server, *client, *range(spec.rows)]))
 
 
 def gen_matmul(spec: MatMulSpec) -> Circuit:
@@ -182,17 +170,7 @@ def matmul_inputs(
         len(r) != n for r in b
     ):
         raise InvalidArgument("matrices do not match the spec shape")
-    inputs: dict[int, int] = {}
-    nid = 0
-    for row in a:
-        for v in row:
-            inputs[nid] = v
-            nid += 1
-    for row in b:
-        for v in row:
-            inputs[nid] = v
-            nid += 1
-    return inputs
+    return dict(enumerate([v for m in (a, b) for row in m for v in row]))
 
 
 def gen_chain(op: OpKind, length: int, bitwidth: int = 32) -> Circuit:
@@ -237,10 +215,20 @@ def gen_random(
         ops = list(COMPUTE_OPS)
         weights = [1.0] * len(ops)
     else:
+        for op, w in op_weights.items():
+            if op not in COMPUTE_OPS:
+                raise InvalidArgument(f"op_weights: {op} is not a priced op")
+            if not _is_finite(w) or w < 0:
+                raise InvalidArgument(
+                    f"op_weights: the weight of {op} must be a finite, "
+                    f"non-negative number"
+                )
         ops = [op for op in COMPUTE_OPS if op_weights.get(op, 0) > 0]
         if not ops:
             raise InvalidArgument("op_weights leaves no op to draw from")
         weights = [float(op_weights[op]) for op in ops]
+        if not math.isfinite(sum(weights)):
+            raise InvalidArgument("op_weights: the total weight is not finite")
 
     entries: list[tuple] = []
     n_in = rng.randint(1, min(6, n_ops + 1))

@@ -167,11 +167,6 @@ class Circuit(_Value):
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def node(self, node_id: int) -> Node:
-        if not 0 <= node_id < len(self.nodes):
-            raise UnknownNode(f"no node with id {node_id}")
-        return self.nodes[node_id]
-
     @cached_property
     def node_ops(self) -> tuple[OpKind, ...]:
         """Each node's operation, in id order: read once per circuit, as a
@@ -283,11 +278,6 @@ def build(
             op = op_from_name(op)
         nodes.append(Node(i, op, tuple(entry[1]), *entry[2:]))
     return Circuit(tuple(nodes), bitwidth)
-
-
-def topological_order(circuit: Circuit) -> list[int]:
-    """Node ids with every node after its inputs, which is the id order."""
-    return list(range(len(circuit.nodes)))
 
 
 def evaluate_plaintext(

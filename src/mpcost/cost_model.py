@@ -89,8 +89,16 @@ class CostProfile(_Value):
     def __init__(self, name, scale, schemes, op_costs, conversions):
         self._store(name=name, scale=scale, schemes=schemes, op_costs=op_costs,
                     conversions=conversions)
+        if not isinstance(self.name, str):
+            raise ParseError("profile name must be a string")
         if not self.schemes:
             raise NoUniversalScheme(f"profile {self.name!r} declares no schemes")
+        for s in self.schemes:
+            if not isinstance(s, str) or "->" in s:
+                raise ParseError(
+                    f"profile {self.name!r}: scheme {s!r} must be a string "
+                    f"without '->'"
+                )
         if len(set(self.schemes)) != len(self.schemes):
             raise ParseError(f"profile {self.name!r} has duplicate scheme names")
         _check_scale(self.name, self.scale)
@@ -307,35 +315,6 @@ class Violation(namedtuple("Violation", "node reason")):
     __slots__ = ()
 
 
-def node_cost(
-    circuit: Circuit,
-    node_id: int,
-    assignment: Mapping[int, str],
-    profile: CostProfile,
-) -> NodeCost:
-    """Cost of one node: its operation under the assigned scheme plus one
-    conversion per input edge whose producer uses a different scheme."""
-    node = circuit.node(node_id)
-    try:
-        scheme = assignment[node_id]
-    except KeyError:
-        raise InfeasibleAssignment(f"node {node_id} has no assigned scheme") from None
-    op_p, op_n = profile.op_cost_cents(node.op, scheme)
-    conv_p = 0.0
-    conv_n = 0.0
-    for j in node.inputs:
-        try:
-            src = assignment[j]
-        except KeyError:
-            raise InfeasibleAssignment(
-                f"input node {j} of node {node_id} has no assigned scheme"
-            ) from None
-        p, n = profile.conv_cost_cents(src, scheme)
-        conv_p += p
-        conv_n += n
-    return NodeCost(op_p, op_n, conv_p, conv_n)
-
-
 class Compiled:
     """A circuit priced under one profile, for work on scheme indices.
 
@@ -457,8 +436,9 @@ def total_cost(
     assignment: Mapping[int, str],
     profile: CostProfile,
 ) -> CostReport:
-    """Total and per-node cost (:func:`node_cost` for every node) of an
-    assigned circuit."""
+    """Total and per-node cost of an assigned circuit: ``per_node[i]`` is
+    node ``i``'s operation under its scheme plus one conversion per input
+    edge whose producer uses a different scheme."""
     compiled = Compiled(circuit, profile)
     return compiled.report(compiled.indices(assignment))
 
@@ -567,11 +547,8 @@ def profile_from_json(text: str) -> CostProfile:
     for key in ("name", "scale", "schemes", "ops", "conversions"):
         if key not in doc:
             raise ParseError(f"profile JSON missing {key!r}")
-    name = doc["name"]
-    if not isinstance(name, str):
-        raise ParseError("profile name must be a string")
     schemes = doc["schemes"]
-    if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
+    if not isinstance(schemes, list):
         raise ParseError("profile schemes must be a list of names")
     if not isinstance(doc["ops"], dict):
         raise ParseError("profile ops must be an object")
@@ -594,7 +571,7 @@ def profile_from_json(text: str) -> CostProfile:
         conversions[(src, dst)] = _parse_cost_entry(
             entry, f"conversions[{key!r}]"
         )
-    return CostProfile(name, doc["scale"], tuple(schemes), op_costs, conversions)
+    return CostProfile(doc["name"], doc["scale"], tuple(schemes), op_costs, conversions)
 
 
 def save_profile(profile: CostProfile, path) -> None:

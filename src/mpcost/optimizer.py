@@ -403,8 +403,8 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     row below undercuts, and the first row below takes each later node's
     first candidate. The child goes when that ``(total, row)`` is not
     below the incumbent's. The key adds op addends only: each edge's least
-    conversion addend is ``0.0``, since every touched node's domain holds
-    the universal schemes (a profile has one; ``in``/``out`` allow all),
+    conversion addend is ``0.0``, since every node's ``cands`` holds the
+    universal schemes (a profile has one; ``in``/``out`` allow all),
     and adding ``0.0`` changes no bit of a sum that is never ``-0.0``.
     """
     op_p, op_n, op_t, inputs = (
@@ -418,15 +418,12 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     n = len(cands)
     first = [c[0] for c in cands]
     nodes = [u for u in range(n) if inputs[u] or compiled.consumers[u]]
-    dom = [c[:1] for c in cands]
-    for u in nodes:
-        dom[u] = cands[u]
     # Per node, its in-edges, each with a message to either end.
     into = [[(j, [0.0] * len(ct), [0.0] * len(ct)) for j in ins] if ins else ()
             for ins in inputs]
     edges = [(j, u, mj, mu) for u in nodes for j, mj, mu in into[u]]
-    tables = {}  # per pair of domains, ``ct`` over it by rows and by columns
-    for rs, ss in {(dom[j], dom[u]) for j, u, _, _ in edges}:
+    tables = {}  # per pair of ``cands``, ``ct`` over it by rows and by columns
+    for rs, ss in {(cands[j], cands[u]) for j, u, _, _ in edges}:
         tables[rs, ss] = ([[ct[r][s] for s in ss] for r in rs],
                           [[ct[r][s] for r in rs] for s in ss])
 
@@ -434,7 +431,7 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     last = -math.inf
     for _ in range(_DUAL_SWEEPS):
         for j, u, mj, mu in edges:
-            bj, bu, rs, ss = b[j], b[u], dom[j], dom[u]
+            bj, bu, rs, ss = b[j], b[u], cands[j], cands[u]
             by_row, by_col = tables[rs, ss]
             wj = [bj[r] - mj[r] for r in rs]
             wu = [bu[s] - mu[s] for s in ss]
@@ -444,7 +441,7 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
             for s, w, conv in zip(ss, wu, by_col):
                 mu[s] = m = 0.5 * (min(map(add, conv, wj)) - w)
                 bu[s] = w + m
-        bound = sum([min([b[u][s] for s in dom[u]]) for u in nodes])
+        bound = sum([min([b[u][s] for s in cands[u]]) for u in nodes])
         if bound <= last:
             break
         last = bound
@@ -459,13 +456,13 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     least = [None] * len(nodes)
     for p in reversed(range(len(nodes))):
         u = nodes[p]
-        low = min([b[u][s] for s in dom[u]])
+        low = min([b[u][s] for s in cands[u]])
         for j, mj, mu in into[u]:
-            low += min([ct[r][s] - mj[r] - mu[s] for r in dom[j] for s in dom[u]])
+            low += min([ct[r][s] - mj[r] - mu[s] for r in cands[j] for s in cands[u]])
         rest[p] = low + rest[p + 1]
-        least[p] = (min([op_p[u][s] for s in dom[u]]),
-                    min([op_n[u][s] for s in dom[u]]))
-    z = sum([max([op_t[u][s] for s in dom[u]]) for u in nodes])
+        least[p] = (min([op_p[u][s] for s in cands[u]]),
+                    min([op_n[u][s] for s in cands[u]]))
+    z = sum([max([op_t[u][s] for s in cands[u]]) for u in nodes])
     z += len(edges) * max(map(max, ct))
     z += 2 * sum([abs(m) for edge in edges for ms in edge[2:] for m in ms])
     n_addends = 2 * (n + len(edges))
@@ -476,8 +473,8 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     for u in nodes:
         ins = [(best_row[j], mj, mu) for j, mj, mu in into[u]]
         terms = [b[u][s] + sum([ct[r][s] - mj[r] - mu[s] for r, mj, mu in ins])
-                 for s in dom[u]]
-        best_row[u] = dom[u][terms.index(min(terms))]
+                 for s in cands[u]]
+        best_row[u] = cands[u][terms.index(min(terms))]
     best_total = compiled.total(best_row)
 
     # Each entry carries whether its parent's path is the incumbent's, as
@@ -485,7 +482,7 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     # sibling of every entry still stacked, so those are all off its path.
     row = first[:]
     version = 0
-    stack = ([(0, s, 0.0, 0.0, 0.0, True, 0) for s in reversed(dom[nodes[0]])]
+    stack = ([(0, s, 0.0, 0.0, 0.0, True, 0) for s in reversed(cands[nodes[0]])]
              if nodes else [])
     while stack:
         p, s, tc, tn, g, on_path, seen = stack.pop()
@@ -522,7 +519,7 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
                 kn += ln
             if (kc + kn, row[:cut] + first[cut:]) >= (best_total, best_row):
                 continue
-        stack.extend((p, t, tc, tn, g, on_path, version) for t in reversed(dom[cut]))
+        stack.extend((p, t, tc, tn, g, on_path, version) for t in reversed(cands[cut]))
     return best_row
 
 

@@ -54,10 +54,10 @@ from mpcost import (
     gen_random,
     hill_climbing,
     matmul_inputs,
-    node_cost,
     profile_from_json,
     profile_to_json,
     top_down,
+    total_cost,
 )
 from mpcost import PriceSpec, RawMeasurement
 from mpcost.circuit import COMPUTE_OPS
@@ -194,7 +194,7 @@ def test_c05_intra_region_network_is_exactly_zero(profiles):
 def test_c06_worked_node_cost(profiles):
     circuit = build([("in", []), ("in", []), ("mul", [0, 1]), ("out", [2])])
     asg = {0: "yao", 1: "yao", 2: "arithmetic", 3: "arithmetic"}
-    rec = node_cost(circuit, 2, asg, profiles["inter-m3.medium"])
+    rec = total_cost(circuit, asg, profiles["inter-m3.medium"]).per_node[2]
     ok = abs(rec.total - 2535.46e-6) < 1e-9
     _line(6, "worked mul/arithmetic node cost", ok,
           f"{rec.total:.8e} cents vs 2.53546e-03 expected")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from mpcost import (
     matmul_inputs,
 )
 from mpcost.casegen import node_count_summary
-from mpcost.errors import NonBinaryOp
+from mpcost.errors import InvalidArgument, NonBinaryOp
 
 MOD = 2**32
 
@@ -200,3 +201,20 @@ def test_random_respects_op_weights():
     c = gen_random(7, 40, weights)
     ops = {c.nodes[i].op for i in c.op_node_ids}
     assert ops <= {OpKind.ADD, OpKind.MUL}
+
+
+@pytest.mark.parametrize("weights, named", [
+    ({OpKind.ADD: math.inf}, "add"),
+    ({OpKind.ADD: math.nan, OpKind.MUL: 1.0}, "add"),
+    ({OpKind.ADD: 1.0, OpKind.MUL: -1.0}, "mul"),
+    ({OpKind.ADD: True}, "add"),
+    ({OpKind.ADD: 10**400}, "add"),
+    ({OpKind.ADD: 1.0, OpKind.IN: 1.0}, "in"),
+    ({OpKind.ADD: 1.0, OpKind.OUT: 0.0}, "out"),
+    ({OpKind.ADD: 1e308, OpKind.MUL: 1e308}, "total"),
+])
+def test_random_rejects_bad_op_weights(weights, named):
+    """Every weight is a finite, non-negative number on a priced op and
+    their total is finite, or the call names what is wrong."""
+    with pytest.raises(InvalidArgument, match=named):
+        gen_random(7, 10, weights)

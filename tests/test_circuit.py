@@ -15,7 +15,6 @@ from mpcost import (
     gen_random,
     load_circuit,
     save_circuit,
-    topological_order,
 )
 from mpcost.circuit import MAX_BITWIDTH
 from mpcost.errors import (
@@ -75,25 +74,11 @@ def test_build_party_rules():
         build([("in", []), ("in", []), ("add", [0, 1], "server")])
 
 
-def test_topological_order_is_insertion_order(adder):
-    assert topological_order(adder) == [0, 1, 2, 3]
-    diamond = build([
-        ("in", []), ("in", []),
-        ("add", [0, 1]), ("mul", [0, 1]), ("sub", [2, 3]),
-        ("out", [4]),
-    ])
-    assert topological_order(diamond) == [0, 1, 2, 3, 4, 5]
-
-
 def test_topological_order_property_on_random_circuits():
     for seed in range(50):
         c = gen_random(seed, n_ops=1 + seed % 12)
-        order = topological_order(c)
-        assert sorted(order) == list(range(len(c.nodes)))
-        pos = {i: k for k, i in enumerate(order)}
         for node in c.nodes:
-            for j in node.inputs:
-                assert pos[j] < pos[node.id]
+            assert all(j < node.id for j in node.inputs)
 
 
 def test_cycle_detected_on_manual_construction():

@@ -293,6 +293,18 @@ def test_gen_bad_params_exit_1(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("weights", ["add=inf", "add=1,mul=nan", "add=1,mul=-1",
+                                     "add=1,in=1", "add=1e308,mul=1e308"])
+def test_gen_random_rejects_bad_op_weights(capsys, tmp_path, weights):
+    out_path = tmp_path / "random.json"
+    code, out, err = run(capsys, "gen", "random", "--n-ops", "4",
+                         "--op-weights", weights, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: op_weights: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_eval_adder_by_id(capsys, adder_path, tmp_path):
     inputs = tmp_path / "inputs.json"
     inputs.write_text('{"0": 7, "1": 5}')
@@ -512,6 +524,28 @@ def test_derive_profile_rejects_a_bad_scale(capsys, tmp_path, scale):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "scale" in err
+
+
+def test_derive_profile_rejects_a_scheme_that_cannot_be_saved(capsys, tmp_path):
+    """A scheme name holding '->' would make a conversion key that no
+    profile file can hold, so no profile is derived and no file written."""
+    measurements = {"measurements": (
+        [{"op": op.value, "scheme": "z", "seconds_per_op": 1, "bytes_per_op": 1}
+         for op in COMPUTE_OPS]
+        + [{"op": "add", "scheme": "x->y", "seconds_per_op": 1, "bytes_per_op": 1}]
+        + [{"conversion": pair, "seconds_per_op": 1, "bytes_per_op": 1}
+           for pair in (["x->y", "z"], ["z", "x->y"])]
+    )}
+    m_path = tmp_path / "measure.json"
+    m_path.write_text(json.dumps(measurements))
+    p_path = tmp_path / "prices.json"
+    p_path.write_text('{"vm_rate_a": 7, "vm_rate_b": 7, "net_rate": 6.5}')
+    out_path = tmp_path / "derived.json"
+    code, _, err = run(capsys, "derive-profile", str(m_path), str(p_path),
+                       "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("error: ") and "'x->y'" in err
+    assert not out_path.exists()
 
 
 def test_profiles_list(capsys):

@@ -23,7 +23,6 @@ from mpcost import (
     derive_profile,
     gen_random,
     load_builtin,
-    node_cost,
     profile_from_json,
     profile_to_json,
     top_down,
@@ -53,7 +52,7 @@ def make_profile(scale=1.0, a_add=1.0, a_mul=1.0, y_all=2.0, conv=(0.5, 0.25)):
     return CostProfile("toy", scale, ("a", "y"), op_costs, conversions)
 
 
-# --- node_cost / total_cost ---------------------------------------------------
+# --- per-node cost / total_cost ---------------------------------------------------
 
 
 def test_node_cost_worked_example(inter_m3_medium):
@@ -61,7 +60,7 @@ def test_node_cost_worked_example(inter_m3_medium):
     # two yao->arithmetic conversions, summed from the profile entries
     c = build([("in", []), ("in", []), ("mul", [0, 1]), ("out", [2])])
     asg = {0: "yao", 1: "yao", 2: "arithmetic", 3: "arithmetic"}
-    rec = node_cost(c, 2, asg, inter_m3_medium)
+    rec = total_cost(c, asg, inter_m3_medium).per_node[2]
     expected = (2134.72 + 75.14 + 2 * (25.39 + 137.41)) * 1e-6
     assert rec.total == pytest.approx(expected, abs=1e-12)
     assert rec.total == pytest.approx(2535.46e-6, abs=1e-9)
@@ -70,7 +69,7 @@ def test_node_cost_worked_example(inter_m3_medium):
 def test_node_cost_add_all_arithmetic(inter_m3_medium):
     c = build([("in", []), ("in", []), ("add", [0, 1]), ("out", [2])])
     asg = {i: "arithmetic" for i in range(4)}
-    rec = node_cost(c, 2, asg, inter_m3_medium)
+    rec = total_cost(c, asg, inter_m3_medium).per_node[2]
     assert rec.compute == pytest.approx(2.90e-6, abs=1e-15)
     assert rec.network == 0.0
 
@@ -79,21 +78,18 @@ def test_same_scheme_conversions_are_free(inter_m3_medium):
     c = build([("in", []), ("in", []), ("mul", [0, 1]), ("out", [2])])
     for scheme in ("arithmetic", "boolean", "yao"):
         asg = {i: scheme for i in range(4)}
-        rec = node_cost(c, 2, asg, inter_m3_medium)
+        rec = total_cost(c, asg, inter_m3_medium).per_node[2]
         assert rec.conv_compute == 0.0
         assert rec.conv_network == 0.0
 
 
-def test_node_cost_rejects_infeasible_and_unknown(inter_m3_medium):
+def test_node_cost_rejects_infeasible(inter_m3_medium):
     c = build([("in", []), ("in", []), ("sub", [0, 1]), ("out", [2])])
     asg = {i: "arithmetic" for i in range(4)}
     with pytest.raises(InfeasibleAssignment):
-        node_cost(c, 2, asg, inter_m3_medium)  # sub has no arithmetic protocol
+        total_cost(c, asg, inter_m3_medium)  # sub has no arithmetic protocol
     with pytest.raises(InfeasibleAssignment):
-        node_cost(c, 0, {}, inter_m3_medium)
-    from mpcost.errors import UnknownNode
-    with pytest.raises(UnknownNode):
-        node_cost(c, 99, asg, inter_m3_medium)
+        total_cost(c, {}, inter_m3_medium)
 
 
 def test_total_cost_in_out_only_is_zero(inter_m3_medium):
@@ -512,6 +508,23 @@ def test_profile_rejects_bools_posing_as_numbers():
     for path in _PROFILE_VALUE_PATHS:
         with pytest.raises(ParseError):
             profile_from_json(_profile_json_with(path, True))
+
+
+@pytest.mark.parametrize("name, schemes", [
+    ("p", ("a->b", "y")),
+    ("p", ("a", 7)),
+    ("p", ("a", None)),
+    (7, ("a", "y")),
+    (None, ("a", "y")),
+])
+def test_profile_rejects_names_a_file_cannot_hold(name, schemes):
+    """The constructor rejects every profile that ``profile_to_json`` would
+    write and ``profile_from_json`` would not read back."""
+    a, y = schemes
+    op_costs = {(op, y): (1.0, 0.0) for op in COMPUTE_OPS}
+    with pytest.raises(ParseError):
+        CostProfile(name, 1.0, schemes, op_costs,
+                    {(a, y): (0.5, 0.5), (y, a): (0.5, 0.5)})
 
 
 def test_profile_json_round_trip_is_canonical():

@@ -111,4 +111,6 @@ def test_intra_compute_spot_values():
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
 def test_shipped_files_are_canonical(name):
     text = builtin_text(name)
-    assert profile_to_json(profile_from_json(text)) == text
+    prof = profile_from_json(text)
+    assert profile_to_json(prof) == text
+    assert profile_from_json(profile_to_json(prof)) == prof
