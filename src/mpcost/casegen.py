@@ -16,7 +16,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .circuit import COMPUTE_OPS, Circuit, OpKind, build
+from .circuit import COMPUTE_OPS, Circuit, OpKind, _is_int, build
 from .cost_model import _is_finite
 from .errors import InvalidArgument, NonBinaryOp
 
@@ -206,10 +206,11 @@ def gen_random(
     by default); every op node draws its inputs from the nodes emitted
     before it, so each is reachable from an input, and every op node
     nobody consumes gets its own ``out`` node. Identical arguments yield
-    identical circuits.
+    identical circuits. ``n_ops`` is an ``int`` (not a ``bool``) of at
+    least 1, else :class:`~mpcost.errors.InvalidArgument`.
     """
-    if n_ops < 1:
-        raise InvalidArgument("n_ops must be at least 1")
+    if not _is_int(n_ops) or n_ops < 1:
+        raise InvalidArgument(f"n_ops must be an int of at least 1, got {n_ops!r}")
     rng = random.Random(seed)
     if op_weights is None:
         ops = list(COMPUTE_OPS)

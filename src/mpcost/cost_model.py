@@ -74,9 +74,10 @@ class CostProfile(_Value):
     ``(compute, network)`` conversion price. ``scale`` converts stored
     units to cents.
 
-    The cent tables derived from these prices are built once, on first
-    use, and shared: every :class:`Compiled` under the profile holds the
-    same row lists, tuples and matrices, so they are read-only.
+    The cent tables derived from these prices are built once, by the
+    constructor's check for a universal scheme, and shared: every
+    :class:`Compiled` under the profile holds the same row lists, tuples
+    and matrices, so they are read-only.
     """
 
     name: str
@@ -155,11 +156,14 @@ class CostProfile(_Value):
     def universal_schemes(
         self, ops: Iterable[OpKind] = COMPUTE_OPS
     ) -> tuple[str, ...]:
-        """Schemes that support every op in ``ops`` (default: all priced ops)."""
-        ops = tuple(ops)
-        return tuple(
-            s for s in self.schemes if all(self.supports(op, s) for op in ops)
-        )
+        """Schemes that support every op in ``ops`` (default: all priced
+        ops), in declaration order: the intersection of the ops' candidate
+        indices in :attr:`_tables`. A value that is not an
+        :class:`~mpcost.circuit.OpKind` has no candidates."""
+        cands = self._tables[3]
+        keep = set(range(len(self.schemes))).intersection(
+            *[cands.get(op, ()) for op in ops])
+        return tuple([self.schemes[i] for i in sorted(keep)])
 
     @cached_property
     def scheme_index(self) -> dict[str, int]:
@@ -349,10 +353,10 @@ class Compiled:
         ops = circuit.node_ops
         self.circuit = circuit
         self.profile = profile
-        self.op_p = [op_p[op] for op in ops]
-        self.op_n = [op_n[op] for op in ops]
-        self.op_t = [op_t[op] for op in ops]
-        self.cands = [cands[op] for op in ops]
+        self.op_p = list(map(op_p.__getitem__, ops))
+        self.op_n = list(map(op_n.__getitem__, ops))
+        self.op_t = list(map(op_t.__getitem__, ops))
+        self.cands = list(map(cands.__getitem__, ops))
         self.inputs = tuple([node.inputs for node in circuit.nodes])
         self.consumers = circuit.consumer_edges
 
@@ -366,8 +370,7 @@ class Compiled:
         return [index[assignment[i]] for i in range(len(self.cands))]
 
     def assignment(self, idx: Sequence[int]) -> Assignment:
-        schemes = self.profile.schemes
-        return {i: schemes[s] for i, s in enumerate(idx)}
+        return dict(enumerate(map(self.profile.schemes.__getitem__, idx)))
 
     def sums(
         self, idx: Sequence[int], records: list | None = None

@@ -53,8 +53,9 @@ class RawMeasurement:
 
     Exactly one of (``op``, ``scheme``) or (``source``, ``target``) must be
     set, describing either an operation benchmark or a conversion
-    benchmark. Values are averages over a benchmark run: wall seconds per
-    operation and bytes transferred per operation.
+    benchmark. Scheme names are strings, else :class:`ParseError`. Values
+    are averages over a benchmark run: wall seconds per operation and
+    bytes transferred per operation.
     """
 
     seconds_per_op: float
@@ -73,6 +74,9 @@ class RawMeasurement:
             )
         where = (f"{self.source}->{self.target}" if is_conv
                  else f"({self.op}, {self.scheme})")
+        for key in ("scheme", "source", "target"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ParseError(f"measurement {where}: {key} must be a string")
         numbers = ("seconds_per_op", "bytes_per_op")
         for key in numbers:
             if not _is_finite(getattr(self, key)):

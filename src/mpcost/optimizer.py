@@ -60,6 +60,11 @@ def _is_count(x) -> bool:
     return _is_int(x) and x >= 1
 
 
+#: The limits a strategy called without any runs under (the class is
+#: immutable, so one instance serves every call).
+_DEFAULT_LIMITS = SolverLimits()
+
+
 class OptimizeResult(namedtuple(
         "OptimizeResult",
         "assignment report heuristic iterations limit_exceeded sweep_totals",
@@ -145,6 +150,13 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     that already have a scheme. ``in`` nodes are free and unconstrained,
     so they are left open and adopt the scheme of the first consumer that
     gets processed, which makes that edge conversion-free.
+
+    Ties go to the first least scheme. A scheme whose op cost alone is
+    not below the least score so far is not scored further: prices are
+    non-negative, and a rounded add of a non-negative addend never lowers
+    a sum, so its full score could not be below either. The first
+    scheme is the start (it wins when every score is ``inf``), so the
+    pass gives what scoring every scheme in full gives.
     """
     compiled = Compiled(circuit, profile)
     return _result(compiled, bottom_up_pass(compiled), "bottom-up")
@@ -153,6 +165,7 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
 def bottom_up_pass(compiled: Compiled) -> list[int]:
     """Scheme indices of :func:`bottom_up`."""
     ct = compiled.ct
+    inf = math.inf
     n = len(compiled.cands)
     idx: list = [None] * n
     # Node order is topological, and only in nodes have no inputs.
@@ -161,15 +174,17 @@ def bottom_up_pass(compiled: Compiled) -> list[int]:
     ):
         if not ins:
             continue
-        best_scheme = None
-        best_cost = None
+        best_scheme = cands[0]
+        best_cost = inf
         for s in cands:
             cost = row[s]
+            if cost >= best_cost:
+                continue
             for j in ins:
                 src = idx[j]
                 if src is not None:
                     cost += ct[src][s]
-            if best_cost is None or cost < best_cost:
+            if cost < best_cost:
                 best_cost = cost
                 best_scheme = s
         idx[i] = best_scheme
@@ -189,6 +204,9 @@ def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     cost plus the conversions of its result into the consumers assigned
     so far. ``out`` nodes are skipped during the pass and finalized to
     their input's scheme at the end (which makes that edge free).
+
+    Ties and pruning are as in :func:`bottom_up`: a scheme whose op cost
+    is not below the least score so far goes unscored.
     """
     compiled = Compiled(circuit, profile)
     return _result(compiled, top_down_pass(compiled), "top-down")
@@ -198,6 +216,7 @@ def top_down_pass(compiled: Compiled) -> list[int]:
     """Scheme indices of :func:`top_down`."""
     circuit = compiled.circuit
     ct = compiled.ct
+    inf = math.inf
     out = OpKind.OUT  # a local: reading an enum member costs about 0.2 us
     n = len(circuit.nodes)
     idx: list = [None] * n
@@ -207,16 +226,18 @@ def top_down_pass(compiled: Compiled) -> list[int]:
     ):
         if op is out:
             continue
-        best_scheme = None
-        best_cost = None
+        best_scheme = cands[0]
+        best_cost = inf
         for s in cands:
             cost = row[s]
+            if cost >= best_cost:
+                continue
             conv = ct[s]
             for c in consumers:
                 dst = idx[c]
                 if dst is not None:
                     cost += conv[dst]
-            if best_cost is None or cost < best_cost:
+            if cost < best_cost:
                 best_cost = cost
                 best_scheme = s
         idx[i] = best_scheme
@@ -244,12 +265,18 @@ def hill_climbing(
 
     A sweep skips a node when neither it nor any of its inputs or
     consumers has moved since its last visit: its terms are unchanged,
-    so it would not move. The result is the one a sweep over every node
-    gives.
+    so it would not move. A visit scores the node's own scheme first, in
+    full, then the others in ascending order, and drops one as soon as
+    its op cost, or its op cost plus its input conversions, reaches the
+    best score so far: every addend is non-negative and a rounded add of
+    a non-negative addend never lowers a sum, so a partial score is at
+    most the full one, and that scheme could not be strictly cheaper.
+    The result is the one a sweep that scores every scheme of every node
+    in full gives.
     """
     compiled = Compiled(circuit, profile)
     idx, sums, extra = hill_pass(
-        compiled, init_scheme, limits or SolverLimits(), {})
+        compiled, init_scheme, limits or _DEFAULT_LIMITS, {})
     return _result(compiled, idx, "hill-climbing", sums, **extra)
 
 
@@ -298,18 +325,28 @@ def hill_pass(
             if not stale[i]:
                 continue
             stale[i] = False
-            # Score each scheme; the node keeps its own unless another is
-            # strictly cheaper, else the first least one wins.
+            # The node keeps its own scheme unless another is strictly
+            # cheaper, else the first least one wins. So its own score is
+            # the bound, and a scheme whose partial score reaches it goes.
             best_scheme = current = idx[i]
-            best_cost = math.inf
+            best_cost = row[current]
+            for j in ins:
+                best_cost += ct[idx[j]][current]
+            conv = ct[current]
+            for c in consumers:
+                best_cost += conv[idx[c]]
             for s in cands:
                 cost = row[s]
+                if cost >= best_cost or s == current:
+                    continue
                 for j in ins:
                     cost += ct[idx[j]][s]
+                if cost >= best_cost:
+                    continue
                 conv = ct[s]
                 for c in consumers:
                     cost += conv[idx[c]]
-                if cost < best_cost or (cost == best_cost and s == current):
+                if cost < best_cost:
                     best_cost = cost
                     best_scheme = s
             if best_scheme != current:
@@ -357,7 +394,7 @@ def exhaustive_optimal(
     raises :class:`SearchSpaceTooLarge`.
     """
     compiled = Compiled(circuit, profile)
-    idx = exact_pass(compiled, limits or SolverLimits())
+    idx = exact_pass(compiled, limits or _DEFAULT_LIMITS)
     return _result(compiled, idx, "exhaustive")
 
 
@@ -589,7 +626,11 @@ def best_of(
     ``exhaustive_optimal`` is not a candidate.
     """
     compiled = Compiled(circuit, profile)
-    scored = candidates(compiled, limits or SolverLimits(), hill_init)
-    label = min(scored, key=lambda k: add(*scored[k][0]))  # the first least
+    scored = candidates(compiled, limits or _DEFAULT_LIMITS, hill_init)
+    label = None
+    for key, (sums, _, _) in scored.items():  # the first least total
+        total = sums[0] + sums[1]
+        if label is None or total < best:
+            label, best = key, total
     sums, idx, extra = scored[label]
     return _result(compiled, idx, label, sums, **extra)

@@ -218,3 +218,9 @@ def test_random_rejects_bad_op_weights(weights, named):
     their total is finite, or the call names what is wrong."""
     with pytest.raises(InvalidArgument, match=named):
         gen_random(7, 10, weights)
+
+
+@pytest.mark.parametrize("n_ops", [2.5, "3", True, 0])
+def test_random_rejects_an_n_ops_that_is_not_a_positive_int(n_ops):
+    with pytest.raises(InvalidArgument, match="n_ops"):
+        gen_random(0, n_ops)

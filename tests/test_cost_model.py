@@ -458,6 +458,23 @@ def test_profile_requires_universal_scheme():
         CostProfile("p", 1.0, ("a",), op_costs, {})
 
 
+def test_universal_schemes_intersect_in_declaration_order():
+    """Declaration order, any iterable, every scheme for no op, and no
+    scheme for a value that is not an op."""
+    prof = CostProfile("p", 1.0, ("y", "a", "b"), {
+        **{(op, "y"): (1.0, 0.0) for op in COMPUTE_OPS},
+        **{(op, "b"): (1.0, 0.0) for op in COMPUTE_OPS if op != OpKind.SUB},
+        (OpKind.ADD, "a"): (1.0, 0.0),
+    }, {(s, t): (0.0, 0.0) for s in "yab" for t in "yab" if s != t})
+    assert prof.universal_schemes() == ("y",)
+    assert prof.universal_schemes([OpKind.ADD]) == ("y", "a", "b")
+    assert prof.universal_schemes(op for op in (OpKind.MUL, OpKind.IN)) == ("y", "b")
+    assert prof.universal_schemes(()) == ("y", "a", "b")
+    assert prof.universal_schemes([OpKind.OUT]) == ("y", "a", "b")
+    assert prof.universal_schemes(["add"]) == ()
+    assert prof.universal_schemes([OpKind.ADD, None]) == ()
+
+
 def test_profile_parse_errors():
     with pytest.raises(ParseError):
         profile_from_json("{broken")
@@ -599,6 +616,18 @@ def test_derive_profile_rejects_duplicates_and_negatives():
         RawMeasurement.for_op(OpKind.ADD, "y", -1.0, 0.0)
     with pytest.raises(NegativeInput):
         PriceSpec(-1.0, 7.0, 6.5)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: RawMeasurement.for_op(OpKind.ADD, 1, 1.0, 1.0),
+    lambda: RawMeasurement.for_conversion(1, "a", 1.0, 1.0),
+    lambda: RawMeasurement.for_conversion("a", b"y", 1.0, 1.0),
+], ids=["scheme", "source", "target"])
+def test_measurement_rejects_a_scheme_name_that_is_not_a_string(bad):
+    """The constructor checks every name, so ``derive_profile`` never sorts
+    a mix of names it cannot compare."""
+    with pytest.raises(ParseError, match="measurement .*must be a string"):
+        derive_profile(_full_measurements() + [bad()], PriceSpec(7.0, 7.0, 6.5), "mix")
 
 
 _BAD_SCALES = [0.0, -1.0, math.nan, math.inf, True, False,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 import tracemalloc
 
@@ -214,6 +215,47 @@ def test_hill_climbing_pass_cap_sets_flag(inter_m3_medium):
     assert check_feasible(c, capped.assignment, inter_m3_medium) == []
 
 
+#: Price sets of :func:`stress_profile`: every price 0; prices in {0, 1,
+#: 2}; prices near the largest float, where a compute plus a network
+#: price, or a sum of a few, overflows to ``inf``; prices below 1e-6.
+STRESS_PRICES = {
+    "stress-zero": (0.0,),
+    "stress-small": (0.0, 1.0, 2.0),
+    "stress-huge": (0.0, 9e307, 1.6e308, 1.7e308),
+    "stress-tiny": (0.0, 5e-324, 2.2e-308, 3e-12, 1e-9, 9.9e-7),
+}
+
+
+def stress_profile(kind, seed):
+    """A seeded profile on 2-4 schemes, one of them universal and the
+    others supporting a random subset of the ops, with every price drawn
+    from ``STRESS_PRICES[kind]``: exact ties, and sums that overflow."""
+    rng = random.Random(seed)
+    schemes = ["arithmetic", "boolean", "yao", "extra"]
+    rng.shuffle(schemes)
+    schemes = tuple(schemes[:rng.randint(2, 4)])
+    universal = rng.choice(schemes)
+    prices = STRESS_PRICES[kind]
+    op_costs = {
+        (op, s): (rng.choice(prices), rng.choice(prices))
+        for op in COMPUTE_OPS for s in schemes
+        if s == universal or rng.random() < 0.5
+    }
+    conversions = {
+        (a, b): (rng.choice(prices), rng.choice(prices))
+        for a in schemes for b in schemes if a != b
+    }
+    return CostProfile(f"{kind}-{seed}", 1.0, schemes, op_costs, conversions)
+
+
+def profile_named(name, seed):
+    """The bundled profile ``name``, or the stress profile of kind
+    ``name`` and ``seed``."""
+    if name in STRESS_PRICES:
+        return stress_profile(name, seed)
+    return load_builtin(name)
+
+
 def reference_hill_climb(circuit, profile, init_scheme, max_passes):
     """Hill climbing as specified, with every sweep visiting every node:
     ``(assignment, iterations, limit_exceeded, sweep_totals)``."""
@@ -256,14 +298,14 @@ def reference_hill_climb(circuit, profile, init_scheme, max_passes):
 @given(
     seed=st.integers(0, 10**6),
     n_ops=st.integers(1, 60),
-    name=st.sampled_from(BUILTIN_PROFILES),
+    name=st.sampled_from(BUILTIN_PROFILES + tuple(STRESS_PRICES)),
     max_passes=st.sampled_from([None, 1, 2]),
     init_pick=st.integers(0, 2),
 )
 def test_hill_climbing_matches_full_sweep_reference(seed, n_ops, name, max_passes,
                                                      init_pick):
     circuit = gen_random(seed, n_ops)
-    profile = load_builtin(name)
+    profile = profile_named(name, seed)
     universal = profile.universal_schemes(circuit.ops_present())
     init = universal[init_pick % len(universal)]
     got = hill_climbing(circuit, profile, init, SolverLimits(max_passes=max_passes))
@@ -749,15 +791,73 @@ def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
     assert len(folded) == moved - 1
 
 
+def first_least(cands, score):
+    """The first of ``cands`` with the least ``score``, every one scored
+    in full."""
+    scores = [score(s) for s in cands]
+    return cands[scores.index(min(scores))]
+
+
+def reference_bottom_up(compiled):
+    """Bottom-up as specified: in id order, each node with inputs takes
+    the first scheme of least op cost plus conversions from the inputs
+    that have a scheme, and a still-open input takes its scheme; an input
+    nobody reads takes scheme 0."""
+    ct = compiled.ct
+    idx = [None] * len(compiled.cands)
+    for i, ins in enumerate(compiled.inputs):
+        if not ins:
+            continue
+
+        def score(s):
+            cost = compiled.op_t[i][s]
+            for j in ins:
+                if idx[j] is not None:
+                    cost += ct[idx[j]][s]
+            return cost
+
+        idx[i] = first_least(compiled.cands[i], score)
+        for j in ins:
+            if idx[j] is None:
+                idx[j] = idx[i]
+    return [0 if s is None else s for s in idx]
+
+
+def reference_top_down(compiled):
+    """Top-down as specified: in reverse id order, each node but an out
+    node takes the first scheme of least op cost plus conversions into
+    the consumers that have a scheme; an out node then takes its input's."""
+    ct = compiled.ct
+    ops = compiled.circuit.node_ops
+    idx = [None] * len(compiled.cands)
+    for i in reversed(range(len(idx))):
+        if ops[i] is OpKind.OUT:
+            continue
+
+        def score(s):
+            cost = compiled.op_t[i][s]
+            for c in compiled.consumers[i]:
+                if idx[c] is not None:
+                    cost += ct[s][idx[c]]
+            return cost
+
+        idx[i] = first_least(compiled.cands[i], score)
+    for i in compiled.circuit.out_ids:
+        idx[i] = idx[compiled.inputs[i][0]]
+    return idx
+
+
 def reference_candidates(compiled, limits, hill_init=None):
     """:func:`optimizer.candidates` as specified, with every row folded by
-    ``Compiled.sums`` and hill climbing run by :func:`reference_hill_climb`."""
+    ``Compiled.sums``, the greedy rows from :func:`reference_bottom_up` and
+    :func:`reference_top_down`, and hill climbing run by
+    :func:`reference_hill_climb`: every candidate scheme scored in full."""
     circuit, profile = compiled.circuit, compiled.profile
     n = len(circuit.nodes)
     rows = {f"fixed:{name}": [profile.scheme_index[name]] * n
             for name in profile.universal_schemes(circuit.ops_present())}
-    rows["bottom-up"] = optimizer.bottom_up_pass(compiled)
-    rows["top-down"] = optimizer.top_down_pass(compiled)
+    rows["bottom-up"] = reference_bottom_up(compiled)
+    rows["top-down"] = reference_top_down(compiled)
     scored = {label: (compiled.sums(row), row, {}) for label, row in rows.items()}
     init = hill_init or optimizer.default_scheme(circuit, profile)
     assignment, iterations, limit_exceeded, totals = reference_hill_climb(
@@ -799,15 +899,17 @@ def check_candidates(circuit, profile, max_passes=None):
     return partial
 
 
-@pytest.mark.parametrize("name", BUILTIN_PROFILES)
-def test_candidates_match_a_reference_that_folds_every_row(all_profiles, name):
-    """Reusing an earlier candidate's sums for an equal row changes no
-    field of any candidate, on seeded random circuits of 1-60 ops."""
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_candidates_match_a_reference_that_folds_every_row(name):
+    """Reusing an earlier candidate's sums for an equal row, and dropping
+    a scheme whose partial score reaches the best one, change no field of
+    any candidate, on seeded random circuits of 1-60 ops under a bundled
+    profile or seeded stress profiles."""
     partial_seen = False
     for seed in range(40):
         circuit = gen_random(seed, n_ops=1 + (seed * 7) % 60)
         partial_seen |= bool(check_candidates(
-            circuit, all_profiles[name], max_passes=(None, 1, 2)[seed % 3]))
+            circuit, profile_named(name, seed), max_passes=(None, 1, 2)[seed % 3]))
     assert partial_seen  # some circuit has a start that is not universal
 
 
