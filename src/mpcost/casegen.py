@@ -16,7 +16,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .circuit import COMPUTE_OPS, Circuit, OpKind, _is_int, build
+from .circuit import COMPUTE_OPS, Circuit, OpKind, _check_count, build
 from .cost_model import _is_finite
 from .errors import InvalidArgument, NonBinaryOp
 
@@ -24,27 +24,28 @@ from .errors import InvalidArgument, NonBinaryOp
 @dataclass(frozen=True)
 class BiometricSpec:
     """Dataset shape for biometric matching: ``rows`` server records with
-    ``attrs`` attributes each."""
+    ``attrs`` attributes each. Each is an ``int`` (not a ``bool``) of at
+    least 1, else :class:`~mpcost.errors.InvalidArgument`."""
 
     rows: int = 30
     attrs: int = 5
     bitwidth: int = 32
 
     def __post_init__(self):
-        if self.rows < 1 or self.attrs < 1:
-            raise InvalidArgument("rows and attrs must be at least 1")
+        _check_count("rows", self.rows)
+        _check_count("attrs", self.attrs)
 
 
 @dataclass(frozen=True)
 class MatMulSpec:
-    """Operand shape for the matrix product: two n-by-n matrices."""
+    """Operand shape for the matrix product: two n-by-n matrices, ``n``
+    an ``int`` (not a ``bool``) of at least 1."""
 
     n: int = 5
     bitwidth: int = 32
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgument("n must be at least 1")
+        _check_count("n", self.n)
 
 
 def gen_biometric(spec: BiometricSpec) -> Circuit:
@@ -177,11 +178,10 @@ def gen_chain(op: OpKind, length: int, bitwidth: int = 32) -> Circuit:
     """Build a chain of ``length`` sequential two-input operations, the
     shape used for unit-cost benchmarking. Each link combines the
     previous result with one fresh input, so the chain's depth equals its
-    length."""
+    length, an ``int`` (not a ``bool``) of at least 1."""
     if op.arity != 2:
         raise NonBinaryOp(f"chain links must be binary ops, got {op}")
-    if length < 1:
-        raise InvalidArgument("length must be at least 1")
+    _check_count("length", length)
     entries: list[tuple] = [(OpKind.IN, [], None, "x[0]")]
     prev = 0
     for i in range(1, length + 1):
@@ -209,8 +209,7 @@ def gen_random(
     identical circuits. ``n_ops`` is an ``int`` (not a ``bool``) of at
     least 1, else :class:`~mpcost.errors.InvalidArgument`.
     """
-    if not _is_int(n_ops) or n_ops < 1:
-        raise InvalidArgument(f"n_ops must be an int of at least 1, got {n_ops!r}")
+    _check_count("n_ops", n_ops)
     rng = random.Random(seed)
     if op_weights is None:
         ops = list(COMPUTE_OPS)

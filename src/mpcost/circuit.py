@@ -22,6 +22,7 @@ from functools import cached_property
 from .errors import (
     ArityMismatch,
     DanglingInput,
+    InvalidArgument,
     InvalidParty,
     MissingInput,
     OutAsInput,
@@ -208,6 +209,13 @@ class Circuit(_Value):
 def _is_int(x) -> bool:
     """An integer: ``bool`` is an ``int`` subclass but not one."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_count(name: str, x) -> None:
+    """Raise :class:`~mpcost.errors.InvalidArgument` unless ``x`` is an
+    ``int``, not a ``bool``, of at least 1."""
+    if not (_is_int(x) and x >= 1):
+        raise InvalidArgument(f"{name} must be an int of at least 1, got {_shown(x)}")
 
 
 def _validate(nodes: tuple[Node, ...], bitwidth: int) -> None:

@@ -42,6 +42,7 @@ from .cost_model import (
 )
 from .errors import (
     InfeasibleAssignment,
+    InvalidArgument,
     MpcostError,
     ParseError,
     SearchSpaceTooLarge,
@@ -113,11 +114,14 @@ def _report_dict(report: CostReport, factor: float, per_node: bool) -> dict:
 
 
 def _run_heuristic(args, circuit: Circuit, profile: CostProfile):
+    name = args.heuristic
+    if args.scheme is not None and name not in ("pure", "hill"):
+        raise InvalidArgument(
+            f"--scheme applies only to --heuristic pure and hill, not {name}")
     limits = SolverLimits(
         max_space=args.max_space,
         max_passes=args.max_passes,
     )
-    name = args.heuristic
     if name == "pure":
         scheme = args.scheme or default_scheme(circuit, profile)
         return fixed_sharing(circuit, profile, scheme)
@@ -130,7 +134,7 @@ def _run_heuristic(args, circuit: Circuit, profile: CostProfile):
         return hill_climbing(circuit, profile, init, limits)
     if name == "exhaustive":
         return exhaustive_optimal(circuit, profile, limits)
-    return best_of(circuit, profile, limits, hill_init=args.scheme)
+    return best_of(circuit, profile, limits)
 
 
 def cmd_optimize(args) -> int:
@@ -300,9 +304,10 @@ def cmd_profiles_list(args) -> int:
 
 
 def _add_limits(p) -> None:
-    p.add_argument("--max-space", type=int, default=10**7,
+    defaults = SolverLimits()
+    p.add_argument("--max-space", type=int, default=defaults.max_space,
                    help="cap on the exhaustive search-space size")
-    p.add_argument("--max-passes", type=int, default=None,
+    p.add_argument("--max-passes", type=int, default=defaults.max_passes,
                    help="cap on hill-climbing sweeps")
 
 

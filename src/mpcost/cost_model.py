@@ -141,17 +141,13 @@ class CostProfile(_Value):
     # -- support --------------------------------------------------------
 
     def supports(self, op: OpKind, scheme: str) -> bool:
-        return (op, scheme) in self._supported
-
-    @cached_property
-    def _supported(self) -> frozenset[tuple[OpKind, str]]:
-        """The priced ``(op, scheme)`` pairs, and ``in``/``out`` under every scheme."""
-        free = {(op, s) for op in (OpKind.IN, OpKind.OUT) for s in self.schemes}
-        return frozenset(self.op_costs.keys() | free)
+        """``scheme`` is declared and prices ``op``; ``in`` and ``out`` take
+        every scheme."""
+        return self.scheme_index.get(scheme) in self._tables[3].get(op, ())
 
     def schemes_for(self, op: OpKind) -> tuple[str, ...]:
         """Schemes supporting ``op``, in canonical (declaration) order."""
-        return tuple(s for s in self.schemes if self.supports(op, s))
+        return tuple([self.schemes[i] for i in self._tables[3].get(op, ())])
 
     def universal_schemes(
         self, ops: Iterable[OpKind] = COMPUTE_OPS
@@ -193,7 +189,8 @@ class CostProfile(_Value):
             free = 0.0 if op in (OpKind.IN, OpKind.OUT) else math.inf
             op_p[op] = [free] * ns
             op_n[op] = [free] * ns
-            cands[op] = tuple(index[s] for s in self.schemes_for(op))
+            cands[op] = tuple(j for j, s in enumerate(self.schemes)
+                              if free == 0.0 or (op, s) in self.op_costs)
         for (op, scheme), (p, n) in self.op_costs.items():
             op_p[op][index[scheme]] = float(p) * scale
             op_n[op][index[scheme]] = float(n) * scale

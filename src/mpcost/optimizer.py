@@ -23,13 +23,13 @@ import sys
 from collections import namedtuple
 from operator import add
 
-from .circuit import Circuit, OpKind, _is_int, _Value
+from .circuit import Circuit, OpKind, _check_count, _Value
 from .cost_model import (
     Compiled,
     CostProfile,
     total_cost,  # noqa: F401  (unused; perfbench's tracer patches it here)
 )
-from .errors import InvalidArgument, SearchSpaceTooLarge, UnsupportedScheme
+from .errors import SearchSpaceTooLarge, UnsupportedScheme
 
 
 class SolverLimits(_Value):
@@ -48,16 +48,10 @@ class SolverLimits(_Value):
     _compared = ("max_space", "max_passes")
 
     def __init__(self, max_space: int = 10**7, max_passes: int | None = None):
-        if not _is_count(max_space):
-            raise InvalidArgument("max_space must be positive")
-        if max_passes is not None and not _is_count(max_passes):
-            raise InvalidArgument("max_passes must be positive")
+        _check_count("max_space", max_space)
+        if max_passes is not None:
+            _check_count("max_passes", max_passes)
         self._store(max_space=max_space, max_passes=max_passes)
-
-
-def _is_count(x) -> bool:
-    """``x`` is an ``int``, not a ``bool``, of at least 1."""
-    return _is_int(x) and x >= 1
 
 
 #: The limits a strategy called without any runs under (the class is
@@ -275,31 +269,26 @@ def hill_climbing(
     in full gives.
     """
     compiled = Compiled(circuit, profile)
+    s = _require_support(compiled, init_scheme)
     idx, sums, extra = hill_pass(
-        compiled, init_scheme, limits or _DEFAULT_LIMITS, {})
+        compiled, s, compiled.uniform_sums(s), limits or _DEFAULT_LIMITS, {})
     return _result(compiled, idx, "hill-climbing", sums, **extra)
 
 
 def hill_pass(
-    compiled: Compiled, init_scheme: str, limits: SolverLimits, scored: dict
+    compiled: Compiled, init: int, sums: tuple[float, float],
+    limits: SolverLimits, scored: dict,
 ) -> tuple[list[int], tuple[float, float], dict]:
-    """Scheme indices of :func:`hill_climbing`, their
-    :meth:`~mpcost.cost_model.Compiled.sums`, and the result's
+    """Scheme indices of :func:`hill_climbing` from every node on scheme
+    ``init``, whose row has ``sums``; their
+    :meth:`~mpcost.cost_model.Compiled.sums`; and the result's
     ``iterations``, ``limit_exceeded`` and ``sweep_totals`` as keyword
     arguments of :class:`OptimizeResult`.
 
     ``scored`` holds earlier candidates as :func:`candidates` returns
-    them. A ``fixed:<init_scheme>`` entry gives the start's sums, and a
-    sweep that ends on a row one of them holds takes its sums
+    them: a sweep that ends on a row one of them holds takes its sums
     (:func:`row_sums`); no sweep's row is kept.
     """
-    start = scored.get(f"fixed:{init_scheme}")
-    if start is None:
-        init = _require_support(compiled, init_scheme)
-        sums = compiled.uniform_sums(init)
-    else:  # a universal scheme: its fixed candidate is the start
-        init = compiled.profile.scheme_index[init_scheme]
-        sums = start[0]
     n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
     if max_passes is None:
@@ -564,20 +553,19 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
 
 
 def candidates(
-    compiled: Compiled, limits: SolverLimits, hill_init: str | None = None
+    compiled: Compiled, limits: SolverLimits
 ) -> dict[str, tuple[tuple[float, float], list[int], dict]]:
     """Every heuristic's result on ``compiled`` as label -> ``(sums, scheme
     indices, OptimizeResult keyword arguments)``, in tie-break order: a
     ``fixed:<scheme>`` run for each scheme that supports every operation
     in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing`` from
-    ``hill_init`` (by default :func:`default_scheme`).
+    :func:`default_scheme`.
 
     ``sums`` are each row's :meth:`~mpcost.cost_model.Compiled.sums`, and
     each distinct row is folded once: a fixed row by
     :meth:`~mpcost.cost_model.Compiled.uniform_sums`, any other row only
     when no earlier candidate holds it (:func:`row_sums`). Hill climbing
-    starts from its fixed candidate's sums when ``hill_init`` is
-    universal.
+    starts on the fixed row of :func:`default_scheme`, with its sums.
     """
     profile = compiled.profile
     universal = profile.universal_schemes(compiled.circuit.ops_present())
@@ -590,9 +578,9 @@ def candidates(
     for label, idx in (("bottom-up", bottom_up_pass(compiled)),
                        ("top-down", top_down_pass(compiled))):
         scored[label] = (row_sums(compiled, idx, scored), idx, {})
-    if hill_init is None:
-        hill_init = _preferred(universal)
-    idx, sums, extra = hill_pass(compiled, hill_init, limits, scored)
+    name = _preferred(universal)
+    idx, sums, extra = hill_pass(compiled, profile.scheme_index[name],
+                                 scored[f"fixed:{name}"][0], limits, scored)
     scored["hill-climbing"] = (sums, idx, extra)
     return scored
 
@@ -614,7 +602,6 @@ def best_of(
     circuit: Circuit,
     profile: CostProfile,
     limits: SolverLimits | None = None,
-    hill_init: str | None = None,
 ) -> OptimizeResult:
     """Run every heuristic and keep the cheapest result.
 
@@ -626,7 +613,7 @@ def best_of(
     ``exhaustive_optimal`` is not a candidate.
     """
     compiled = Compiled(circuit, profile)
-    scored = candidates(compiled, limits or _DEFAULT_LIMITS, hill_init)
+    scored = candidates(compiled, limits or _DEFAULT_LIMITS)
     label = None
     for key, (sums, _, _) in scored.items():  # the first least total
         total = sums[0] + sums[1]

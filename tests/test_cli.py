@@ -172,6 +172,26 @@ def test_unsupported_scheme_exits_2(capsys, tmp_path):
     assert "does not support" in err
 
 
+@pytest.mark.parametrize("heuristic", [
+    "pure", "bottom-up", "top-down", "hill", "exhaustive", "best"])
+def test_scheme_applies_only_to_pure_and_hill(capsys, adder_path, heuristic):
+    code, out, err = run(
+        capsys, "optimize", adder_path, "inter-m3.medium",
+        "--heuristic", heuristic, "--scheme", "boolean", "--json",
+    )
+    if heuristic in ("pure", "hill"):
+        adder = load_circuit(adder_path)
+        profile = load_builtin("inter-m3.medium")
+        want = (fixed_sharing(adder, profile, "boolean") if heuristic == "pure"
+                else hill_climbing(adder, profile, "boolean"))
+        assert code == 0
+        assert json.loads(out)["heuristic"] == want.heuristic
+        assert json.loads(out)["report"]["total"] == want.report.total
+    else:
+        assert (code, out) == (1, "")
+        assert "--scheme applies only to --heuristic pure and hill" in err
+
+
 def test_search_space_cap_exits_3(capsys, tmp_path):
     circuit = gen_matmul(MatMulSpec(2))
     path = tmp_path / "mm2.json"

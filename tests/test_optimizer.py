@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -200,8 +201,10 @@ def test_hill_climbing_total_non_increasing(all_profiles):
 
 def test_hill_climbing_rejects_partial_init(inter_m3_medium):
     c = build([("in", []), ("in", []), ("sub", [0, 1]), ("out", [2])])
-    with pytest.raises(UnsupportedScheme):
+    with pytest.raises(UnsupportedScheme, match="does not support op sub"):
         hill_climbing(c, inter_m3_medium, "arithmetic")
+    with pytest.raises(UnsupportedScheme, match="is not declared"):
+        hill_climbing(c, inter_m3_medium, "no-such-scheme")
 
 
 def test_hill_climbing_pass_cap_sets_flag(inter_m3_medium):
@@ -359,7 +362,7 @@ def test_exhaustive_space_cap(inter_m3_medium):
     ("max_passes", True), ("max_passes", False),
 ])
 def test_solver_limits_accept_only_positive_ints(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be positive"):
+    with pytest.raises(ValueError, match=f"{field} must be an int of at least 1"):
         SolverLimits(**{field: value})
 
 
@@ -376,6 +379,17 @@ def test_solver_limits_accept_only_positive_ints(field, value):
     lambda: BiometricSpec(rows=0),
     lambda: biometric_inputs(BiometricSpec(1, 2), [[1]], [1, 2]),
     lambda: matmul_inputs(MatMulSpec(1), [[1]], [[1, 2]]),
+    # every count argument, given a bool, a float, a string, 0 and an int
+    # too long for repr
+    *[functools.partial(count, bad) for count in (
+        lambda x: SolverLimits(max_space=x),
+        lambda x: SolverLimits(max_passes=x),
+        lambda x: gen_random(0, x),
+        lambda x: gen_chain(OpKind.ADD, x),
+        lambda x: MatMulSpec(n=x),
+        lambda x: BiometricSpec(rows=x),
+        lambda x: BiometricSpec(attrs=x),
+    ) for bad in (True, 2.5, "3", 0, -10**5000)],
 ])
 def test_argument_errors_are_mpcost_errors(call):
     # InvalidArgument is also a ValueError, which these raised before
@@ -731,12 +745,6 @@ def test_best_of_records_winner(inter_m3_medium):
     assert best.heuristic == "fixed:arithmetic"
 
 
-def test_best_of_accepts_explicit_hill_init(inter_m3_medium):
-    c = gen_chain(OpKind.ADD, 3)
-    best = best_of(c, inter_m3_medium, hill_init="boolean")
-    assert check_feasible(c, best.assignment, inter_m3_medium) == []
-
-
 def test_best_of_compiles_once_and_builds_records_on_first_read(
         monkeypatch, inter_m3_medium):
     circuit = gen_matmul(MatMulSpec(n=5))
@@ -847,7 +855,7 @@ def reference_top_down(compiled):
     return idx
 
 
-def reference_candidates(compiled, limits, hill_init=None):
+def reference_candidates(compiled, limits):
     """:func:`optimizer.candidates` as specified, with every row folded by
     ``Compiled.sums``, the greedy rows from :func:`reference_bottom_up` and
     :func:`reference_top_down`, and hill climbing run by
@@ -859,7 +867,7 @@ def reference_candidates(compiled, limits, hill_init=None):
     rows["bottom-up"] = reference_bottom_up(compiled)
     rows["top-down"] = reference_top_down(compiled)
     scored = {label: (compiled.sums(row), row, {}) for label, row in rows.items()}
-    init = hill_init or optimizer.default_scheme(circuit, profile)
+    init = optimizer.default_scheme(circuit, profile)
     assignment, iterations, limit_exceeded, totals = reference_hill_climb(
         circuit, profile, init, limits.max_passes)
     row = compiled.indices(assignment)
@@ -880,23 +888,14 @@ def shown(scored):
 
 
 def check_candidates(circuit, profile, max_passes=None):
-    """``candidates`` equals the reference from every universal hill start
-    and the default one, and raises what ``hill_climbing`` raises from a
-    declared scheme that is not universal and from an undeclared one."""
+    """``candidates`` equals the reference; returns the declared schemes
+    that are not universal on ``circuit``, which have no fixed candidate."""
     compiled = Compiled(circuit, profile)
     limits = SolverLimits(max_passes=max_passes)
+    assert shown(optimizer.candidates(compiled, limits)) == shown(
+        reference_candidates(compiled, limits))
     universal = profile.universal_schemes(circuit.ops_present())
-    for init in (None, *universal):
-        assert shown(optimizer.candidates(compiled, limits, init)) == shown(
-            reference_candidates(compiled, limits, init))
-    partial = [s for s in profile.schemes if s not in universal]
-    for init in partial[:1] + ["no-such-scheme"]:
-        with pytest.raises(UnsupportedScheme) as want:
-            hill_climbing(circuit, profile, init, limits)
-        with pytest.raises(UnsupportedScheme) as got:
-            optimizer.candidates(compiled, limits, init)
-        assert str(got.value) == str(want.value)
-    return partial
+    return [s for s in profile.schemes if s not in universal]
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
@@ -910,7 +909,7 @@ def test_candidates_match_a_reference_that_folds_every_row(name):
         circuit = gen_random(seed, n_ops=1 + (seed * 7) % 60)
         partial_seen |= bool(check_candidates(
             circuit, profile_named(name, seed), max_passes=(None, 1, 2)[seed % 3]))
-    assert partial_seen  # some circuit has a start that is not universal
+    assert partial_seen  # some circuit has a scheme that is not universal
 
 
 @pytest.mark.parametrize("make, name, coincide", [
