@@ -14,38 +14,44 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
-from .circuit import COMPUTE_OPS, Circuit, OpKind, _check_count, build
+from .circuit import (COMPUTE_OPS, Circuit, OpKind, _check_bitwidth, _check_count,
+                      _Value, build)
 from .cost_model import _is_finite
-from .errors import InvalidArgument, NonBinaryOp
+from .errors import InvalidArgument, NonBinaryOp, _shown
 
 
-@dataclass(frozen=True)
-class BiometricSpec:
+class BiometricSpec(_Value):
     """Dataset shape for biometric matching: ``rows`` server records with
     ``attrs`` attributes each. Each is an ``int`` (not a ``bool``) of at
-    least 1, else :class:`~mpcost.errors.InvalidArgument`."""
+    least 1, and ``bitwidth`` one in ``1..MAX_BITWIDTH``, else
+    :class:`~mpcost.errors.InvalidArgument`."""
 
-    rows: int = 30
-    attrs: int = 5
-    bitwidth: int = 32
+    rows: int
+    attrs: int
+    bitwidth: int
+    _compared = ("rows", "attrs", "bitwidth")
 
-    def __post_init__(self):
-        _check_count("rows", self.rows)
-        _check_count("attrs", self.attrs)
+    def __init__(self, rows: int = 30, attrs: int = 5, bitwidth: int = 32):
+        _check_count("rows", rows)
+        _check_count("attrs", attrs)
+        _check_bitwidth(bitwidth)
+        self._store(rows=rows, attrs=attrs, bitwidth=bitwidth)
 
 
-@dataclass(frozen=True)
-class MatMulSpec:
+class MatMulSpec(_Value):
     """Operand shape for the matrix product: two n-by-n matrices, ``n``
-    an ``int`` (not a ``bool``) of at least 1."""
+    an ``int`` (not a ``bool``) of at least 1 and ``bitwidth`` one in
+    ``1..MAX_BITWIDTH``, else :class:`~mpcost.errors.InvalidArgument`."""
 
-    n: int = 5
-    bitwidth: int = 32
+    n: int
+    bitwidth: int
+    _compared = ("n", "bitwidth")
 
-    def __post_init__(self):
-        _check_count("n", self.n)
+    def __init__(self, n: int = 5, bitwidth: int = 32):
+        _check_count("n", n)
+        _check_bitwidth(bitwidth)
+        self._store(n=n, bitwidth=bitwidth)
 
 
 def gen_biometric(spec: BiometricSpec) -> Circuit:
@@ -178,10 +184,14 @@ def gen_chain(op: OpKind, length: int, bitwidth: int = 32) -> Circuit:
     """Build a chain of ``length`` sequential two-input operations, the
     shape used for unit-cost benchmarking. Each link combines the
     previous result with one fresh input, so the chain's depth equals its
-    length, an ``int`` (not a ``bool``) of at least 1."""
+    length, an ``int`` (not a ``bool``) of at least 1. ``op`` is a binary
+    :class:`OpKind` and ``bitwidth`` an ``int`` in ``1..MAX_BITWIDTH``."""
+    if not isinstance(op, OpKind):
+        raise InvalidArgument(f"op must be an OpKind, got {_shown(op)}")
     if op.arity != 2:
         raise NonBinaryOp(f"chain links must be binary ops, got {op}")
     _check_count("length", length)
+    _check_bitwidth(bitwidth)
     entries: list[tuple] = [(OpKind.IN, [], None, "x[0]")]
     prev = 0
     for i in range(1, length + 1):
@@ -207,13 +217,18 @@ def gen_random(
     before it, so each is reachable from an input, and every op node
     nobody consumes gets its own ``out`` node. Identical arguments yield
     identical circuits. ``n_ops`` is an ``int`` (not a ``bool``) of at
-    least 1, else :class:`~mpcost.errors.InvalidArgument`.
+    least 1, ``bitwidth`` one in ``1..MAX_BITWIDTH`` and ``op_weights``
+    ``None`` or a mapping, else :class:`~mpcost.errors.InvalidArgument`.
     """
     _check_count("n_ops", n_ops)
+    _check_bitwidth(bitwidth)
     rng = random.Random(seed)
     if op_weights is None:
         ops = list(COMPUTE_OPS)
         weights = [1.0] * len(ops)
+    elif not isinstance(op_weights, Mapping):
+        raise InvalidArgument(
+            f"op_weights must be a mapping or None, got {_shown(op_weights)}")
     else:
         for op, w in op_weights.items():
             if op not in COMPUTE_OPS:

@@ -11,15 +11,13 @@ it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .circuit import OpKind, op_from_name, parse_json
+from .circuit import OpKind, _Value, op_from_name, parse_json
 from .cost_model import CostProfile, _check_scale, _is_finite
 from .errors import DuplicateMeasurement, InvalidArgument, NegativeInput, ParseError
 
 
-@dataclass(frozen=True)
-class PriceSpec:
+class PriceSpec(_Value):
     """Cloud price sheet used to turn measured seconds and bytes into cents.
 
     ``vm_rate_a``/``vm_rate_b`` are the two parties' VM prices in cents per
@@ -31,9 +29,12 @@ class PriceSpec:
     vm_rate_a: float
     vm_rate_b: float
     net_rate: float
-    gb_bytes: int = 10**9
+    gb_bytes: int
+    _compared = ("vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes")
 
-    def __post_init__(self):
+    def __init__(self, vm_rate_a, vm_rate_b, net_rate, gb_bytes=10**9):
+        self._store(vm_rate_a=vm_rate_a, vm_rate_b=vm_rate_b, net_rate=net_rate,
+                    gb_bytes=gb_bytes)
         rates = ("vm_rate_a", "vm_rate_b", "net_rate")
         for key in (*rates, "gb_bytes"):
             if not _is_finite(getattr(self, key)):
@@ -47,8 +48,7 @@ class PriceSpec:
             raise NegativeInput("invalid price sheet: gb_bytes must be positive")
 
 
-@dataclass(frozen=True)
-class RawMeasurement:
+class RawMeasurement(_Value):
     """Externally measured per-operation averages.
 
     Exactly one of (``op``, ``scheme``) or (``source``, ``target``) must be
@@ -60,12 +60,16 @@ class RawMeasurement:
 
     seconds_per_op: float
     bytes_per_op: float
-    op: OpKind | None = None
-    scheme: str | None = None
-    source: str | None = None
-    target: str | None = None
+    op: OpKind | None
+    scheme: str | None
+    source: str | None
+    target: str | None
+    _compared = ("seconds_per_op", "bytes_per_op", "op", "scheme", "source", "target")
 
-    def __post_init__(self):
+    def __init__(self, seconds_per_op, bytes_per_op, op=None, scheme=None,
+                 source=None, target=None):
+        self._store(seconds_per_op=seconds_per_op, bytes_per_op=bytes_per_op,
+                    op=op, scheme=scheme, source=source, target=target)
         is_op = self.op is not None and self.scheme is not None
         is_conv = self.source is not None and self.target is not None
         if is_op == is_conv:

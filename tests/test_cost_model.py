@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcost import (
+    BiometricSpec,
     Circuit,
     CostReport,
+    MatMulSpec,
     Node,
     OpKind,
     OptimizeResult,
@@ -312,10 +314,19 @@ _ADDER = build([("in", []), ("in", []), ("add", [0, 1]), ("out", [2])])
     (lambda: Compiled(_ADDER, make_profile()).report([1, 1, 1, 1]),
      ("total_compute", "total_network", "total"), True),
     (lambda: SolverLimits(5), ("max_space", "max_passes"), True),
-], ids=["Circuit", "CostProfile", "CostReport", "SolverLimits"])
+    (lambda: BiometricSpec(4, attrs=2), ("rows", "attrs", "bitwidth"), True),
+    (lambda: MatMulSpec(3, bitwidth=8), ("n", "bitwidth"), True),
+    (lambda: PriceSpec(7, 10.1, net_rate=6.5),
+     ("vm_rate_a", "vm_rate_b", "net_rate", "gb_bytes"), True),
+    (lambda: RawMeasurement.for_op(OpKind.ADD, "yao", 1e-3, 416),
+     ("seconds_per_op", "bytes_per_op", "op", "scheme", "source", "target"), True),
+    (lambda: RawMeasurement.for_conversion("yao", "arithmetic", 2e-3, 512),
+     ("seconds_per_op", "bytes_per_op", "op", "scheme", "source", "target"), True),
+], ids=["Circuit", "CostProfile", "CostReport", "SolverLimits", "BiometricSpec",
+        "MatMulSpec", "PriceSpec", "RawMeasurement-op", "RawMeasurement-conversion"])
 def test_value_contract(make, shown, hashable):
-    """The value classes behave as the frozen dataclasses they replace:
-    equal, hashed and shown by their compared fields, and immutable."""
+    """The value classes behave as frozen dataclasses, which the specs
+    were: equal, hashed and shown by their compared fields, and immutable."""
     value, twin = make(), make()
     cls = type(value)
     assert value == twin and value is not twin

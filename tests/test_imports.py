@@ -3,9 +3,11 @@
 mpcost never loads numpy: every strategy, the exact solver included, runs
 in plain Python. ``optimize`` and ``compare`` load neither the circuit
 generators, nor profile derivation, nor ``importlib.resources``, nor
-``typing`` (the records are ``collections.namedtuple`` classes). Each case
-runs in a fresh interpreter, so no earlier import in the test session can
-hide a module-level one; one case makes ``import numpy`` fail outright.
+``typing`` (the records are ``collections.namedtuple`` classes); no
+command, ``gen`` and ``derive-profile`` included, loads ``dataclasses`` or
+``inspect``. Each case runs in a fresh interpreter, so no earlier import in
+the test session can hide a module-level one; one case makes ``import
+numpy`` fail outright.
 """
 
 import json
@@ -114,6 +116,8 @@ seen["gen"] = [mpcost.cli.main(["gen", "matmul", "--n", "2", "--out", out]),
 seen["derive-profile"] = [
     mpcost.cli.main(["derive-profile", measurements, prices, "--out", out]),
     mpcost.load_profile(out).schemes]
+seen["after gen and derive-profile"] = [
+    m for m in ("dataclasses", "inspect") if m in sys.modules]
 seen["lazy"] = [mpcost.gen_matmul is mpcost.casegen.gen_matmul,
                 mpcost.derive_profile is mpcost.derive.derive_profile]
 namespace = {}
@@ -142,5 +146,6 @@ def test_optimize_and_compare_load_only_what_they_run(matmul5, tmp_path):
     assert json.loads(proc.stdout) == {
         "import": [], "optimize": [0], "compare": [0],
         "gen": [0, True], "derive-profile": [0, ["y"]],
+        "after gen and derive-profile": [],
         "lazy": [True, True], "star": [],
     }

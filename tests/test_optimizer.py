@@ -390,6 +390,22 @@ def test_solver_limits_accept_only_positive_ints(field, value):
         lambda x: BiometricSpec(rows=x),
         lambda x: BiometricSpec(attrs=x),
     ) for bad in (True, 2.5, "3", 0, -10**5000)],
+    # an op that is not an OpKind, and op weights that are not a mapping
+    *[functools.partial(gen_chain, op, 3) for op in ("add", None, 3)],
+    *[functools.partial(gen_random, 0, 3, weights)
+      for weights in ([1, 2], 0, "add", (1,))],
+    # every bitwidth argument, given 0, a float, a bool and an int too long
+    # for repr
+    lambda: gen_chain(OpKind.ADD, 3, bitwidth=0),
+    lambda: gen_random(0, 3, bitwidth=2.5),
+    lambda: MatMulSpec(2, bitwidth=0),
+    lambda: BiometricSpec(bitwidth=True),
+    *[functools.partial(bitwidth, -10**5000) for bitwidth in (
+        lambda x: gen_chain(OpKind.ADD, 3, bitwidth=x),
+        lambda x: gen_random(0, 3, bitwidth=x),
+        lambda x: MatMulSpec(bitwidth=x),
+        lambda x: BiometricSpec(bitwidth=x),
+    )],
 ])
 def test_argument_errors_are_mpcost_errors(call):
     # InvalidArgument is also a ValueError, which these raised before
