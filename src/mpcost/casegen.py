@@ -216,10 +216,13 @@ def gen_random(
     by default); every op node draws its inputs from the nodes emitted
     before it, so each is reachable from an input, and every op node
     nobody consumes gets its own ``out`` node. Identical arguments yield
-    identical circuits. ``n_ops`` is an ``int`` (not a ``bool``) of at
-    least 1, ``bitwidth`` one in ``1..MAX_BITWIDTH`` and ``op_weights``
-    ``None`` or a mapping, else :class:`~mpcost.errors.InvalidArgument`.
+    identical circuits. ``seed`` is an ``int`` (not a ``bool``), ``n_ops``
+    one of at least 1, ``bitwidth`` one in ``1..MAX_BITWIDTH`` and
+    ``op_weights`` ``None`` or a mapping, else
+    :class:`~mpcost.errors.InvalidArgument`.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidArgument(f"seed must be an int, got {_shown(seed)}")
     _check_count("n_ops", n_ops)
     _check_bitwidth(bitwidth)
     rng = random.Random(seed)

@@ -14,7 +14,13 @@ from collections.abc import Sequence
 
 from .circuit import OpKind, _Value, op_from_name, parse_json
 from .cost_model import CostProfile, _check_scale, _is_finite
-from .errors import DuplicateMeasurement, InvalidArgument, NegativeInput, ParseError
+from .errors import (
+    DuplicateMeasurement,
+    InvalidArgument,
+    NegativeInput,
+    ParseError,
+    _shown,
+)
 
 
 class PriceSpec(_Value):
@@ -53,9 +59,10 @@ class RawMeasurement(_Value):
 
     Exactly one of (``op``, ``scheme``) or (``source``, ``target``) must be
     set, describing either an operation benchmark or a conversion
-    benchmark. Scheme names are strings, else :class:`ParseError`. Values
-    are averages over a benchmark run: wall seconds per operation and
-    bytes transferred per operation.
+    benchmark. ``op`` is ``None`` or an :class:`OpKind`, else
+    :class:`InvalidArgument`; scheme names are strings, else
+    :class:`ParseError`. Values are averages over a benchmark run: wall
+    seconds per operation and bytes transferred per operation.
     """
 
     seconds_per_op: float
@@ -70,6 +77,8 @@ class RawMeasurement(_Value):
                  source=None, target=None):
         self._store(seconds_per_op=seconds_per_op, bytes_per_op=bytes_per_op,
                     op=op, scheme=scheme, source=source, target=target)
+        if not isinstance(op, (OpKind, type(None))):
+            raise InvalidArgument(f"op must be an OpKind, got {_shown(op)}")
         is_op = self.op is not None and self.scheme is not None
         is_conv = self.source is not None and self.target is not None
         if is_op == is_conv:

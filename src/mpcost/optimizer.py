@@ -61,17 +61,15 @@ _DEFAULT_LIMITS = SolverLimits()
 
 class OptimizeResult(namedtuple(
         "OptimizeResult",
-        "assignment report heuristic iterations limit_exceeded sweep_totals",
-        defaults=(1, False, ()))):
+        "assignment report heuristic iterations limit_exceeded",
+        defaults=(1, False))):
     """Outcome of one optimization run (an immutable named tuple).
 
     ``assignment`` maps node ids to scheme names, ``report`` is its
     :class:`~mpcost.cost_model.CostReport` and ``heuristic`` the label of
     the strategy that produced it. ``iterations`` counts hill-climbing
-    sweeps (1 for the other strategies). ``sweep_totals`` records the
-    total cost in cents before the first sweep and after each sweep;
-    ``limit_exceeded`` is set when hill climbing was cut off by
-    ``max_passes`` while still improving.
+    sweeps (1 for the other strategies); ``limit_exceeded`` is set when
+    hill climbing was cut off by ``max_passes`` while still improving.
     """
 
     __slots__ = ()
@@ -270,25 +268,16 @@ def hill_climbing(
     """
     compiled = Compiled(circuit, profile)
     s = _require_support(compiled, init_scheme)
-    idx, sums, extra = hill_pass(
-        compiled, s, compiled.uniform_sums(s), limits or _DEFAULT_LIMITS, {})
-    return _result(compiled, idx, "hill-climbing", sums, **extra)
+    idx, extra = hill_pass(compiled, s, limits or _DEFAULT_LIMITS)
+    return _result(compiled, idx, "hill-climbing", **extra)
 
 
 def hill_pass(
-    compiled: Compiled, init: int, sums: tuple[float, float],
-    limits: SolverLimits, scored: dict,
-) -> tuple[list[int], tuple[float, float], dict]:
+    compiled: Compiled, init: int, limits: SolverLimits
+) -> tuple[list[int], dict]:
     """Scheme indices of :func:`hill_climbing` from every node on scheme
-    ``init``, whose row has ``sums``; their
-    :meth:`~mpcost.cost_model.Compiled.sums`; and the result's
-    ``iterations``, ``limit_exceeded`` and ``sweep_totals`` as keyword
-    arguments of :class:`OptimizeResult`.
-
-    ``scored`` holds earlier candidates as :func:`candidates` returns
-    them: a sweep that ends on a row one of them holds takes its sums
-    (:func:`row_sums`); no sweep's row is kept.
-    """
+    ``init``, and the result's ``iterations`` and ``limit_exceeded`` as
+    keyword arguments of :class:`OptimizeResult`."""
     n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
     if max_passes is None:
@@ -304,7 +293,6 @@ def hill_pass(
     # schemes. A node none of these moved for since its last visit is at
     # the same first minimum and would not move, so it is skipped.
     stale = [True] * n
-    sweep_totals = [sums[0] + sums[1]]
     sweeps = 0
     limit_exceeded = False
     while True:
@@ -346,18 +334,11 @@ def hill_pass(
                 for c in consumers:
                     stale[c] = True
         if not changed:
-            sweep_totals.append(sweep_totals[-1])  # the same assignment
             break
-        sums = row_sums(compiled, idx, scored)
-        sweep_totals.append(sums[0] + sums[1])
         if sweeps >= max_passes:
             limit_exceeded = True
             break
-    return idx, sums, {
-        "iterations": sweeps,
-        "limit_exceeded": limit_exceeded,
-        "sweep_totals": tuple(sweep_totals),
-    }
+    return idx, {"iterations": sweeps, "limit_exceeded": limit_exceeded}
 
 
 # --- exact solver ------------------------------------------------------------
@@ -564,8 +545,7 @@ def candidates(
     ``sums`` are each row's :meth:`~mpcost.cost_model.Compiled.sums`, and
     each distinct row is folded once: a fixed row by
     :meth:`~mpcost.cost_model.Compiled.uniform_sums`, any other row only
-    when no earlier candidate holds it (:func:`row_sums`). Hill climbing
-    starts on the fixed row of :func:`default_scheme`, with its sums.
+    when no earlier candidate holds it (:func:`row_sums`).
     """
     profile = compiled.profile
     universal = profile.universal_schemes(compiled.circuit.ops_present())
@@ -575,13 +555,13 @@ def candidates(
     for name in universal:
         s = profile.scheme_index[name]
         scored[f"fixed:{name}"] = (compiled.uniform_sums(s), [s] * n, {})
-    for label, idx in (("bottom-up", bottom_up_pass(compiled)),
-                       ("top-down", top_down_pass(compiled))):
-        scored[label] = (row_sums(compiled, idx, scored), idx, {})
-    name = _preferred(universal)
-    idx, sums, extra = hill_pass(compiled, profile.scheme_index[name],
-                                 scored[f"fixed:{name}"][0], limits, scored)
-    scored["hill-climbing"] = (sums, idx, extra)
+    start = profile.scheme_index[_preferred(universal)]
+    for label, (idx, extra) in (
+        ("bottom-up", (bottom_up_pass(compiled), {})),
+        ("top-down", (top_down_pass(compiled), {})),
+        ("hill-climbing", hill_pass(compiled, start, limits)),
+    ):
+        scored[label] = (row_sums(compiled, idx, scored), idx, extra)
     return scored
 
 

@@ -282,7 +282,7 @@ _EMPTY_REPORT = Compiled(build([("in", [])]), make_profile()).report([0])
     (OptimizeResult({0: "a"}, _EMPTY_REPORT, "fixed:a"),
      "OptimizeResult(assignment={0: 'a'}, report=CostReport(total_compute=0.0, "
      "total_network=0.0, total=0.0), heuristic='fixed:a', iterations=1, "
-     "limit_exceeded=False, sweep_totals=())"),
+     "limit_exceeded=False)"),
 ])
 def test_record_contract(record, expected_repr):
     """Node, Violation and OptimizeResult are named tuples, as NodeCost is:

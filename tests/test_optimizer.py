@@ -41,6 +41,7 @@ from mpcost.errors import (
 )
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 from test_exact_golden import mux_ladder
+from test_strategy_golden import sweep_totals
 
 
 def brute_force_minimum(circuit, profile):
@@ -192,8 +193,8 @@ def test_hill_climbing_total_non_increasing(all_profiles):
         c = gen_random(seed, n_ops=1 + seed % 10)
         for prof in all_profiles.values():
             result = hill_climbing(c, prof, "yao")
-            totals = result.sweep_totals
-            assert len(totals) == result.iterations + 1
+            totals = sweep_totals(c, prof, "yao", result.iterations)
+            assert totals[-1] == result.report.total
             assert all(a >= b for a, b in zip(totals, totals[1:]))
             assert not result.limit_exceeded
             assert check_feasible(c, result.assignment, prof) == []
@@ -314,7 +315,8 @@ def test_hill_climbing_matches_full_sweep_reference(seed, n_ops, name, max_passe
     got = hill_climbing(circuit, profile, init, SolverLimits(max_passes=max_passes))
     want = reference_hill_climb(circuit, profile, init, max_passes)
     assert (got.assignment, got.iterations, got.limit_exceeded) == want[:3]
-    assert [t.hex() for t in got.sweep_totals] == [t.hex() for t in want[3]]
+    totals = sweep_totals(circuit, profile, init, got.iterations)
+    assert [t.hex() for t in totals] == [t.hex() for t in want[3]]
 
 
 # --- exhaustive --------------------------------------------------------------------
@@ -394,6 +396,9 @@ def test_solver_limits_accept_only_positive_ints(field, value):
     *[functools.partial(gen_chain, op, 3) for op in ("add", None, 3)],
     *[functools.partial(gen_random, 0, 3, weights)
       for weights in ([1, 2], 0, "add", (1,))],
+    # a seed that is not an int, and a measured op that is not an OpKind
+    *[functools.partial(gen_random, seed, 3) for seed in ([1], {}, None, True, 1.5)],
+    *[functools.partial(RawMeasurement.for_op, op, "y", 1, 1) for op in ("add", 1)],
     # every bitwidth argument, given 0, a float, a bool and an int too long
     # for repr
     lambda: gen_chain(OpKind.ADD, 3, bitwidth=0),
@@ -785,10 +790,8 @@ def test_best_of_compiles_once_and_builds_records_on_first_read(
     assert counts == {"compiled": 1, "records": len(circuit.nodes)}
 
 
-def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
-    circuit = gen_matmul(MatMulSpec(n=5))
-    hill = hill_climbing(circuit, inter_m3_medium, "yao")
-    moved = hill.iterations - (0 if hill.limit_exceeded else 1)
+def counted_folds(monkeypatch):
+    """Patch ``Compiled.sums`` to log each fold as ``(row, records)``."""
     folded = []
     sums = Compiled.sums
 
@@ -797,22 +800,49 @@ def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
         return sums(self, idx, records)
 
     monkeypatch.setattr(Compiled, "sums", counted_sums)
+    return folded
+
+
+def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
+    circuit = gen_matmul(MatMulSpec(n=5))
+    folded = counted_folds(monkeypatch)
+    looked_up = []
+    row_sums = optimizer.row_sums
+
+    def counted_row_sums(compiled, idx, scored):
+        looked_up.append(list(idx))
+        return row_sums(compiled, idx, scored)
+
+    monkeypatch.setattr(optimizer, "row_sums", counted_row_sums)
     scored = optimizer.candidates(Compiled(circuit, inter_m3_medium), SolverLimits())
-    # Bottom-up, top-down and hill climbing's last sweep all land on the
-    # fixed arithmetic row, so they take its uniform fold's sums: only hill
-    # climbing's earlier moved sweeps fold, each on a row no candidate has.
+    # Each non-fixed row goes through row_sums once. Bottom-up, top-down
+    # and hill climbing all land on the fixed arithmetic row, so they take
+    # its uniform fold's sums, and no hill sweep is folded, though hill
+    # climbing moved on more than one sweep.
     arithmetic = scored["fixed:arithmetic"][1]
+    assert looked_up == [arithmetic] * 3
     assert all(scored[label][1] == arithmetic
                for label in ("bottom-up", "top-down", "hill-climbing"))
-    assert moved > 1
-    rows = [row for _, row, _ in scored.values()]
-    assert len(folded) == moved - 1
-    assert all(records is None and row not in rows for row, records in folded)
-    # best_of folds those same rows and nothing more: the winner's report
-    # reuses its candidate's sums.
-    folded.clear()
+    assert scored["hill-climbing"][2]["iterations"] > 2
+    assert folded == []
+    # best_of folds nothing more: the winner's report reuses its
+    # candidate's sums.
     best_of(circuit, inter_m3_medium)
-    assert len(folded) == moved - 1
+    assert folded == []
+
+
+def test_hill_climbing_folds_its_row_once_with_records(monkeypatch, inter_m3_medium):
+    """No hill sweep is folded: the result's one fold gives the totals and
+    the per-node records together, so reading them folds nothing more."""
+    circuit = gen_matmul(MatMulSpec(n=5))
+    folded = counted_folds(monkeypatch)
+    result = hill_climbing(circuit, inter_m3_medium, "yao")
+    per_node = result.report.per_node
+    assert result.iterations > 2
+    assert len(folded) == 1
+    row, records = folded[0]
+    assert row == Compiled(circuit, inter_m3_medium).indices(result.assignment)
+    assert tuple(records) == tuple(per_node.values())
 
 
 def first_least(cands, score):
@@ -884,21 +914,18 @@ def reference_candidates(compiled, limits):
     rows["top-down"] = reference_top_down(compiled)
     scored = {label: (compiled.sums(row), row, {}) for label, row in rows.items()}
     init = optimizer.default_scheme(circuit, profile)
-    assignment, iterations, limit_exceeded, totals = reference_hill_climb(
+    assignment, iterations, limit_exceeded, _ = reference_hill_climb(
         circuit, profile, init, limits.max_passes)
     row = compiled.indices(assignment)
     scored["hill-climbing"] = (compiled.sums(row), row, {
-        "iterations": iterations, "limit_exceeded": limit_exceeded,
-        "sweep_totals": totals})
+        "iterations": iterations, "limit_exceeded": limit_exceeded})
     return scored
 
 
 def shown(scored):
     """Every field of a candidate list, floats by ``.hex()``."""
     return [
-        (label, list(row), [x.hex() for x in sums],
-         {k: [t.hex() for t in v] if k == "sweep_totals" else v
-          for k, v in extra.items()})
+        (label, list(row), [x.hex() for x in sums], extra)
         for label, (sums, row, extra) in scored.items()
     ]
 

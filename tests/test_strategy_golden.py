@@ -4,8 +4,9 @@
 twenty seeded random circuits under each bundled profile, what every
 strategy returns: a sha256 prefix of ``assignment_to_json``, ``repr`` of
 the three totals, a sha256 prefix over the per-node breakdown, the hill-climbing
-sweep totals and iterations, and ``best_of``'s label. The exact solver is
-pinned too wherever its search space is small.
+sweep totals (rebuilt by :func:`sweep_totals`) and iterations, and
+``best_of``'s label. The exact solver is pinned too wherever its search
+space is small.
 
 Re-record only when a change of results is intended::
 
@@ -22,6 +23,7 @@ import pytest
 from mpcost import (
     BiometricSpec,
     MatMulSpec,
+    SolverLimits,
     assignment_to_json,
     best_of,
     bottom_up,
@@ -33,6 +35,7 @@ from mpcost import (
     hill_climbing,
     top_down,
 )
+from mpcost.optimizer import default_scheme
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "strategy_golden.json"
@@ -55,10 +58,22 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _record(result) -> list:
+def sweep_totals(circuit, profile, init, iterations) -> list:
+    """The total before hill climbing's first sweep from ``init`` and after
+    each of its ``iterations`` sweeps: the fixed start's total, then the
+    totals of the runs capped at ``max_passes=k`` for ``k`` in
+    ``1..iterations``."""
+    return [fixed_sharing(circuit, profile, init).report.total] + [
+        hill_climbing(circuit, profile, init, SolverLimits(max_passes=k)).report.total
+        for k in range(1, iterations + 1)
+    ]
+
+
+def _record(result, totals=()) -> list:
     """One strategy's output as ``[heuristic, assignment digest, per-node
     digest, total, total_compute, total_network, iterations,
-    limit_exceeded, sweep_totals]``, floats as ``repr``."""
+    limit_exceeded, sweep totals]``, floats as ``repr``; ``totals`` are
+    :func:`sweep_totals` for a hill-climbing result, else empty."""
     report = result.report
     per_node = "".join(
         f"{i} {r.op_compute!r} {r.op_network!r} {r.conv_compute!r} "
@@ -74,7 +89,7 @@ def _record(result) -> list:
         repr(report.total_network),
         result.iterations,
         result.limit_exceeded,
-        [repr(t) for t in result.sweep_totals],
+        [repr(t) for t in totals],
     ]
 
 
@@ -83,10 +98,17 @@ def strategy_outputs(circuit, profile) -> dict:
     out = {}
     for s in universal:
         out[f"fixed:{s}"] = _record(fixed_sharing(circuit, profile, s))
-        out[f"hill:{s}"] = _record(hill_climbing(circuit, profile, s))
+        hill = hill_climbing(circuit, profile, s)
+        out[f"hill:{s}"] = _record(
+            hill, sweep_totals(circuit, profile, s, hill.iterations))
     out["bottom-up"] = _record(bottom_up(circuit, profile))
     out["top-down"] = _record(top_down(circuit, profile))
-    out["best"] = _record(best_of(circuit, profile))
+    best = best_of(circuit, profile)
+    totals = ()
+    if best.heuristic == "hill-climbing":
+        totals = sweep_totals(circuit, profile, default_scheme(circuit, profile),
+                              best.iterations)
+    out["best"] = _record(best, totals)
     space = math.prod(
         len(profile.schemes_for(circuit.nodes[i].op)) for i in circuit.op_node_ids
     )
