@@ -58,7 +58,6 @@ from .optimizer import (
     exhaustive_optimal,
     fixed_sharing,
     hill_climbing,
-    row_sums,
     top_down,
 )
 
@@ -175,15 +174,13 @@ def cmd_compare(args) -> int:
     limits = SolverLimits(max_space=args.max_space, max_passes=args.max_passes)
     baseline = default_scheme(circuit, profile)
     compiled = Compiled(circuit, profile)
-    # Each heuristic row keeps the sums its candidate was scored with, and
-    # the exact row takes a candidate's when it lands on its row. No row
-    # needs per-node records.
+    # Each row keeps the sums it was scored with, the exact row those of
+    # its search. No row needs per-node records.
     runs = candidates(compiled, limits)
     labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:
-        row = exact_pass(compiled, limits)
-        runs["exhaustive"] = (row_sums(compiled, row, runs), row, {})
+        runs["exhaustive"] = (*exact_pass(compiled, limits), {})
         labels.append("exhaustive")
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
@@ -254,7 +251,13 @@ def cmd_gen(args) -> int:
             weights = {}
             for item in args.op_weights.split(","):
                 name, _, value = item.partition("=")
-                weights[op_from_name(name.strip())] = float(value)
+                try:
+                    weight = float(value)  # value is "" when item has no "="
+                except ValueError:
+                    raise InvalidArgument(
+                        f"op_weights: {item!r} is not op=weight with a numeric weight"
+                    ) from None
+                weights[op_from_name(name.strip())] = weight
         circuit = gen_random(args.seed, args.n_ops, weights, bitwidth=args.bitwidth)
     _emit(circuit_to_json(circuit), args.out)
     counts = node_count_summary(circuit)

@@ -410,11 +410,6 @@ class Compiled:
             tn += rn[s]
         return tc, tn
 
-    def total(self, idx: Sequence[int]) -> float:
-        """Total cost in cents of ``idx``, without the per-node breakdown."""
-        tc, tn = self.sums(idx)
-        return tc + tn
-
     def report(
         self, idx: Sequence[int], sums: tuple[float, float] | None = None
     ) -> CostReport:

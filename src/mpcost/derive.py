@@ -59,8 +59,9 @@ class RawMeasurement(_Value):
 
     Exactly one of (``op``, ``scheme``) or (``source``, ``target``) must be
     set, describing either an operation benchmark or a conversion
-    benchmark. ``op`` is ``None`` or an :class:`OpKind`, else
-    :class:`InvalidArgument`; scheme names are strings, else
+    benchmark, and both fields of the other pair left ``None``, else
+    :class:`InvalidArgument`. ``op`` is ``None`` or an :class:`OpKind`,
+    else :class:`InvalidArgument`; scheme names are strings, else
     :class:`ParseError`. Values are averages over a benchmark run: wall
     seconds per operation and bytes transferred per operation.
     """
@@ -79,11 +80,13 @@ class RawMeasurement(_Value):
                     op=op, scheme=scheme, source=source, target=target)
         if not isinstance(op, (OpKind, type(None))):
             raise InvalidArgument(f"op must be an OpKind, got {_shown(op)}")
-        is_op = self.op is not None and self.scheme is not None
-        is_conv = self.source is not None and self.target is not None
-        if is_op == is_conv:
+        is_op = op is not None and scheme is not None
+        is_conv = source is not None and target is not None
+        unused = (source, target) if is_op else (op, scheme)
+        if is_op == is_conv or any(v is not None for v in unused):
             raise InvalidArgument(
-                "measurement must set either (op, scheme) or (source, target)"
+                "measurement must set either (op, scheme) or (source, target),"
+                " and leave the other pair None"
             )
         where = (f"{self.source}->{self.target}" if is_conv
                  else f"({self.op}, {self.scheme})")

@@ -356,21 +356,24 @@ def exhaustive_optimal(
 
     Contract. A full row holds a scheme index per node id, ``in`` and
     ``out`` nodes included. The result is the feasible full row with the
-    least :meth:`~mpcost.cost_model.Compiled.total`; ties go to the
-    lexicographically first row (scheme index, node 0 first). The search
-    space checked against ``max_space``, before any solver work, is the
-    product of the candidate counts over the priced nodes, e.g. ``3**k``
-    for ``k`` add/mul nodes under the bundled profiles; above it the call
-    raises :class:`SearchSpaceTooLarge`.
+    least total of :meth:`~mpcost.cost_model.Compiled.sums`; ties go to
+    the lexicographically first row (scheme index, node 0 first). The
+    search space checked against ``max_space``, before any solver work,
+    is the product of the candidate counts over the priced nodes, e.g.
+    ``3**k`` for ``k`` add/mul nodes under the bundled profiles; above it
+    the call raises :class:`SearchSpaceTooLarge`. The report reuses the
+    pass's sums and builds per-node records only when they are read.
     """
     compiled = Compiled(circuit, profile)
-    idx = exact_pass(compiled, limits or _DEFAULT_LIMITS)
-    return _result(compiled, idx, "exhaustive")
+    sums, idx = exact_pass(compiled, limits or _DEFAULT_LIMITS)
+    return _result(compiled, idx, "exhaustive", sums)
 
 
-def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
-    """Scheme indices of :func:`exhaustive_optimal`, which states the
-    contract.
+def exact_pass(
+    compiled: Compiled, limits: SolverLimits
+) -> tuple[tuple[float, float], list[int]]:
+    """The :meth:`~mpcost.cost_model.Compiled.sums` and scheme indices of
+    :func:`exhaustive_optimal`'s row, whose docstring states the contract.
 
     Method. The cost is pairwise: a unary term ``op_t[u]`` per node and
     ``ct[r][s]`` per edge; a node no term touches (an ``in`` node nobody
@@ -382,37 +385,42 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
     message. It stops when the dual bound ``sum_v min b_v`` stops rising,
     or after ``_DUAL_SWEEPS`` sweeps. Any messages leave each row's exact
     cost at ``sum_v b_v + sum_e t_e``, with ``t_e(r, s) = ct[r][s] -
-    m_j(r) - m_u(s)``. The incumbent starts as the decoded row: in id
-    order, each node's least ``b_u`` plus ``t_e`` over its in-edges. A
-    depth-first search sets the nodes in id order, schemes ascending, so
-    rows come in lexicographic order; the path carries
-    :meth:`~mpcost.cost_model.Compiled.total`'s partial sums and ``g``, the
-    sum of those node terms.
+    m_j(r) - m_u(s)``. The decoded row (in id order, each node's least
+    ``b_u`` plus ``t_e`` over its in-edges) costs ``cap``. A depth-first
+    search sets the nodes in id order, schemes ascending, so rows come in
+    lexicographic order; the path carries ``Compiled.sums``'s partial
+    sums ``(tc, tn)`` and ``g``, the sum of those node terms. At a leaf
+    they are the row's sums, bit for bit, as the nodes off the search
+    (unread ``in`` nodes) add only ``0.0``.
 
-    Pruning. A child goes when no row below it beats the incumbent
-    ``(best, row)``. Each node past the path's end adds at least
-    ``l_u = min b_u + sum_e min t_e`` over its in-edges, so
+    Pruning. Rows come in order, so order breaks ties: the first leaf
+    costing ``cap`` or less leads, and a later one replaces it only by
+    costing strictly less. So a child goes when every row below it costs
+    more than ``best`` (the leader's total, or ``cap`` while none leads),
+    or at least ``best`` once a leaf leads. Each node past the path's end
+    adds at least ``l_u = min b_u + sum_e min t_e`` over its in-edges, so
     ``L = g + sum_u l_u`` is at most the exact ``op_t`` and ``ct`` sum of
     any row below. Its float ``Lf`` comes from those floats and the
     messages by ``+``, ``-`` and ``min``, at most ``2*N`` roundings deep,
-    with ``N = 2*(n + E)`` for ``n`` nodes and ``E`` edges, so
-    ``|Lf - L| <= 2*N*eps*Z``, where ``Z = sum_u max op_t + E*max(ct) +
-    2*sum|m|`` bounds its addends' magnitudes. A row's float total sums
-    ``N`` non-negative addends, so it is at least ``1 - N*eps/2`` times
-    their exact sum, itself at least the ``op_t`` and ``ct`` sum over
-    ``1 + eps/2``. So ``Lf > best * band + slack``, with
-    ``band = 1 + 8*N*eps`` and ``slack = 8*N*eps*Z``, proves that every
-    row below costs more than ``best``; the factors of 8 leave room for
-    rounding ``Z``, ``slack`` and the right side. Otherwise, off the
-    incumbent's path, a key settles exact ties such as an all-zero
-    profile: rounded ``+`` is monotone, so ``Compiled.total``'s loop run on
-    from the path's sums, each later addend at its least, gives a total no
-    row below undercuts, and the first row below takes each later node's
-    first candidate. The child goes when that ``(total, row)`` is not
-    below the incumbent's. The key adds op addends only: each edge's least
-    conversion addend is ``0.0``, since every node's ``cands`` holds the
-    universal schemes (a profile has one; ``in``/``out`` allow all),
-    and adding ``0.0`` changes no bit of a sum that is never ``-0.0``.
+    with ``N = 2*(n + E)`` for ``n`` nodes and ``E`` edges, so ``|Lf - L|
+    <= 2*N*eps*Z``, where ``Z = sum_u max op_t + E*max(ct) + 2*sum|m|``
+    bounds its addends' magnitudes. A row's float total sums ``N``
+    non-negative addends, so it is at least ``1 - N*eps/2`` times their
+    exact sum, itself at least the ``op_t`` and ``ct`` sum over ``1 +
+    eps/2``. So ``Lf > best * band + slack``, with ``band = 1 + 8*N*eps``
+    and ``slack = 8*N*eps*Z``, proves the first; the factors of 8 leave
+    room for rounding ``Z``, ``slack`` and the right side. A key proves
+    the second, which settles exact ties such as an all-zero profile:
+    rounded ``+`` is monotone, so the fold run on from the path's sums,
+    each later addend at its least, gives a total no row below undercuts.
+    The path's own ``tc + tn`` is at most the key, an O(1) test first. The
+    key adds op addends only: each edge's least conversion addend is
+    ``0.0``, since every node's ``cands`` holds the universal schemes (a
+    profile has one; ``in``/``out`` allow all), and adding ``0.0`` changes
+    no bit of a sum that is never ``-0.0``. Before a leaf leads, a row
+    costing ``cap`` may be the first least one (when every row sums to
+    ``inf``, the first row is), so only the bound and ``tc + tn > cap``
+    apply.
     """
     op_p, op_n, op_t, inputs = (
         compiled.op_p, compiled.op_n, compiled.op_t, compiled.inputs
@@ -482,20 +490,16 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         terms = [b[u][s] + sum([ct[r][s] - mj[r] - mu[s] for r, mj, mu in ins])
                  for s in cands[u]]
         best_row[u] = cands[u][terms.index(min(terms))]
-    best_total = compiled.total(best_row)
+    best_sums = compiled.sums(best_row)
+    best = best_sums[0] + best_sums[1]  # the cap, until a leaf leads
 
-    # Each entry carries whether its parent's path is the incumbent's, as
-    # of incumbent ``version``. A new incumbent is a leaf below an earlier
-    # sibling of every entry still stacked, so those are all off its path.
     row = first[:]
-    version = 0
-    stack = ([(0, s, 0.0, 0.0, 0.0, True, 0) for s in reversed(cands[nodes[0]])]
-             if nodes else [])
+    led = False
+    stack = [(0, s, 0.0, 0.0, 0.0) for s in reversed(cands[nodes[0]])] if nodes else []
     while stack:
-        p, s, tc, tn, g, on_path, seen = stack.pop()
+        p, s, tc, tn, g = stack.pop()
         u = nodes[p]
         row[u] = s
-        on_path = on_path and seen == version and s == best_row[u]
         conv_p = 0.0
         conv_n = 0.0
         t = b[u][s]
@@ -511,23 +515,23 @@ def exact_pass(compiled: Compiled, limits: SolverLimits) -> list[int]:
         tn += conv_n
         g += t
         p += 1
+        # A tie loses to a leader, which comes first, but not to the cap.
+        if tc + tn >= best if led else tc + tn > best:
+            continue
         if p == len(nodes):
-            if (tc + tn, row) < (best_total, best_row):
-                best_total, best_row = tc + tn, row[:]
-                version += 1
+            best, best_sums, best_row, led = tc + tn, (tc, tn), row[:], True
             continue
-        if g + rest[p] > best_total * band + slack:
+        if g + rest[p] > best * band + slack:
             continue
-        cut = nodes[p]
-        if not on_path:
+        if led:
             kc, kn = tc, tn
             for lp, ln in least[p:]:
                 kc += lp
                 kn += ln
-            if (kc + kn, row[:cut] + first[cut:]) >= (best_total, best_row):
+            if kc + kn >= best:
                 continue
-        stack.extend((p, t, tc, tn, g, on_path, version) for t in reversed(cands[cut]))
-    return best_row
+        stack.extend((p, t, tc, tn, g) for t in reversed(cands[nodes[p]]))
+    return best_sums, best_row
 
 
 # --- meta-selector -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import random
 import time
@@ -26,12 +27,14 @@ from mpcost import (
     gen_random,
     hill_climbing,
     matmul_inputs,
+    save_circuit,
     top_down,
     total_cost,
 )
 from mpcost import cost_model, optimizer
 from mpcost.casegen import BiometricSpec, MatMulSpec, gen_matmul
 from mpcost.circuit import COMPUTE_OPS
+from mpcost.cli import main
 from mpcost.cost_model import Compiled, CostProfile, NodeCost
 from mpcost.errors import (
     InvalidArgument,
@@ -278,7 +281,11 @@ def reference_hill_climb(circuit, profile, init_scheme, max_passes):
             cost += ct[s][idx[c]]
         return cost
 
-    totals = [compiled.total(idx)]
+    def total():
+        tc, tn = compiled.sums(idx)
+        return tc + tn
+
+    totals = [total()]
     sweeps = 0
     while True:
         sweeps += 1
@@ -291,7 +298,7 @@ def reference_hill_climb(circuit, profile, init_scheme, max_passes):
             if best_scheme != idx[i]:
                 idx[i] = best_scheme
                 changed = True
-        totals.append(compiled.total(idx))
+        totals.append(total())
         if not changed:
             return compiled.assignment(idx), sweeps, False, tuple(totals)
         if sweeps >= max_passes:
@@ -399,6 +406,13 @@ def test_solver_limits_accept_only_positive_ints(field, value):
     # a seed that is not an int, and a measured op that is not an OpKind
     *[functools.partial(gen_random, seed, 3) for seed in ([1], {}, None, True, 1.5)],
     *[functools.partial(RawMeasurement.for_op, op, "y", 1, 1) for op in ("add", 1)],
+    # a measurement with one pair set and a field of the other
+    *[functools.partial(RawMeasurement, 1.0, 1.0, **fields) for fields in (
+        {"op": OpKind.ADD, "scheme": "a", "source": "y"},
+        {"op": OpKind.ADD, "scheme": "a", "target": "y"},
+        {"source": "a", "target": "b", "op": OpKind.ADD},
+        {"source": "a", "target": "b", "scheme": "y"},
+    )],
     # every bitwidth argument, given 0, a float, a bool and an int too long
     # for repr
     lambda: gen_chain(OpKind.ADD, 3, bitwidth=0),
@@ -581,14 +595,19 @@ def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit, uniform, scheme)
     assert result.report.total == want.report.total
 
 
-def test_exhaustive_solves_a_wide_star_quickly(inter_m3_medium):
-    # One add feeding 3,000 out nodes: a search space of 3, but 3,003
-    # nodes to set. Arithmetic has the cheapest add and every conversion
-    # costs extra, so all-arithmetic is the optimum. A solver quadratic in
-    # the node count took about 12 s here.
-    c = build([("in", []), ("in", []), ("add", [0, 1])] + [("out", [2])] * 3000)
+@pytest.mark.parametrize("outs, zero", [(3000, False), (20000, True)],
+                         ids=["inter-m3.medium-3000", "all-zero-20000"])
+def test_exhaustive_solves_a_wide_star_quickly(inter_m3_medium, outs, zero):
+    # One add feeding many out nodes: a search space of 3, but every out
+    # node to set. Under inter-m3.medium arithmetic has the cheapest add
+    # and every conversion costs extra, so all-arithmetic is the optimum;
+    # under the all-zero profile every row ties and all-arithmetic is the
+    # first. A solver quadratic in the node count took about 12 s on the
+    # first and over 20 s on the second.
+    prof = _uniform_profile(inter_m3_medium, 0.0) if zero else inter_m3_medium
+    c = build([("in", []), ("in", []), ("add", [0, 1])] + [("out", [2])] * outs)
     start = time.perf_counter()
-    result = exhaustive_optimal(c, inter_m3_medium)
+    result = exhaustive_optimal(c, prof)
     assert time.perf_counter() - start < 3.0
     assert set(result.assignment.values()) == {"arithmetic"}
 
@@ -694,16 +713,29 @@ _PROPERTY_PROFILES = _BUNDLED + [
 ]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    circuit=small_circuits(),
-    prof=st.sampled_from(_PROPERTY_PROFILES) | random_profiles(),
-)
-def test_exhaustive_is_the_true_minimum(circuit, prof):
+def check_exact_against_brute_force(circuit, prof):
+    """``exhaustive_optimal``, checked against brute force, and its pass's
+    sums against one fold of its row, bit for bit."""
     got = exhaustive_optimal(circuit, prof)
     want_asg, want_total = brute_force_minimum(circuit, prof)
     assert got.report.total == want_total
     assert got.assignment == want_asg
+    compiled = Compiled(circuit, prof)
+    sums, row = optimizer.exact_pass(compiled, SolverLimits())
+    assert row == compiled.indices(got.assignment)
+    assert [x.hex() for x in sums] == [x.hex() for x in compiled.sums(row)]
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    circuit=small_circuits(),
+    prof=(st.sampled_from(_PROPERTY_PROFILES) | random_profiles()
+          | st.builds(stress_profile, st.sampled_from(tuple(STRESS_PRICES)),
+                      st.integers(0, 2**32))),
+)
+def test_exhaustive_is_the_true_minimum(circuit, prof):
+    got = check_exact_against_brute_force(circuit, prof)
     universal = prof.universal_schemes(circuit.ops_present())
     heuristics = [fixed_sharing(circuit, prof, s) for s in universal]
     heuristics += [
@@ -714,6 +746,25 @@ def test_exhaustive_is_the_true_minimum(circuit, prof):
     ]
     for result in heuristics:
         assert got.report.total <= result.report.total, result.heuristic
+
+
+@pytest.mark.parametrize("kind", STRESS_PRICES)
+def test_exhaustive_ties_and_overflows_follow_brute_force(kind):
+    # Stress prices tie rows exactly, or sum them to inf. The decoded row
+    # only caps the answer: a search that dropped a child whose partial
+    # total reaches that cap before any leaf led lost the first least row
+    # on seeds 6, 9 and 22 here.
+    for seed in range(60):
+        rng = random.Random(seed)
+        entries = [("in", [])] * rng.randint(1, 2)
+        for _ in range(rng.randint(1, 5 - len(entries))):
+            op = rng.choice(COMPUTE_OPS)
+            entries.append((op.value, [rng.randrange(len(entries))
+                                       for _ in range(op.arity)]))
+        sources = len(entries)
+        for _ in range(rng.randint(1, min(2, 7 - sources))):
+            entries.append(("out", [rng.randrange(sources)]))
+        check_exact_against_brute_force(build(entries), stress_profile(kind, seed))
 
 
 def test_exhaustive_dominates_heuristics(all_profiles):
@@ -843,6 +894,41 @@ def test_hill_climbing_folds_its_row_once_with_records(monkeypatch, inter_m3_med
     row, records = folded[0]
     assert row == Compiled(circuit, inter_m3_medium).indices(result.assignment)
     assert tuple(records) == tuple(per_node.values())
+
+
+def test_exhaustive_folds_its_cap_then_records_on_read(monkeypatch, inter_m3_medium):
+    """The search's leaf sums are the row's, so the only fold before a
+    read is the decoded row's (the search's cap), without records; the
+    per-node records come from one more fold, on first read."""
+    circuit = gen_matmul(MatMulSpec(n=2))
+    folded = counted_folds(monkeypatch)
+    result = exhaustive_optimal(circuit, inter_m3_medium)
+    assert [records for _, records in folded] == [None]
+    per_node = result.report.per_node
+    assert len(folded) == 2
+    row, records = folded[1]
+    assert row == Compiled(circuit, inter_m3_medium).indices(result.assignment)
+    assert tuple(records) == tuple(per_node.values())
+
+
+def test_compare_folds_no_more_than_its_passes(capsys, monkeypatch, tmp_path,
+                                              inter_m3_medium):
+    """``compare`` folds what ``candidates`` and ``exact_pass`` fold and
+    nothing more, here where the exact row is no candidate's row."""
+    circuit = gen_random(17, 8)
+    assert (exhaustive_optimal(circuit, inter_m3_medium).report.total
+            < best_of(circuit, inter_m3_medium).report.total)
+    folded = counted_folds(monkeypatch)
+    compiled = Compiled(circuit, inter_m3_medium)
+    optimizer.candidates(compiled, SolverLimits())
+    optimizer.exact_pass(compiled, SolverLimits())
+    passes = folded[:]
+    folded.clear()
+    path = tmp_path / "random-17.json"
+    save_circuit(circuit, path)
+    assert main(["compare", str(path), "inter-m3.medium", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][-1]["heuristic"] == "exhaustive"
+    assert folded == passes
 
 
 def first_least(cands, score):
