@@ -157,7 +157,17 @@ class Node(namedtuple("Node", "id op inputs party name", defaults=(None, None)))
 
 class Circuit(_Value):
     """An immutable, topologically ordered operation DAG. However it is
-    made, construction checks every rule of one (:func:`_validate`)."""
+    made, construction checks every rule of one (:func:`_validate`).
+
+    Facts that depend on the nodes alone are derived on first read and
+    kept: each node's op (:attr:`node_ops`) and input ids
+    (:attr:`node_inputs`), the in, out and priced node ids, each node's
+    consumer edges and the priced op set (:meth:`ops_present`). So every
+    strategy call on one circuit shares them. Each is one tuple of at
+    most one entry per node or edge, made once per circuit. Sharing is
+    safe: the nodes never change, so two threads that derive one fact
+    at once store equal tuples, and none of them enters equality, hash
+    or ``repr``."""
 
     nodes: tuple[Node, ...]
     bitwidth: int
@@ -175,6 +185,11 @@ class Circuit(_Value):
         """Each node's operation, in id order: read once per circuit, as a
         named tuple's field read costs about twice a dataclass's."""
         return tuple([n.op for n in self.nodes])
+
+    @cached_property
+    def node_inputs(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's input ids, in id order (see :attr:`node_ops`)."""
+        return tuple([n.inputs for n in self.nodes])
 
     @cached_property
     def in_ids(self) -> tuple[int, ...]:
@@ -204,8 +219,12 @@ class Circuit(_Value):
     def ops_present(self) -> tuple[OpKind, ...]:
         """Distinct priced operations used by this circuit, in
         :data:`COMPUTE_OPS` order."""
+        return self._ops_present
+
+    @cached_property
+    def _ops_present(self) -> tuple[OpKind, ...]:
         present = set(self.node_ops)
-        return tuple(op for op in COMPUTE_OPS if op in present)
+        return tuple([op for op in COMPUTE_OPS if op in present])
 
 
 def _is_int(x) -> bool:

@@ -257,7 +257,13 @@ def cmd_gen(args) -> int:
                     raise InvalidArgument(
                         f"op_weights: {item!r} is not op=weight with a numeric weight"
                     ) from None
-                weights[op_from_name(name.strip())] = weight
+                try:
+                    op = op_from_name(name.strip())
+                except ParseError:
+                    raise InvalidArgument(
+                        f"op_weights: unknown op {name.strip()!r} in {item!r}"
+                    ) from None
+                weights[op] = weight
         circuit = gen_random(args.seed, args.n_ops, weights, bitwidth=args.bitwidth)
     _emit(circuit_to_json(circuit), args.out)
     counts = node_count_summary(circuit)

@@ -65,6 +65,16 @@ YAO = "yao"
 Assignment = dict[int, str]
 
 
+class _Uniform(namedtuple("_Uniform", "universal fixed start")):
+    """What a profile's schemes give a circuit that uses a given priced op
+    set: its ``universal`` schemes (:meth:`CostProfile.universal_schemes`),
+    the ``fixed`` candidates, a ``("fixed:<scheme>", index)`` pair per
+    universal scheme, and ``start``, the index of the default scheme:
+    ``"yao"`` when it is universal, otherwise the first universal one."""
+
+    __slots__ = ()
+
+
 class CostProfile(_Value):
     """Unit costs for one deployment scenario.
 
@@ -78,6 +88,16 @@ class CostProfile(_Value):
     constructor's check for a universal scheme, and shared: every
     :class:`Compiled` under the profile holds the same row lists, tuples
     and matrices, so they are read-only.
+
+    The profile also keeps :attr:`scheme_index` and, per priced op set a
+    circuit uses, the facts every strategy call on such a circuit needs
+    (:meth:`_uniform`): its universal schemes, the fixed candidates and
+    the default scheme. That memo is keyed by an ordered subset of
+    :data:`~mpcost.circuit.COMPUTE_OPS`, so it holds at most ``2**8``
+    entries. Sharing is safe: an entry depends only on the prices, which
+    never change, so a write is idempotent (two threads that fill one
+    key at once store equal values), and none of these caches enters
+    equality, hash or ``repr``.
     """
 
     name: str
@@ -160,6 +180,23 @@ class CostProfile(_Value):
         keep = set(range(len(self.schemes))).intersection(
             *[cands.get(op, ()) for op in ops])
         return tuple([self.schemes[i] for i in sorted(keep)])
+
+    def _uniform(self, ops: tuple[OpKind, ...]) -> _Uniform:
+        """The :class:`_Uniform` facts of a circuit whose
+        :meth:`~mpcost.circuit.Circuit.ops_present` is ``ops``, kept per
+        ``ops`` (see the class docstring)."""
+        found = self._uniform_memo.get(ops)
+        if found is None:
+            universal = self.universal_schemes(ops)
+            index = self.scheme_index
+            fixed = tuple([(f"fixed:{name}", index[name]) for name in universal])
+            start = index[YAO if YAO in universal else universal[0]]
+            found = self._uniform_memo[ops] = _Uniform(universal, fixed, start)
+        return found
+
+    @cached_property
+    def _uniform_memo(self) -> dict:
+        return {}
 
     @cached_property
     def scheme_index(self) -> dict[str, int]:
@@ -354,7 +391,7 @@ class Compiled:
         self.op_n = list(map(op_n.__getitem__, ops))
         self.op_t = list(map(op_t.__getitem__, ops))
         self.cands = list(map(cands.__getitem__, ops))
-        self.inputs = tuple([node.inputs for node in circuit.nodes])
+        self.inputs = circuit.node_inputs
         self.consumers = circuit.consumer_edges
 
     def indices(self, assignment: Mapping[int, str]) -> list[int]:

@@ -79,27 +79,25 @@ def default_scheme(circuit: Circuit, profile: CostProfile) -> str:
     """The uniform scheme used as the pure baseline and as the default
     hill-climbing start: ``"yao"`` when it supports every operation in the
     circuit, otherwise the first declared scheme that does."""
-    return _preferred(profile.universal_schemes(circuit.ops_present()))
-
-
-def _preferred(universal: tuple[str, ...]) -> str:
-    """:func:`default_scheme` among the circuit's ``universal`` schemes."""
-    return "yao" if "yao" in universal else universal[0]
+    return profile.schemes[profile._uniform(circuit.ops_present()).start]
 
 
 def _require_support(compiled: Compiled, scheme: str) -> int:
-    """Index of ``scheme``, which must support every node's operation."""
-    profile = compiled.profile
+    """Index of ``scheme``, which must support every node's operation,
+    that is, be one of the circuit's universal schemes. The error names
+    the first node it does not support."""
+    circuit, profile = compiled.circuit, compiled.profile
     s = profile.scheme_index.get(scheme)
     if s is None:
         raise UnsupportedScheme(
             f"scheme {scheme!r} is not declared by profile {profile.name!r}"
         )
-    for node, cands in zip(compiled.circuit.nodes, compiled.cands):
-        if s not in cands:
-            raise UnsupportedScheme(
-                f"scheme {scheme!r} does not support op {node.op} (node {node.id})"
-            )
+    if scheme not in profile._uniform(circuit.ops_present()).universal:
+        node = next(node for node, cands in zip(circuit.nodes, compiled.cands)
+                    if s not in cands)
+        raise UnsupportedScheme(
+            f"scheme {scheme!r} does not support op {node.op} (node {node.id})"
+        )
     return s
 
 
@@ -551,15 +549,12 @@ def candidates(
     :meth:`~mpcost.cost_model.Compiled.uniform_sums`, any other row only
     when no earlier candidate holds it (:func:`row_sums`).
     """
-    profile = compiled.profile
-    universal = profile.universal_schemes(compiled.circuit.ops_present())
+    _, fixed, start = compiled.profile._uniform(compiled.circuit.ops_present())
     n = len(compiled.circuit.nodes)
     scored = {}
     # Universal schemes support every node's op, so no per-node check.
-    for name in universal:
-        s = profile.scheme_index[name]
-        scored[f"fixed:{name}"] = (compiled.uniform_sums(s), [s] * n, {})
-    start = profile.scheme_index[_preferred(universal)]
+    for label, s in fixed:
+        scored[label] = (compiled.uniform_sums(s), [s] * n, {})
     for label, (idx, extra) in (
         ("bottom-up", (bottom_up_pass(compiled), {})),
         ("top-down", (top_down_pass(compiled), {})),

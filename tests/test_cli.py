@@ -315,7 +315,7 @@ def test_gen_bad_params_exit_1(capsys, tmp_path):
 
 @pytest.mark.parametrize("weights", ["add=inf", "add=1,mul=nan", "add=1,mul=-1",
                                      "add=1,in=1", "add=1e308,mul=1e308",
-                                     "add", "add=one"])
+                                     "add", "add=one", "foo=1"])
 def test_gen_random_rejects_bad_op_weights(capsys, tmp_path, weights):
     out_path = tmp_path / "random.json"
     code, out, err = run(capsys, "gen", "random", "--n-ops", "4",

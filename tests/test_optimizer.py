@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -26,6 +28,7 @@ from mpcost import (
     gen_chain,
     gen_random,
     hill_climbing,
+    load_circuit,
     matmul_inputs,
     save_circuit,
     top_down,
@@ -1073,6 +1076,134 @@ def test_best_of_on_a_fresh_profile_equals_the_warm_result(all_profiles, name):
         best_of(circuit, warm)  # its tables are built by now
         assert repr(best_of(circuit, load_builtin(name))) == repr(
             best_of(circuit, warm))
+
+
+def one_of_each(ops):
+    """A circuit of one ``in`` node and one node per op in ``ops``, each
+    reading only the ``in`` node."""
+    return build([("in", [])] + [(op, [0] * op.arity) for op in ops])
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_uniform_memo_equals_the_uncached_facts_for_every_op_set(name):
+    """For every subset of the priced ops, under a bundled profile or
+    seeded stress profiles (some without ``yao``), the profile's memo
+    holds the uncached universal schemes, a ``fixed:`` candidate per
+    universal scheme and the default scheme, and ``default_scheme`` and
+    ``candidates`` read them."""
+    if name in STRESS_PRICES:
+        profiles = [stress_profile(name, seed) for seed in range(20)]
+        assert any("yao" not in p.schemes for p in profiles)
+    else:
+        profiles = [load_builtin(name)]
+    subsets = [ops for k in range(len(COMPUTE_OPS) + 1)
+               for ops in itertools.combinations(COMPUTE_OPS, k)]
+    circuits = [one_of_each(ops) for ops in subsets]
+    for profile in profiles:
+        for ops, circuit in zip(subsets, circuits):
+            assert circuit.ops_present() == ops
+            universal = profile.universal_schemes(list(ops))
+            default = "yao" if "yao" in universal else universal[0]
+            fixed = tuple((f"fixed:{s}", profile.scheme_index[s]) for s in universal)
+            expected = (universal, fixed, profile.scheme_index[default])
+            assert profile._uniform(ops) == expected
+            assert profile._uniform(ops) is profile._uniform(ops)
+            assert optimizer.default_scheme(circuit, profile) == default
+            labels = list(optimizer.candidates(Compiled(circuit, profile),
+                                               SolverLimits()))
+            assert labels[:-3] == [label for label, _ in fixed]
+        assert len(profile._uniform_memo) == 2 ** len(COMPUTE_OPS)
+
+
+def test_served_circuit_and_profile_equal_fresh_ones_and_stay_frozen(tmp_path):
+    """A circuit and a profile that served ``best_of`` and the single
+    strategies, so that every cache of theirs is filled, still compare,
+    hash and print as freshly loaded ones do, and no attribute of theirs,
+    cached or not, can be set or deleted. (A profile holds its prices in
+    dicts, so hashing one raises ``TypeError``, served or fresh.)"""
+    path = tmp_path / "biometric.json"
+    save_circuit(gen_biometric(BiometricSpec(4, 2)), path)
+    circuit, profile = load_circuit(path), load_builtin("inter-m3.medium")
+    best_of(circuit, profile)
+    fixed_sharing(circuit, profile, "yao")
+    hill_climbing(circuit, profile, "boolean")
+    optimizer.default_scheme(circuit, profile)
+    assert "_ops_present" in circuit.__dict__ and "node_inputs" in circuit.__dict__
+    assert profile._uniform_memo
+    fresh_circuit, fresh_profile = load_circuit(path), load_builtin("inter-m3.medium")
+    for served, fresh in ((circuit, fresh_circuit), (profile, fresh_profile)):
+        assert served == fresh
+        assert repr(served) == repr(fresh)
+    assert hash(circuit) == hash(fresh_circuit)
+    for value in (profile, fresh_profile):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    for value, names in ((circuit, ("nodes", "node_inputs", "_ops_present")),
+                         (profile, ("name", "scheme_index", "_uniform_memo"))):
+        for attr in names + ("new",):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
+        for attr in names:
+            with pytest.raises(AttributeError):
+                delattr(value, attr)
+
+
+def test_threads_sharing_a_cold_circuit_and_profile_agree():
+    """Eight threads that start ``best_of`` together on fresh circuits and
+    a fresh profile, filling their caches at once under a short switch
+    interval, each get the result a lone call gives."""
+    makers = [lambda: gen_matmul(MatMulSpec(n=2)),
+              lambda: gen_biometric(BiometricSpec(3, 2)),
+              lambda: gen_random(5, n_ops=30), lambda: gen_chain(OpKind.SUB, 9)]
+    expected = [repr(best_of(make(), load_builtin("intra-c4.large")))
+                for make in makers]
+    circuits, profile = [make() for make in makers], load_builtin("intra-c4.large")
+    barrier = threading.Barrier(8, timeout=10)
+    seen = [None] * 8
+
+    def work(k):
+        barrier.wait()
+        seen[k] = [repr(best_of(c, profile)) for c in circuits[k % 2:] + circuits]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k, results in enumerate(seen):
+        assert results == expected[k % 2:] + expected
+    assert len(profile._uniform_memo) == len({c.ops_present() for c in circuits})
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_require_support_keeps_its_errors(warm):
+    """An undeclared scheme and a declared one that misses an op raise
+    :class:`UnsupportedScheme` with the same messages whether or not the
+    profile's memo holds the circuit's op set; the second names the first
+    node whose op the scheme does not support."""
+    c = build([("in", []), ("in", []), ("add", [0, 1]), ("sub", [2, 1]),
+               ("eq", [3, 0]), ("out", [4])])
+    profile = load_builtin("inter-m3.medium")
+    if warm:
+        best_of(c, profile)
+    for run in (lambda s: fixed_sharing(c, profile, s),
+                lambda s: hill_climbing(c, profile, s)):
+        with pytest.raises(UnsupportedScheme) as e:
+            run("shamir")
+        assert type(e.value) is UnsupportedScheme
+        assert str(e.value) == (
+            "scheme 'shamir' is not declared by profile 'inter-m3.medium'")
+        with pytest.raises(UnsupportedScheme) as e:
+            run("arithmetic")
+        assert type(e.value) is UnsupportedScheme
+        assert str(e.value) == "scheme 'arithmetic' does not support op sub (node 3)"
+        assert run("boolean").heuristic in ("fixed:boolean", "hill-climbing")
 
 
 # --- determinism ------------------------------------------------------------------------
