@@ -14,7 +14,7 @@ are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
@@ -111,7 +111,10 @@ class _Value:
     ``__init__`` stores the fields with :meth:`_store`; after that no
     attribute can be set or deleted (``functools.cached_property`` writes
     the instance ``__dict__`` directly). Two instances of one class are
-    equal, hash and print by the fields named in ``_compared``."""
+    equal, hash and print by the fields named in ``_compared``. A class
+    whose compared fields hold dicts does not hash: ``hash`` of a
+    ``CostProfile`` raises ``TypeError``, as its ``op_costs`` and
+    ``conversions`` are dicts."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
@@ -162,7 +165,8 @@ class Circuit(_Value):
     Facts that depend on the nodes alone are derived on first read and
     kept: each node's op (:attr:`node_ops`) and input ids
     (:attr:`node_inputs`), the in, out and priced node ids, each node's
-    consumer edges and the priced op set (:meth:`ops_present`). So every
+    consumer edges, the priced op set (:meth:`ops_present`) and the count
+    of each priced op (:attr:`op_counts`). So every
     strategy call on one circuit shares them. Each is one tuple of at
     most one entry per node or edge, made once per circuit. Sharing is
     safe: the nodes never change, so two threads that derive one fact
@@ -223,8 +227,14 @@ class Circuit(_Value):
 
     @cached_property
     def _ops_present(self) -> tuple[OpKind, ...]:
-        present = set(self.node_ops)
-        return tuple([op for op in COMPUTE_OPS if op in present])
+        return tuple([op for op, _ in self.op_counts])
+
+    @cached_property
+    def op_counts(self) -> tuple[tuple[OpKind, int], ...]:
+        """``(op, count)`` per priced operation the circuit uses, in
+        :data:`COMPUTE_OPS` order: how many nodes run it."""
+        counts = Counter(self.node_ops)
+        return tuple([(op, counts[op]) for op in COMPUTE_OPS if op in counts])
 
 
 def _is_int(x) -> bool:

@@ -188,10 +188,10 @@ def cmd_compare(args) -> int:
     reports = []
     for label in labels:
         sums, idx, _ = runs[label]
-        reports.append((label, compiled.report(idx, sums)))
+        reports.append((label, compiled.report(idx, sums), sum(sums)))
 
     pure_total = reports[0][1].total
-    best_total = min(rep.total for _, rep in reports)
+    best_total = min(exact for _, _, exact in reports)  # exact sums rank
     factor = UNIT_FACTOR[args.unit]
     rows = [
         {
@@ -201,9 +201,9 @@ def cmd_compare(args) -> int:
             "total": rep.total * factor,
             # vs the pure baseline, in [0, 1]
             "reduction": 0.0 if pure_total == 0 else 1.0 - rep.total / pure_total,
-            "winner": rep.total == best_total,
+            "winner": exact == best_total,
         }
-        for label, rep in reports
+        for label, rep, exact in reports
     ]
 
     if args.json:

@@ -14,13 +14,17 @@ scheme at zero operation cost; they still pay (or cause) conversions
 like any other node.
 
 Strategies price many assignments of one circuit, so they first compile
-the circuit and the profile into a :class:`Compiled` form: plain Python
-float rows per node and conversion matrices, indexed by scheme position.
-:meth:`Compiled.sums` is the one fold that every total and report comes
-from: every strategy, the exact solver included, scores assignments with
-it, and it builds the per-node records of a :class:`CostReport` either
-in the fold that gives the report's totals or, when a strategy already
-has those, only when they are read.
+the circuit and the profile into a :class:`Compiled` form: per node, rows
+indexed by scheme position, and conversion matrices. Prices come in two
+forms. The float rows (``op_t``, ``ct``) steer the greedy passes and
+hill climbing. The exact form holds every cent price as an int over one
+power of two per profile, so a sum of prices is exact and its order does
+not matter. :meth:`Compiled.sums` adds those ints, and every total and
+report comes from it: every strategy, the exact solver included, is
+ranked by its exact sums, and a report rounds each total once, to the
+float nearest the exact sum. It builds the per-node records of a
+:class:`CostReport` either in the fold that gives the report's totals
+or, when a strategy already has those, only when they are read.
 
 Deriving a profile from raw measurements lives in :mod:`mpcost.derive`.
 
@@ -75,6 +79,47 @@ class _Uniform(namedtuple("_Uniform", "universal fixed start")):
     __slots__ = ()
 
 
+class _Exact(namedtuple("_Exact", "e k op_x cx unit mask step")):
+    """A profile's cent prices as exact ints: each is ``price * 2**e``,
+    with ``e`` the least exponent that makes every one an integer.
+
+    A price's compute and network parts are packed into one int,
+    ``compute << k | network``, so adding packed prices adds both parts
+    at once. ``k`` is the widest part's bit length plus 64, so a sum of
+    fewer than ``2**64`` packed prices keeps its network part below bit
+    ``k``. ``op_x`` maps each op kind to its packed price per scheme
+    (``None`` where the scheme does not support it, ``0`` for ``in`` and
+    ``out``), and ``cx`` is the packed conversion matrix ``[src][dst]``.
+    ``unit`` is ``2**e``, ``mask`` is ``2**k - 1`` and ``step`` is the
+    float ``2.0**-e`` where that is normal (``e <= 1022``), else 0.
+    """
+
+    __slots__ = ()
+
+    def parts(self, x: int) -> tuple[int, int]:
+        """The compute and network parts of a packed sum ``x``."""
+        return x >> self.k, x & self.mask
+
+    def cents(self, x: int) -> float:
+        """``x / 2**e``, correctly rounded, as int true division is;
+        ``inf`` above the float range."""
+        try:
+            return x / self.unit
+        except OverflowError:
+            return math.inf
+
+
+def _exact_cents(price, scale: float) -> tuple[int, int]:
+    """``(numerator, power-of-two denominator)`` of the cent value of a
+    stored ``price``: ``float(price) * scale`` where that is finite, else
+    the exact product, an integer as it lies above the float range."""
+    cents = float(price) * scale
+    if math.isfinite(cents):
+        return cents.as_integer_ratio()
+    (a, b), (c, d) = float(price).as_integer_ratio(), scale.as_integer_ratio()
+    return a * c // (b * d), 1
+
+
 class CostProfile(_Value):
     """Unit costs for one deployment scenario.
 
@@ -87,7 +132,8 @@ class CostProfile(_Value):
     The cent tables derived from these prices are built once, by the
     constructor's check for a universal scheme, and shared: every
     :class:`Compiled` under the profile holds the same row lists, tuples
-    and matrices, so they are read-only.
+    and matrices, so they are read-only. So is their exact form
+    (:attr:`_exact`), built on the first compile.
 
     The profile also keeps :attr:`scheme_index` and, per priced op set a
     circuit uses, the facts every strategy call on such a circuit needs
@@ -214,9 +260,9 @@ class CostProfile(_Value):
         schemes that do. ``cp``, ``cn`` and ``ct`` are the conversion
         matrices ``[src][dst]`` of compute, network and summed cost.
 
-        They are the single source of cost values for the scalar accessors
-        below and for every :class:`Compiled` under this profile, so the
-        same assignment always yields bit-identical sums.
+        They are the single source of float cost values for the scalar
+        accessors below and for every :class:`Compiled` under this
+        profile; :attr:`_exact` holds the same cent prices exactly.
         """
         ns = len(self.schemes)
         scale = float(self.scale)
@@ -239,6 +285,36 @@ class CostProfile(_Value):
         op_t = {op: [p + n for p, n in zip(op_p[op], op_n[op])] for op in OpKind}
         ct = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(cp, cn)]
         return op_p, op_n, op_t, cands, cp, cn, ct
+
+    @cached_property
+    def _exact(self) -> _Exact:
+        """The cent prices of :attr:`_tables` as the ints of :class:`_Exact`
+        (see :func:`_exact_cents` for a price whose float overflows)."""
+        ns = len(self.schemes)
+        scale = float(self.scale)
+        index = self.scheme_index
+        ops = {key: [_exact_cents(x, scale) for x in price]
+               for key, price in self.op_costs.items()}
+        convs = {key: [_exact_cents(x, scale) for x in price]
+                 for key, price in self.conversions.items()}
+        both = (ops, convs)
+        e = max([den.bit_length() - 1 for prices in both
+                 for price in prices.values() for _, den in price], default=0)
+        for prices in both:
+            for key, price in prices.items():
+                prices[key] = [num << (e - den.bit_length() + 1)
+                               for num, den in price]
+        k = 64 + max([x.bit_length() for prices in both
+                      for price in prices.values() for x in price], default=0)
+        op_x = {op: [0 if op in (OpKind.IN, OpKind.OUT) else None] * ns
+                for op in OpKind}
+        for (op, scheme), (p, n) in ops.items():
+            op_x[op][index[scheme]] = p << k | n
+        cx = [[0] * ns for _ in range(ns)]
+        for (src, dst), (p, n) in convs.items():
+            cx[index[src]][index[dst]] = p << k | n
+        return _Exact(e, k, op_x, cx, 1 << e, (1 << k) - 1,
+                      2.0 ** -e if e <= 1022 else 0.0)
 
     def op_cost_cents(self, op: OpKind, scheme: str) -> tuple[float, float]:
         """(compute, network) cents for running ``op`` under ``scheme``."""
@@ -297,7 +373,7 @@ def _check_price(name: str, what: str, price) -> None:
 class NodeCost(namedtuple(
         "NodeCost", "op_compute op_network conv_compute conv_network")):
     """Cost breakdown for one node, in cents (an immutable named tuple of
-    four floats)."""
+    four floats, each the float nearest its exact sum)."""
 
     __slots__ = ()
 
@@ -316,7 +392,10 @@ class NodeCost(namedtuple(
 
 class CostReport(_Value):
     """Total cost of an assigned circuit, in cents, and its per-node
-    breakdown. Reports compare by their three totals.
+    breakdown. Reports compare by their three totals. Each total, and each
+    field of a per-node record, is the float nearest the exact sum of its
+    cent prices (``inf`` above the float range), so ``total`` need not
+    equal ``total_compute + total_network`` in the last bit.
 
     ``per_node`` maps each node id to its :class:`NodeCost`. It holds the
     ``records`` of the fold that gave the totals when that fold kept them;
@@ -357,39 +436,36 @@ class Compiled:
     """A circuit priced under one profile, for work on scheme indices.
 
     An assignment here is a list holding, per node id, the position of
-    its scheme in ``profile.schemes``. Per node, ``op_p``, ``op_n`` and
-    ``op_t`` hold the cent rows of its operation's compute, network and
-    summed cost and ``cands`` the indices of the schemes supporting it,
-    ascending. ``cp``, ``cn`` and ``ct`` are the conversion matrices
-    ``[src][dst]`` of compute, network and summed cost. ``inputs`` and
-    ``consumers`` give each node's input ids and its consumers' ids, one
-    entry per edge.
+    its scheme in ``profile.schemes``. Per node, ``op_t`` holds the float
+    cent row of its operation's summed cost, ``op_x`` the same prices
+    exactly (the packed ints of :class:`_Exact`), and ``cands`` the
+    indices of the schemes supporting it, ascending. ``ct`` and ``cx``
+    are the float and packed conversion matrices ``[src][dst]``.
+    ``inputs`` and ``consumers`` give each node's input ids and its
+    consumers' ids, one entry per edge.
 
     The rows, ``cands`` tuples and matrices are the profile's own, built
     once per profile and shared by every compile under it (a compile only
     indexes them per node), so they are read-only.
 
-    Every total comes from the one fold :meth:`sums`, which sums its terms
-    in the order of :class:`NodeCost`, so the same assignment gives the
-    same floats however it is evaluated. A sum leaves out the conversion
-    addends of edges whose ends share a scheme: each is ``ct[s][s] ==
-    0.0`` (a profile may not price a self-conversion), and adding ``0.0``
-    changes no bit of a sum that starts at ``0.0`` and adds only
-    non-negative prices (never ``-0.0``). So a row on one scheme sums its
-    op costs alone (:meth:`uniform_sums`).
+    Every total comes from the one fold :meth:`sums`. It adds ints, so
+    the same assignment gives the same exact sums however it is
+    evaluated, and two totals compare exactly. The float rows serve the
+    passes that only steer a search.
     """
 
-    __slots__ = ("circuit", "profile", "op_p", "op_n", "op_t", "cands",
-                 "cp", "cn", "ct", "inputs", "consumers")
+    __slots__ = ("circuit", "profile", "op_t", "cands", "ct", "op_x", "cx",
+                 "inputs", "consumers")
 
     def __init__(self, circuit: Circuit, profile: CostProfile):
-        op_p, op_n, op_t, cands, self.cp, self.cn, self.ct = profile._tables
+        _, _, op_t, cands, _, _, self.ct = profile._tables
+        exact = profile._exact
         ops = circuit.node_ops
         self.circuit = circuit
         self.profile = profile
-        self.op_p = list(map(op_p.__getitem__, ops))
-        self.op_n = list(map(op_n.__getitem__, ops))
         self.op_t = list(map(op_t.__getitem__, ops))
+        self.op_x = list(map(exact.op_x.__getitem__, ops))
+        self.cx = exact.cx
         self.cands = list(map(cands.__getitem__, ops))
         self.inputs = circuit.node_inputs
         self.consumers = circuit.consumer_edges
@@ -408,59 +484,83 @@ class Compiled:
 
     def sums(
         self, idx: Sequence[int], records: list | None = None
-    ) -> tuple[float, float]:
-        """Total compute and network cost in cents of ``idx``, the one fold
-        every total and report comes from. When ``records`` is a list,
-        each node's :class:`NodeCost` is appended to it, in id order.
-
-        Same-scheme edges add nothing and are skipped (see the class
-        docstring), so each sum, and each record, is the one over every
-        edge, bit for bit.
+    ) -> tuple[int, int]:
+        """Exact total compute and network cost of ``idx``, as ints in
+        units of ``2**-e`` cents (:class:`_Exact`): the one fold every
+        total and report comes from. It adds one packed int per op and
+        per converting edge; a same-scheme edge costs nothing and is
+        skipped. When ``records`` is a list, each node's
+        :class:`NodeCost` is appended to it, in id order; nodes with equal
+        op prices and conversion sums share one record.
         """
-        cp, cn = self.cp, self.cn
-        tc = 0.0
-        tn = 0.0
-        for s, rp, rn, ins in zip(idx, self.op_p, self.op_n, self.inputs):
-            conv_p = 0.0
-            conv_n = 0.0
+        cx = self.cx
+        t = 0
+        if records is None:
+            for s, row, ins in zip(idx, self.op_x, self.inputs):
+                t += row[s]
+                for j in ins:
+                    r = idx[j]
+                    if r != s:
+                        t += cx[r][s]
+            return self.profile._exact.parts(t)
+        exact = self.profile._exact
+        parts, cents = exact.parts, exact.cents
+        made = {}  # a record per pair of packed op and conversion sums
+        for s, row, ins in zip(idx, self.op_x, self.inputs):
+            op = row[s]
+            conv = 0
             for j in ins:
                 r = idx[j]
                 if r != s:
-                    conv_p += cp[r][s]
-                    conv_n += cn[r][s]
-            if records is not None:
-                records.append(NodeCost(rp[s], rn[s], conv_p, conv_n))
-            tc += rp[s]
-            tc += conv_p
-            tn += rn[s]
-            tn += conv_n
-        return tc, tn
+                    conv += cx[r][s]
+            record = made.get((op, conv))
+            if record is None:
+                record = made[op, conv] = NodeCost(
+                    *map(cents, parts(op)), *map(cents, parts(conv)))
+            records.append(record)
+            t += op + conv
+        return parts(t)
 
-    def uniform_sums(self, s: int) -> tuple[float, float]:
+    def uniform_sums(self, s: int) -> tuple[int, int]:
         """:meth:`sums` of the row that puts every node on scheme ``s``,
-        which must support every node's operation, bit for bit: such a row
-        has only same-scheme edges, so the fold adds only the op costs."""
-        tc = 0.0
-        tn = 0.0
-        for rp, rn in zip(self.op_p, self.op_n):
-            tc += rp[s]
-            tn += rn[s]
-        return tc, tn
+        which must support every node's operation: such a row has only
+        same-scheme edges, so its sums are each priced op's count
+        (:attr:`~mpcost.circuit.Circuit.op_counts`) times its price."""
+        exact = self.profile._exact
+        op_x = exact.op_x
+        t = 0
+        for op, count in self.circuit.op_counts:
+            t += count * op_x[op][s]
+        return exact.parts(t)
 
     def report(
-        self, idx: Sequence[int], sums: tuple[float, float] | None = None
+        self, idx: Sequence[int], sums: tuple[int, int] | None = None
     ) -> CostReport:
         """Cost report of ``idx``. ``sums``, when given, must be
         :meth:`sums` of ``idx``, which a caller has already computed; the
         per-node records are then built only when the report's
         ``per_node`` is first read. Without ``sums``, one fold gives both
-        the totals and the records."""
+        the totals and the records. Each total is the float nearest its
+        exact sum, as :meth:`_Exact.cents` gives it."""
         records = None
         if sums is None:
             records = []
             sums = self.sums(idx, records)
         tc, tn = sums
-        return CostReport(tc, tn, tc + tn, self, tuple(idx), records)
+        exact = self.profile._exact
+        step = exact.step
+        if step:
+            # ``float`` of an int rounds correctly, and scaling by a normal
+            # ``step`` is exact, as the result is normal too; a first call
+            # takes microseconds less than int true division.
+            try:
+                return CostReport(float(tc) * step, float(tn) * step,
+                                  float(tc + tn) * step, self, tuple(idx), records)
+            except OverflowError:
+                pass
+        cents = exact.cents
+        return CostReport(cents(tc), cents(tn), cents(tc + tn), self,
+                          tuple(idx), records)
 
 
 def total_cost(

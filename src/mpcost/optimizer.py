@@ -11,15 +11,15 @@ plain Python, and scores assignments with its one fold,
 :meth:`~mpcost.cost_model.Compiled.sums`.
 
 Determinism: every strategy breaks ties the same way, schemes in the
-profile's declaration order first, then ascending node id. Reports sum
-their terms in one fixed order, so totals from different strategies
-(including the exact solver) compare without tolerance.
+profile's declaration order first, then ascending node id. Totals are
+exact sums of ints, so totals from different strategies (including the
+exact solver) compare without tolerance, and a report's float total is
+the one nearest the exact sum.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from operator import add
 
@@ -354,13 +354,14 @@ def exhaustive_optimal(
 
     Contract. A full row holds a scheme index per node id, ``in`` and
     ``out`` nodes included. The result is the feasible full row with the
-    least total of :meth:`~mpcost.cost_model.Compiled.sums`; ties go to
-    the lexicographically first row (scheme index, node 0 first). The
-    search space checked against ``max_space``, before any solver work,
-    is the product of the candidate counts over the priced nodes, e.g.
-    ``3**k`` for ``k`` add/mul nodes under the bundled profiles; above it
-    the call raises :class:`SearchSpaceTooLarge`. The report reuses the
-    pass's sums and builds per-node records only when they are read.
+    least exact total of :meth:`~mpcost.cost_model.Compiled.sums`; ties,
+    which are exact, go to the lexicographically first row (scheme
+    index, node 0 first). The search space checked against
+    ``max_space``, before any solver work, is the product of the
+    candidate counts over the priced nodes, e.g. ``3**k`` for ``k``
+    add/mul nodes under the bundled profiles; above it the call raises
+    :class:`SearchSpaceTooLarge`. The report reuses the pass's sums and
+    builds per-node records only when they are read.
     """
     compiled = Compiled(circuit, profile)
     sums, idx = exact_pass(compiled, limits or _DEFAULT_LIMITS)
@@ -369,61 +370,44 @@ def exhaustive_optimal(
 
 def exact_pass(
     compiled: Compiled, limits: SolverLimits
-) -> tuple[tuple[float, float], list[int]]:
+) -> tuple[tuple[int, int], list[int]]:
     """The :meth:`~mpcost.cost_model.Compiled.sums` and scheme indices of
     :func:`exhaustive_optimal`'s row, whose docstring states the contract.
 
-    Method. The cost is pairwise: a unary term ``op_t[u]`` per node and
-    ``ct[r][s]`` per edge; a node no term touches (an ``in`` node nobody
-    reads) keeps its first candidate. An ascent on the LP dual (EMPLP:
-    Globerson and Jaakkola, NIPS 2007) keeps a message per edge end. Per
-    edge ``(j, u)`` a sweep sets ``m_j(r) = (min_s [ct[r][s] + w_u(s)] -
-    w_j(r)) / 2`` and ``m_u`` alike, where ``w_v`` is the belief ``b_v``
-    (the unary term plus the messages into ``v``) less the edge's own
-    message. It stops when the dual bound ``sum_v min b_v`` stops rising,
-    or after ``_DUAL_SWEEPS`` sweeps. Any messages leave each row's exact
-    cost at ``sum_v b_v + sum_e t_e``, with ``t_e(r, s) = ct[r][s] -
-    m_j(r) - m_u(s)``. The decoded row (in id order, each node's least
-    ``b_u`` plus ``t_e`` over its in-edges) costs ``cap``. A depth-first
-    search sets the nodes in id order, schemes ascending, so rows come in
-    lexicographic order; the path carries ``Compiled.sums``'s partial
-    sums ``(tc, tn)`` and ``g``, the sum of those node terms. At a leaf
-    they are the row's sums, bit for bit, as the nodes off the search
-    (unread ``in`` nodes) add only ``0.0``.
+    Method. The cost is pairwise: a unary term per node (its op price)
+    and a conversion price per edge; a node no term touches (an ``in``
+    node nobody reads) keeps its first candidate. An ascent on the LP
+    dual (EMPLP: Globerson and Jaakkola, NIPS 2007), in floats on
+    ``op_t`` and ``ct``, keeps a message per edge end. Per edge ``(j,
+    u)`` a sweep sets ``m_j(r) = (min_s [ct[r][s] + w_u(s)] - w_j(r)) /
+    2`` and ``m_u`` alike, where ``w_v`` is the belief ``b_v`` (the unary
+    term plus the messages into ``v``) less the edge's own message. It
+    stops when the dual bound ``sum_v min b_v`` stops rising, or after
+    ``_DUAL_SWEEPS`` sweeps.
 
-    Pruning. Rows come in order, so order breaks ties: the first leaf
+    The search is exact. Any messages leave each row's cost at ``sum_v
+    b_v + sum_e t_e``, with ``t_e(r, s) = c_e(r, s) - m_j(r) - m_u(s)``.
+    So every term is an int in units of ``2**-e2`` cents, the exact
+    prices (:class:`~mpcost.cost_model._Exact`) shifted up from ``2**-e``
+    and each float message exactly: ``e2`` is the least exponent, at or
+    above ``e``, that makes every message an int. Where the ascent
+    overflowed, the messages are zero. The decoded row (in id order, each
+    node's least ``b_u`` plus ``t_e`` over its in-edges) costs ``cap``,
+    the sum of its terms. A depth-first search sets the nodes in id order,
+    schemes ascending, so rows come in lexicographic order; each stack
+    entry carries ``g``, the sum of its path's node terms, which at a
+    leaf is the row's exact total. Each node past the path's end adds at
+    least ``l_u = min b_u + sum_e min t_e`` over its in-edges, so ``g +
+    sum_u l_u`` bounds every row below. Order breaks ties: the first leaf
     costing ``cap`` or less leads, and a later one replaces it only by
-    costing strictly less. So a child goes when every row below it costs
-    more than ``best`` (the leader's total, or ``cap`` while none leads),
-    or at least ``best`` once a leaf leads. Each node past the path's end
-    adds at least ``l_u = min b_u + sum_e min t_e`` over its in-edges, so
-    ``L = g + sum_u l_u`` is at most the exact ``op_t`` and ``ct`` sum of
-    any row below. Its float ``Lf`` comes from those floats and the
-    messages by ``+``, ``-`` and ``min``, at most ``2*N`` roundings deep,
-    with ``N = 2*(n + E)`` for ``n`` nodes and ``E`` edges, so ``|Lf - L|
-    <= 2*N*eps*Z``, where ``Z = sum_u max op_t + E*max(ct) + 2*sum|m|``
-    bounds its addends' magnitudes. A row's float total sums ``N``
-    non-negative addends, so it is at least ``1 - N*eps/2`` times their
-    exact sum, itself at least the ``op_t`` and ``ct`` sum over ``1 +
-    eps/2``. So ``Lf > best * band + slack``, with ``band = 1 + 8*N*eps``
-    and ``slack = 8*N*eps*Z``, proves the first; the factors of 8 leave
-    room for rounding ``Z``, ``slack`` and the right side. A key proves
-    the second, which settles exact ties such as an all-zero profile:
-    rounded ``+`` is monotone, so the fold run on from the path's sums,
-    each later addend at its least, gives a total no row below undercuts.
-    The path's own ``tc + tn`` is at most the key, an O(1) test first. The
-    key adds op addends only: each edge's least conversion addend is
-    ``0.0``, since every node's ``cands`` holds the universal schemes (a
-    profile has one; ``in``/``out`` allow all), and adding ``0.0`` changes
-    no bit of a sum that is never ``-0.0``. Before a leaf leads, a row
-    costing ``cap`` may be the first least one (when every row sums to
-    ``inf``, the first row is), so only the bound and ``tc + tn > cap``
-    apply.
+    costing strictly less. So a child goes when its bound exceeds
+    ``cap`` before a leaf leads, and when it reaches the leader's total
+    after. Before a leaf leads, a row costing ``cap`` may be the first
+    least one, so ties with the cap stay.
     """
-    op_p, op_n, op_t, inputs = (
-        compiled.op_p, compiled.op_n, compiled.op_t, compiled.inputs
+    op_t, inputs, cands, ct = (
+        compiled.op_t, compiled.inputs, compiled.cands, compiled.ct
     )
-    cands, cp, cn, ct = compiled.cands, compiled.cp, compiled.cn, compiled.ct
     space = math.prod(len(cands[i]) for i in compiled.circuit.op_node_ids)
     if space > limits.max_space:
         raise SearchSpaceTooLarge(space, limits.max_space)
@@ -459,77 +443,64 @@ def exact_pass(
             break
         last = bound
 
-    # The beliefs summed afresh, per node ``l_u`` and its least addends,
-    # and the rounding slack.
-    b = {u: list(op_t[u]) for u in nodes}
+    # The terms as ints in units of ``2**-e2``, the beliefs summed afresh,
+    # and per position in ``nodes`` the sum of ``l_u`` from there on.
+    exact = compiled.profile._exact
+    e, k, mask = exact.e, exact.k, exact.mask
+    messages = [ms for edge in edges for ms in edge[2:]]
+    if all([math.isfinite(m) for ms in messages for m in ms]):
+        ratios = [[m.as_integer_ratio() for m in ms] for ms in messages]
+    else:
+        ratios = [[(0, 1)] * len(ms) for ms in messages]
+    e2 = max([e] + [den.bit_length() - 1 for rs in ratios for _, den in rs])
+    for ms, rs in zip(messages, ratios):
+        ms[:] = [num << (e2 - den.bit_length() + 1) for num, den in rs]
+    up = e2 - e
+    ci = [[((x >> k) + (x & mask)) << up for x in row] for row in exact.cx]
+    b = {u: [0 if x is None else ((x >> k) + (x & mask)) << up
+             for x in compiled.op_x[u]] for u in nodes}
     for j, u, mj, mu in edges:
         b[j] = list(map(add, b[j], mj))
         b[u] = list(map(add, b[u], mu))
-    rest = [0.0] * (len(nodes) + 1)  # per position in ``nodes``, sum l_u on
-    least = [None] * len(nodes)
+    rest = [0] * (len(nodes) + 1)
     for p in reversed(range(len(nodes))):
         u = nodes[p]
         low = min([b[u][s] for s in cands[u]])
         for j, mj, mu in into[u]:
-            low += min([ct[r][s] - mj[r] - mu[s] for r in cands[j] for s in cands[u]])
+            low += min([ci[r][s] - mj[r] - mu[s] for r in cands[j] for s in cands[u]])
         rest[p] = low + rest[p + 1]
-        least[p] = (min([op_p[u][s] for s in cands[u]]),
-                    min([op_n[u][s] for s in cands[u]]))
-    z = sum([max([op_t[u][s] for s in cands[u]]) for u in nodes])
-    z += len(edges) * max(map(max, ct))
-    z += 2 * sum([abs(m) for edge in edges for ms in edge[2:] for m in ms])
-    n_addends = 2 * (n + len(edges))
-    band = 1.0 + 8 * n_addends * sys.float_info.epsilon
-    slack = 8 * n_addends * sys.float_info.epsilon * z
 
     best_row = first[:]
+    best = 0  # the decoded row's total, the cap until a leaf leads
     for u in nodes:
         ins = [(best_row[j], mj, mu) for j, mj, mu in into[u]]
-        terms = [b[u][s] + sum([ct[r][s] - mj[r] - mu[s] for r, mj, mu in ins])
+        terms = [b[u][s] + sum([ci[r][s] - mj[r] - mu[s] for r, mj, mu in ins])
                  for s in cands[u]]
-        best_row[u] = cands[u][terms.index(min(terms))]
-    best_sums = compiled.sums(best_row)
-    best = best_sums[0] + best_sums[1]  # the cap, until a leaf leads
+        least = min(terms)
+        best_row[u] = cands[u][terms.index(least)]
+        best += least
 
     row = first[:]
     led = False
-    stack = [(0, s, 0.0, 0.0, 0.0) for s in reversed(cands[nodes[0]])] if nodes else []
+    stack = [(0, s, 0) for s in reversed(cands[nodes[0]])] if nodes else []
     while stack:
-        p, s, tc, tn, g = stack.pop()
+        p, s, g = stack.pop()
         u = nodes[p]
         row[u] = s
-        conv_p = 0.0
-        conv_n = 0.0
-        t = b[u][s]
+        g += b[u][s]
         for j, mj, mu in into[u]:
             r = row[j]
-            if r != s:
-                conv_p += cp[r][s]
-                conv_n += cn[r][s]
-            t += ct[r][s] - mj[r] - mu[s]
-        tc += op_p[u][s]
-        tc += conv_p
-        tn += op_n[u][s]
-        tn += conv_n
-        g += t
+            g += ci[r][s] - mj[r] - mu[s]
         p += 1
         # A tie loses to a leader, which comes first, but not to the cap.
-        if tc + tn >= best if led else tc + tn > best:
+        low = g + rest[p]
+        if low > best or led and low == best:
             continue
         if p == len(nodes):
-            best, best_sums, best_row, led = tc + tn, (tc, tn), row[:], True
+            best, best_row, led = g, row[:], True
             continue
-        if g + rest[p] > best * band + slack:
-            continue
-        if led:
-            kc, kn = tc, tn
-            for lp, ln in least[p:]:
-                kc += lp
-                kn += ln
-            if kc + kn >= best:
-                continue
-        stack.extend((p, t, tc, tn, g) for t in reversed(cands[nodes[p]]))
-    return best_sums, best_row
+        stack.extend((p, t, g) for t in reversed(cands[nodes[p]]))
+    return compiled.sums(best_row), best_row
 
 
 # --- meta-selector -----------------------------------------------------------
@@ -537,15 +508,16 @@ def exact_pass(
 
 def candidates(
     compiled: Compiled, limits: SolverLimits
-) -> dict[str, tuple[tuple[float, float], list[int], dict]]:
+) -> dict[str, tuple[tuple[int, int], list[int], dict]]:
     """Every heuristic's result on ``compiled`` as label -> ``(sums, scheme
     indices, OptimizeResult keyword arguments)``, in tie-break order: a
     ``fixed:<scheme>`` run for each scheme that supports every operation
     in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing`` from
     :func:`default_scheme`.
 
-    ``sums`` are each row's :meth:`~mpcost.cost_model.Compiled.sums`, and
-    each distinct row is folded once: a fixed row by
+    ``sums`` are each row's exact
+    :meth:`~mpcost.cost_model.Compiled.sums`, and each distinct row is
+    folded once: a fixed row by
     :meth:`~mpcost.cost_model.Compiled.uniform_sums`, any other row only
     when no earlier candidate holds it (:func:`row_sums`).
     """
@@ -566,11 +538,10 @@ def candidates(
 
 def row_sums(
     compiled: Compiled, idx: list[int], scored: dict
-) -> tuple[float, float]:
+) -> tuple[int, int]:
     """:meth:`~mpcost.cost_model.Compiled.sums` of ``idx``: those of the
     first candidate in ``scored`` (as :func:`candidates` returns them)
-    whose row equals ``idx``, else one fold. The fold of an equal row
-    gives the same floats, so the result is the same bit for bit."""
+    whose row equals ``idx``, else one fold."""
     for sums, row, _ in scored.values():
         if row == idx:
             return sums
@@ -585,7 +556,7 @@ def best_of(
     """Run every heuristic and keep the cheapest result.
 
     The candidates are those of :func:`candidates`, on one compiled form.
-    The first candidate with the least total wins, and its result
+    The first candidate with the least exact total wins, and its result
     (including its ``heuristic`` label) is what that strategy's own
     function returns. Its report reuses the winner's sums, so no row is
     summed twice, and builds per-node records only when they are read.

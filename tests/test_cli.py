@@ -109,16 +109,17 @@ def test_optimize_pure_yao_intra_has_zero_network(capsys, tmp_path):
 
 
 #: sha256 of ``mpcost optimize CIRCUIT PROFILE --json`` on the case
-#: studies, recorded when per-node records were frozen dataclasses.
+#: studies, recorded when totals became exact sums rounded once: against
+#: the float fold, only the totals' last bits moved.
 _OPTIMIZE_JSON_SHA256 = {
     ("matmul-5", "inter-m3.medium"):
-        "a4d8eb9c0767e946919c827861c2956c74b26e446457b172b276fae611a4c69b",
+        "4576df7a06128ba850995246e8b5ae8f8e7e21a2fcd7d68759ddb611eb353a41",
     ("matmul-5", "intra-c4.large"):
-        "d742719e01cd3bbae135f34bf31cd0ba819066241007c2e500736a739b105ada",
+        "3b672975059d5d3d6fed5ec66f0b100e4f4ad3b86ba61e8b3f74d51a88664232",
     ("biometric-30x5", "inter-m3.large"):
-        "ceacdf47f682399515439e837ebf4413b608986f1673c2051c68cd4df9c7b26e",
+        "a860535663bc2c8003765cc47dce1d8fbbf4e64e87b6737befb2012ba167ba64",
     ("biometric-30x5", "intra-c4.large"):
-        "7f4bb4a8fa0aaa4370f1a8aeeac2921b99847a58f7e3f5c8081d90e7a06e906e",
+        "5adba01567de69432a976048fdef46b665288bbb1280e78b0727d5c5cb6dba92",
 }
 
 

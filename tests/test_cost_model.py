@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,12 @@ from mpcost import (
     Violation,
     assignment_from_json,
     assignment_to_json,
+    best_of,
     bottom_up,
     build,
     check_feasible,
     derive_profile,
+    exhaustive_optimal,
     gen_random,
     load_builtin,
     profile_from_json,
@@ -123,11 +126,30 @@ def test_total_cost_linear_combination(inter_m3_medium):
     assert report.total == pytest.approx(55304.5e-6, rel=1e-9)
 
 
+def rounded(q: Fraction) -> float:
+    """The float nearest ``q`` (``inf`` above the float range)."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+def check_exact_report(report, circuit, profile, asg):
+    """Each total and per-node field of ``report`` is its exact sum,
+    correctly rounded (see :func:`_reference_report`)."""
+    per_node, tc, tn = _reference_report(circuit, profile, asg)
+    assert (report.total_compute, report.total_network, report.total) == (
+        rounded(tc), rounded(tn), rounded(tc + tn))
+    assert report.per_node == per_node
+
+
 def test_report_totals_are_consistent(inter_m3_medium):
+    # Each total is the exact sum rounded once, so ``total`` is the exact
+    # ``total_compute + total_network`` rounded, not a float add of the two.
     c = gen_random(7, n_ops=12)
     asg = {i: "yao" for i in range(len(c.nodes))}
     report = total_cost(c, asg, inter_m3_medium)
-    assert report.total == report.total_compute + report.total_network
+    check_exact_report(report, c, inter_m3_medium, asg)
     per_sum = sum(rec.total for rec in report.per_node.values())
     assert report.total == pytest.approx(per_sum, rel=1e-12)
 
@@ -142,34 +164,34 @@ def test_report_and_total_agree_bit_for_bit(seed, n_ops, prof, data):
     compiled = Compiled(gen_random(seed, n_ops), prof)
     idx = [data.draw(st.sampled_from(cands)) for cands in compiled.cands]
     tc, tn = compiled.sums(idx)
-    assert compiled.report(idx).total.hex() == (tc + tn).hex()
+    exact = compiled.profile._exact
+    assert compiled.report(idx).total == exact.cents(tc + tn)
+    assert compiled.report(idx, (tc, tn)) == compiled.report(idx)
 
 
 def _reference_report(circuit, profile, asg):
     """The evaluator in its plain form, priced straight from the profile's
-    stored prices: per node, a conversion sum from 0.0 over every input
-    edge, same-scheme edges included at 0.0."""
+    stored prices as exact fractions: per node, a conversion sum over
+    every input edge, same-scheme edges included at 0."""
     scale = float(profile.scale)
 
     def cents(prices, key):
         p, n = prices.get(key, (0.0, 0.0))  # in/out ops, same-scheme edges
-        return float(p) * scale, float(n) * scale
+        return Fraction(float(p) * scale), Fraction(float(n) * scale)
 
-    per_node, tc, tn = {}, 0.0, 0.0
+    per_node, tc, tn = {}, Fraction(0), Fraction(0)
     for node in circuit.nodes:
         s = asg[node.id]
         op_p, op_n = cents(profile.op_costs, (node.op, s))
-        conv_p = conv_n = 0.0
+        conv_p = conv_n = Fraction(0)
         for j in node.inputs:
             p, n = cents(profile.conversions, (asg[j], s))
             conv_p += p
             conv_n += n
-        per_node[node.id] = (op_p, op_n, conv_p, conv_n)
-        tc += op_p
-        tc += conv_p
-        tn += op_n
-        tn += conv_n
-    return per_node, tc, tn, tc + tn
+        per_node[node.id] = tuple(map(rounded, (op_p, op_n, conv_p, conv_n)))
+        tc += op_p + conv_p
+        tn += op_n + conv_n
+    return per_node, tc, tn
 
 
 #: Stored prices a random profile draws from, zero among them.
@@ -222,16 +244,17 @@ def test_total_and_report_match_a_reference_loop_bit_for_bit(
     circuit = gen_random(seed, n_ops, weights)
     compiled = Compiled(circuit, prof)
     idx = _row(data.draw, compiled, mode)
-    want_nodes, *want_totals = _reference_report(
+    want_nodes, want_tc, want_tn = _reference_report(
         circuit, prof, compiled.assignment(idx))
+    want_totals = [rounded(want_tc), rounded(want_tn), rounded(want_tc + want_tn)]
     # A report that folds the row itself, and one built from given sums
     # on a row its caller changes afterwards: its per-node records are
     # built on first read, from the row as it was.
     row = list(idx)
     reports = [compiled.report(idx), compiled.report(row, compiled.sums(idx))]
     row.clear()
-    tc, tn = compiled.sums(idx)
-    assert (tc + tn).hex() == want_totals[-1].hex()
+    e = prof._exact.e
+    assert [Fraction(x, 2**e) for x in compiled.sums(idx)] == [want_tc, want_tn]
     for report in reports:
         got_totals = (report.total_compute, report.total_network, report.total)
         assert [x.hex() for x in got_totals] == [x.hex() for x in want_totals]
@@ -250,8 +273,23 @@ def test_uniform_sums_equal_the_fold_bit_for_bit(seed, n_ops, prof):
     n = len(compiled.cands)
     for name in prof.universal_schemes():
         s = prof.scheme_index[name]
-        got = compiled.uniform_sums(s)
-        assert [x.hex() for x in got] == [x.hex() for x in compiled.sums([s] * n)]
+        assert compiled.uniform_sums(s) == compiled.sums([s] * n)
+
+
+def test_cent_prices_above_the_float_range_keep_their_exact_order():
+    # At scale 2, both adds cost more than the largest float in cents, so
+    # both read inf; their exact products still rank y below a.
+    prof = make_profile(scale=2.0, a_add=1.7e308, y_all=1.0e308)
+    assert prof.op_cost_cents(OpKind.ADD, "a") == (math.inf, 0.0)
+    exact = prof._exact
+    a, y = (exact.op_x[OpKind.ADD][prof.scheme_index[s]] for s in ("a", "y"))
+    assert [Fraction(x, exact.unit) for x in exact.parts(a)] == [
+        Fraction(1.7e308) * 2, 0]
+    assert sum(exact.parts(y)) < sum(exact.parts(a))
+    c = build([("in", []), ("in", []), ("add", [0, 1]), ("out", [2])])
+    for result in (best_of(c, prof), exhaustive_optimal(c, prof)):
+        assert result.assignment == {i: "y" for i in range(4)}
+        assert result.report.total == math.inf
 
 
 def test_node_cost_contract():
@@ -406,12 +444,11 @@ def test_compiles_share_the_profile_tables(monkeypatch):
     monkeypatch.setattr(CostProfile, "schemes_for", counted)
     second = Compiled(gen_random(2, n_ops=8), prof)
     assert calls == []
-    assert second.ct is first.ct
-    assert second.cp is first.cp and second.cn is first.cn
+    assert second.ct is first.ct and second.cx is first.cx
     by_op = {}
     for compiled in (first, second):
-        for node, *rows in zip(compiled.circuit.nodes, compiled.op_p,
-                               compiled.op_n, compiled.op_t, compiled.cands):
+        for node, *rows in zip(compiled.circuit.nodes, compiled.op_t,
+                               compiled.op_x, compiled.cands):
             for row, shared in zip(rows, by_op.setdefault(node.op, rows)):
                 assert row is shared
 

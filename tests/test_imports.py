@@ -3,7 +3,8 @@
 mpcost never loads numpy: every strategy, the exact solver included, runs
 in plain Python. ``optimize`` and ``compare`` load neither the circuit
 generators, nor profile derivation, nor ``importlib.resources``, nor
-``typing`` (the records are ``collections.namedtuple`` classes); no
+``typing`` (the records are ``collections.namedtuple`` classes), nor
+``fractions`` or ``decimal`` (exact totals are plain ints); no
 command, ``gen`` and ``derive-profile`` included, loads ``dataclasses`` or
 ``inspect``. Each case runs in a fresh interpreter, so no earlier import in
 the test session can hide a module-level one; one case makes ``import
@@ -105,7 +106,8 @@ COLD_START = """\
 import json, sys
 import mpcost, mpcost.cli
 
-UNUSED = ("mpcost.casegen", "mpcost.derive", "importlib.resources", "typing")
+UNUSED = ("mpcost.casegen", "mpcost.derive", "importlib.resources", "typing",
+          "fractions", "decimal")
 path, out, measurements, prices = sys.argv[1:]
 seen = {"import": [m for m in UNUSED if m in sys.modules]}
 for cmd in ("optimize", "compare"):

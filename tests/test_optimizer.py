@@ -31,6 +31,7 @@ from mpcost import (
     load_circuit,
     matmul_inputs,
     save_circuit,
+    save_profile,
     top_down,
     total_cost,
 )
@@ -46,26 +47,28 @@ from mpcost.errors import (
     UnsupportedScheme,
 )
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
+from test_cost_model import check_exact_report
 from test_exact_golden import mux_ladder
 from test_strategy_golden import sweep_totals
 
 
 def brute_force_minimum(circuit, profile):
     """Independent oracle: enumerate every feasible assignment over every
-    node (in/out included) with plain itertools + total_cost, and return
-    the cheapest, lexicographic on ties."""
+    node (in/out included) with plain itertools, rank them by their exact
+    sums (``Compiled.sums``), and return the cheapest, lexicographic on
+    ties, with its reported total."""
     domains = [
         [s for s in profile.schemes if profile.supports(node.op, s)]
         for node in circuit.nodes
     ]
+    compiled = Compiled(circuit, profile)
     best = None
     for combo in itertools.product(*domains):
-        asg = dict(enumerate(combo))
-        total = total_cost(circuit, asg, profile).total
-        key = (total, tuple(profile.scheme_index[s] for s in combo))
-        if best is None or key < best[0]:
-            best = (key, asg)
-    return best[1], best[0][0]
+        idx = [profile.scheme_index[s] for s in combo]
+        key = (sum(compiled.sums(idx)), idx)
+        if best is None or key < best:
+            best = key
+    return compiled.assignment(best[1]), compiled.report(best[1]).total
 
 
 # --- fixed sharing -------------------------------------------------------------
@@ -285,8 +288,7 @@ def reference_hill_climb(circuit, profile, init_scheme, max_passes):
         return cost
 
     def total():
-        tc, tn = compiled.sums(idx)
-        return tc + tn
+        return compiled.report(idx).total
 
     totals = [total()]
     sweeps = 0
@@ -326,7 +328,7 @@ def test_hill_climbing_matches_full_sweep_reference(seed, n_ops, name, max_passe
     want = reference_hill_climb(circuit, profile, init, max_passes)
     assert (got.assignment, got.iterations, got.limit_exceeded) == want[:3]
     totals = sweep_totals(circuit, profile, init, got.iterations)
-    assert [t.hex() for t in totals] == [t.hex() for t in want[3]]
+    assert totals == list(want[3])
 
 
 # --- exhaustive --------------------------------------------------------------------
@@ -467,9 +469,8 @@ def test_exhaustive_all_zero_costs_pick_the_first_assignment(inter_m3_medium, le
 
 def test_exhaustive_keeps_ties_that_rounding_splits(inter_m3_medium):
     # Prices in tenths of a cent tie in exact arithmetic, but float sums in
-    # different orders round apart. Rows whose fast total is a rounding
-    # step above the fast minimum must still be rescored: without that
-    # slack the solver returns another assignment here.
+    # different orders round apart. The totals are exact, so these rows
+    # tie and the first of them wins, as brute force on exact sums says.
     c = build([
         ("in", []), ("sub", [0, 0]), ("mul", [1, 0]), ("eq", [1, 2]),
         ("add", [3, 1]), ("ge", [1, 3]), ("out", [4]), ("out", [5]),
@@ -500,10 +501,10 @@ def test_exhaustive_keeps_ties_that_rounding_splits(inter_m3_medium):
 
 
 def test_exhaustive_prunes_only_outside_the_rounding_band(inter_m3_medium):
-    # All-boolean and all-yao both cost 7 tenths of a cent. Summed as
-    # floats, all-boolean reads 0.7000000000000001 and all-yao 0.7, and the
-    # search's bound for the yao subtree rounds above 0.7000000000000001:
-    # a solver that prunes on the bare float comparison keeps all-boolean.
+    # All-boolean and all-yao both cost 7 tenths of a cent. A float fold
+    # read all-boolean as 0.7000000000000001 and all-yao as 0.7, so a
+    # float solver kept all-yao. Their exact sums tie, so all-boolean, the
+    # first row, wins, and its total is that exact sum rounded.
     c = build([("in", []), ("in", []), ("eq", [0, 0]), ("sub", [1, 2]), ("out", [3])])
     a, b, y = inter_m3_medium.schemes
     prices = {
@@ -523,15 +524,14 @@ def test_exhaustive_prunes_only_outside_the_rounding_band(inter_m3_medium):
     )
     got = exhaustive_optimal(c, tenths)
     want_asg, want_total = brute_force_minimum(c, tenths)
-    assert got.report.total == want_total == 0.7
-    assert got.assignment == want_asg
+    assert got.report.total == want_total == 0.7000000000000001
+    assert got.assignment == want_asg == {i: b for i in range(5)}
 
 
 def test_exhaustive_prunes_only_outside_the_rounding_slack():
-    # Prices in thousandths of a cent: twenty rows tie at 0.007. The
-    # search's dual bound is a float sum of terms of either sign, which
-    # can round above that tie; a solver that prunes on the bare bound,
-    # without its band and slack, returns a later row.
+    # Prices in thousandths of a cent: twenty rows tie at 0.007. A float
+    # sum of the dual bound's terms, of either sign, can round above that
+    # tie; the search sums them exactly, so it keeps the first row.
     c = build([
         ("in", []), ("in", []), ("in", []), ("xor", [1, 2]), ("ge", [2, 3]),
         ("out", [3]), ("out", [1]),
@@ -718,7 +718,7 @@ _PROPERTY_PROFILES = _BUNDLED + [
 
 def check_exact_against_brute_force(circuit, prof):
     """``exhaustive_optimal``, checked against brute force, and its pass's
-    sums against one fold of its row, bit for bit."""
+    sums against one fold of its row."""
     got = exhaustive_optimal(circuit, prof)
     want_asg, want_total = brute_force_minimum(circuit, prof)
     assert got.report.total == want_total
@@ -726,7 +726,7 @@ def check_exact_against_brute_force(circuit, prof):
     compiled = Compiled(circuit, prof)
     sums, row = optimizer.exact_pass(compiled, SolverLimits())
     assert row == compiled.indices(got.assignment)
-    assert [x.hex() for x in sums] == [x.hex() for x in compiled.sums(row)]
+    assert sums == compiled.sums(row)
     return got
 
 
@@ -753,10 +753,13 @@ def test_exhaustive_is_the_true_minimum(circuit, prof):
 
 @pytest.mark.parametrize("kind", STRESS_PRICES)
 def test_exhaustive_ties_and_overflows_follow_brute_force(kind):
-    # Stress prices tie rows exactly, or sum them to inf. The decoded row
-    # only caps the answer: a search that dropped a child whose partial
-    # total reaches that cap before any leaf led lost the first least row
-    # on seeds 6, 9 and 22 here.
+    # Stress prices tie rows exactly, or sum them above the float range.
+    # The decoded row only caps the answer: a search that dropped a child
+    # whose partial total reaches that cap before any leaf led lost the
+    # first least row on seeds 6, 9 and 22 here. Under stress-huge, rows
+    # that all read inf still differ in their exact sums, so the answer is
+    # the true least row, not the first one (float sums tied them all).
+    past_the_first = 0
     for seed in range(60):
         rng = random.Random(seed)
         entries = [("in", [])] * rng.randint(1, 2)
@@ -767,7 +770,50 @@ def test_exhaustive_ties_and_overflows_follow_brute_force(kind):
         sources = len(entries)
         for _ in range(rng.randint(1, min(2, 7 - sources))):
             entries.append(("out", [rng.randrange(sources)]))
-        check_exact_against_brute_force(build(entries), stress_profile(kind, seed))
+        circuit, profile = build(entries), stress_profile(kind, seed)
+        got = check_exact_against_brute_force(circuit, profile)
+        compiled = Compiled(circuit, profile)
+        past_the_first += (got.report.total == math.inf and compiled.indices(
+            got.assignment) != [cands[0] for cands in compiled.cands])
+    assert (past_the_first > 0) is (kind == "stress-huge")
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_every_total_is_the_exact_sum_correctly_rounded(name, tmp_path, capsys):
+    """Every total is the float nearest the exact (``Fraction``) sum of the
+    profile's cent prices: each strategy's, ``best_of``'s and the exact
+    solver's report, ``total_cost``'s totals and per-node records, and
+    each ``compare`` row, on seeded random circuits under a bundled
+    profile or seeded stress profiles."""
+    circuit_path, profile_path = tmp_path / "circuit.json", tmp_path / "profile.json"
+    for seed in range(12):
+        circuit = gen_random(seed, n_ops=1 + (seed * 5) % 24)
+        profile = profile_named(name, seed)
+        init = optimizer.default_scheme(circuit, profile)
+        results = {f"fixed:{s}": fixed_sharing(circuit, profile, s)
+                   for s in profile.universal_schemes(circuit.ops_present())}
+        results["bottom-up"] = bottom_up(circuit, profile)
+        results["top-down"] = top_down(circuit, profile)
+        results["hill-climbing"] = hill_climbing(circuit, profile, init)
+        results["best"] = best_of(circuit, profile)
+        try:
+            results["exhaustive"] = exhaustive_optimal(circuit, profile)
+        except SearchSpaceTooLarge:
+            pass
+        for result in results.values():
+            check_exact_report(result.report, circuit, profile, result.assignment)
+            check_exact_report(total_cost(circuit, result.assignment, profile),
+                               circuit, profile, result.assignment)
+        save_circuit(circuit, circuit_path)
+        save_profile(profile, profile_path)
+        assert main(["compare", str(circuit_path), str(profile_path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 4 + ("exhaustive" in results)
+        for row in rows:
+            label = row["heuristic"].replace(f"pure-{init}", f"fixed:{init}")
+            report = results[label].report
+            assert (row["compute"], row["network"], row["total"]) == (
+                report.total_compute, report.total_network, report.total)
 
 
 def test_exhaustive_dominates_heuristics(all_profiles):
@@ -839,9 +885,13 @@ def test_best_of_compiles_once_and_builds_records_on_first_read(
     monkeypatch.setattr(cost_model, "NodeCost", CountedNodeCost)
     report = best_of(circuit, inter_m3_medium).report
     assert counts == {"compiled": 1, "records": 0}
-    # The first read builds one record per node, the second reads them.
-    assert report.per_node is report.per_node
-    assert counts == {"compiled": 1, "records": len(circuit.nodes)}
+    # The first read builds the records, one per distinct pair of op price
+    # and conversion sum, shared by the nodes that have it; the second
+    # reads them.
+    per_node = report.per_node
+    assert per_node is report.per_node
+    assert len(per_node) == len(circuit.nodes)
+    assert counts == {"compiled": 1, "records": len(set(per_node.values()))}
 
 
 def counted_folds(monkeypatch):
@@ -900,8 +950,8 @@ def test_hill_climbing_folds_its_row_once_with_records(monkeypatch, inter_m3_med
 
 
 def test_exhaustive_folds_its_cap_then_records_on_read(monkeypatch, inter_m3_medium):
-    """The search's leaf sums are the row's, so the only fold before a
-    read is the decoded row's (the search's cap), without records; the
+    """The search's cap is the sum of the decoded row's terms, so the only
+    fold before a read is the returned row's, without records; the
     per-node records come from one more fold, on first read."""
     circuit = gen_matmul(MatMulSpec(n=2))
     folded = counted_folds(monkeypatch)
@@ -1012,9 +1062,9 @@ def reference_candidates(compiled, limits):
 
 
 def shown(scored):
-    """Every field of a candidate list, floats by ``.hex()``."""
+    """Every field of a candidate list."""
     return [
-        (label, list(row), [x.hex() for x in sums], extra)
+        (label, list(row), list(sums), extra)
         for label, (sums, row, extra) in scored.items()
     ]
 
