@@ -15,16 +15,17 @@ like any other node.
 
 Strategies price many assignments of one circuit, so they first compile
 the circuit and the profile into a :class:`Compiled` form: per node, rows
-indexed by scheme position, and conversion matrices. Prices come in two
-forms. The float rows (``op_t``, ``ct``) steer the greedy passes and
-hill climbing. The exact form holds every cent price as an int over one
-power of two per profile, so a sum of prices is exact and its order does
-not matter. :meth:`Compiled.sums` adds those ints, and every total and
-report comes from it: every strategy, the exact solver included, is
-ranked by its exact sums, and a report rounds each total once, to the
-float nearest the exact sum. It builds the per-node records of a
-:class:`CostReport` either in the fold that gives the report's totals
-or, when a strategy already has those, only when they are read.
+indexed by scheme position, and conversion matrices. A profile's prices
+are read once, into one exact form that holds every cent price as an int
+over one power of two per profile, so a sum of prices is exact and its
+order does not matter. The float rows (``op_t``, ``ct``) that steer the
+greedy passes and hill climbing are read off it. :meth:`Compiled.sums`
+adds the ints, and every total and report comes from it: every
+strategy, the exact solver included, is ranked by its exact sums, and a
+report rounds each total once, to the float nearest the exact sum. It
+builds the per-node records of a :class:`CostReport` either in the fold
+that gives the report's totals or, when a strategy already has those,
+only when they are read.
 
 Deriving a profile from raw measurements lives in :mod:`mpcost.derive`.
 
@@ -101,8 +102,16 @@ class _Exact(namedtuple("_Exact", "e k op_x cx unit mask step")):
         return x >> self.k, x & self.mask
 
     def cents(self, x: int) -> float:
-        """``x / 2**e``, correctly rounded, as int true division is;
-        ``inf`` above the float range."""
+        """``x / 2**e``, correctly rounded; ``inf`` above the float range.
+        While ``step`` is nonzero, ``float(x) * step`` gives it faster than
+        int true division: ``float`` of an int rounds correctly, and
+        scaling by a normal ``step`` is exact, as the result is normal too.
+        """
+        if self.step:
+            try:
+                return float(x) * self.step
+            except OverflowError:
+                pass
         try:
             return x / self.unit
         except OverflowError:
@@ -129,11 +138,11 @@ class CostProfile(_Value):
     ``(compute, network)`` conversion price. ``scale`` converts stored
     units to cents.
 
-    The cent tables derived from these prices are built once, by the
-    constructor's check for a universal scheme, and shared: every
-    :class:`Compiled` under the profile holds the same row lists, tuples
-    and matrices, so they are read-only. So is their exact form
-    (:attr:`_exact`), built on the first compile.
+    The exact cent prices (:attr:`_exact`) and the float tables read off
+    them (:attr:`_tables`) are built once, by the constructor's check for
+    a universal scheme, and shared: every :class:`Compiled` under the
+    profile holds the same row lists, tuples and matrices, so they are
+    read-only.
 
     The profile also keeps :attr:`scheme_index` and, per priced op set a
     circuit uses, the facts every strategy call on such a circuit needs
@@ -209,11 +218,11 @@ class CostProfile(_Value):
     def supports(self, op: OpKind, scheme: str) -> bool:
         """``scheme`` is declared and prices ``op``; ``in`` and ``out`` take
         every scheme."""
-        return self.scheme_index.get(scheme) in self._tables[3].get(op, ())
+        return self.scheme_index.get(scheme) in self._tables[1].get(op, ())
 
     def schemes_for(self, op: OpKind) -> tuple[str, ...]:
         """Schemes supporting ``op``, in canonical (declaration) order."""
-        return tuple([self.schemes[i] for i in self._tables[3].get(op, ())])
+        return tuple([self.schemes[i] for i in self._tables[1].get(op, ())])
 
     def universal_schemes(
         self, ops: Iterable[OpKind] = COMPUTE_OPS
@@ -222,7 +231,7 @@ class CostProfile(_Value):
         ops), in declaration order: the intersection of the ops' candidate
         indices in :attr:`_tables`. A value that is not an
         :class:`~mpcost.circuit.OpKind` has no candidates."""
-        cands = self._tables[3]
+        cands = self._tables[1]
         keep = set(range(len(self.schemes))).intersection(
             *[cands.get(op, ()) for op in ops])
         return tuple([self.schemes[i] for i in sorted(keep)])
@@ -251,45 +260,34 @@ class CostProfile(_Value):
     # -- cent-denominated lookup tables ----------------------------------
 
     @cached_property
-    def _tables(self) -> tuple[dict, dict, dict, dict, list, list, list]:
-        """The cent tables ``(op_p, op_n, op_t, cands, cp, cn, ct)``.
-
-        Per op kind, ``op_p``, ``op_n`` and ``op_t`` hold its compute,
-        network and summed cost under each scheme (``inf`` where the scheme
-        does not support it) and ``cands`` the ascending indices of the
-        schemes that do. ``cp``, ``cn`` and ``ct`` are the conversion
-        matrices ``[src][dst]`` of compute, network and summed cost.
-
-        They are the single source of float cost values for the scalar
-        accessors below and for every :class:`Compiled` under this
-        profile; :attr:`_exact` holds the same cent prices exactly.
+    def _tables(self) -> tuple[dict, dict, list]:
+        """The float cent tables ``(op_t, cands, ct)``, read off
+        :attr:`_exact`: per op kind, its summed cost under each scheme
+        (``inf`` where the scheme does not support it) and the ascending
+        indices of the schemes that do; and the conversion matrix
+        ``[src][dst]`` of summed cost. A sum is the float sum of its two
+        parts' :meth:`_Exact.cents`, so it is ``float(p) * scale +
+        float(n) * scale``, ``inf`` where that overflows.
         """
-        ns = len(self.schemes)
-        scale = float(self.scale)
-        index = self.scheme_index
-        op_p, op_n, cands = {}, {}, {}
-        for op in OpKind:
-            free = 0.0 if op in (OpKind.IN, OpKind.OUT) else math.inf
-            op_p[op] = [free] * ns
-            op_n[op] = [free] * ns
-            cands[op] = tuple(j for j, s in enumerate(self.schemes)
-                              if free == 0.0 or (op, s) in self.op_costs)
-        for (op, scheme), (p, n) in self.op_costs.items():
-            op_p[op][index[scheme]] = float(p) * scale
-            op_n[op][index[scheme]] = float(n) * scale
-        cp = [[0.0] * ns for _ in range(ns)]
-        cn = [[0.0] * ns for _ in range(ns)]
-        for (src, dst), (p, n) in self.conversions.items():
-            cp[index[src]][index[dst]] = float(p) * scale
-            cn[index[src]][index[dst]] = float(n) * scale
-        op_t = {op: [p + n for p, n in zip(op_p[op], op_n[op])] for op in OpKind}
-        ct = [[p + n for p, n in zip(rp, rn)] for rp, rn in zip(cp, cn)]
-        return op_p, op_n, op_t, cands, cp, cn, ct
+        exact = self._exact
+        parts, cents = exact.parts, exact.cents
+
+        def summed(x):
+            if x is None:
+                return math.inf
+            p, n = parts(x)
+            return cents(p) + cents(n)
+
+        op_t = {op: list(map(summed, row)) for op, row in exact.op_x.items()}
+        cands = {op: tuple([j for j, x in enumerate(row) if x is not None])
+                 for op, row in exact.op_x.items()}
+        return op_t, cands, [list(map(summed, row)) for row in exact.cx]
 
     @cached_property
     def _exact(self) -> _Exact:
-        """The cent prices of :attr:`_tables` as the ints of :class:`_Exact`
-        (see :func:`_exact_cents` for a price whose float overflows)."""
+        """The profile's cent prices as the ints of :class:`_Exact` (see
+        :func:`_exact_cents` for a price whose float overflows): the one
+        form in which the profile's prices are read."""
         ns = len(self.schemes)
         scale = float(self.scale)
         index = self.scheme_index
@@ -323,9 +321,9 @@ class CostProfile(_Value):
                 f"scheme {scheme!r} does not support op {op} "
                 f"in profile {self.name!r}"
             )
-        op_p, op_n, *_ = self._tables
-        j = self.scheme_index[scheme]
-        return op_p[op][j], op_n[op][j]
+        exact = self._exact
+        x = exact.op_x[op][self.scheme_index[scheme]]
+        return tuple(map(exact.cents, exact.parts(x)))
 
     def conv_cost_cents(self, src: str, dst: str) -> tuple[float, float]:
         """(compute, network) cents for re-sharing a value from ``src`` to
@@ -336,8 +334,8 @@ class CostProfile(_Value):
             raise InfeasibleAssignment(
                 f"scheme {e.args[0]!r} is not declared by profile {self.name!r}"
             ) from None
-        *_, cp, cn, _ = self._tables
-        return cp[i][j], cn[i][j]
+        exact = self._exact
+        return tuple(map(exact.cents, exact.parts(exact.cx[i][j])))
 
 
 def _is_finite(x) -> bool:
@@ -458,7 +456,7 @@ class Compiled:
                  "inputs", "consumers")
 
     def __init__(self, circuit: Circuit, profile: CostProfile):
-        _, _, op_t, cands, _, _, self.ct = profile._tables
+        op_t, cands, self.ct = profile._tables
         exact = profile._exact
         ops = circuit.node_ops
         self.circuit = circuit
@@ -547,18 +545,7 @@ class Compiled:
             records = []
             sums = self.sums(idx, records)
         tc, tn = sums
-        exact = self.profile._exact
-        step = exact.step
-        if step:
-            # ``float`` of an int rounds correctly, and scaling by a normal
-            # ``step`` is exact, as the result is normal too; a first call
-            # takes microseconds less than int true division.
-            try:
-                return CostReport(float(tc) * step, float(tn) * step,
-                                  float(tc + tn) * step, self, tuple(idx), records)
-            except OverflowError:
-                pass
-        cents = exact.cents
+        cents = self.profile._exact.cents
         return CostReport(cents(tc), cents(tn), cents(tc + tn), self,
                           tuple(idx), records)
 

@@ -269,6 +269,49 @@ def profile_named(name, seed):
     return load_builtin(name)
 
 
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_float_rows_are_the_stored_prices_times_scale_bit_for_bit(name):
+    # The float rows and the scalar accessors are read off the exact
+    # prices. Each must be the float a direct product gives: ``inf`` where
+    # it overflows (stress-huge at scale 3), rounded into the subnormals
+    # where it is that small (stress-tiny at scale 0.3, whose exact unit
+    # lies below the normal range).
+    profiles = [load_builtin(name)] if name in BUILTIN_PROFILES else [
+        CostProfile(f"{p.name}-{scale}", scale, p.schemes, p.op_costs,
+                    p.conversions)
+        for p in map(functools.partial(stress_profile, name), range(3))
+        for scale in (1.0, 0.3, 3.0)
+    ]
+
+    def hexes(*xs):
+        return [x.hex() for x in xs]
+
+    for prof in profiles:
+        scale = prof.scale
+        op_t, cands, ct = prof._tables
+        for op in OpKind:
+            want_t, want_cands = [], []
+            for j, s in enumerate(prof.schemes):
+                price = prof.op_costs.get((op, s))
+                if op in (OpKind.IN, OpKind.OUT):
+                    price = (0.0, 0.0)
+                elif price is None:
+                    want_t.append(math.inf)
+                    continue
+                p, n = float(price[0]) * scale, float(price[1]) * scale
+                want_t.append(p + n)
+                want_cands.append(j)
+                assert hexes(*prof.op_cost_cents(op, s)) == hexes(p, n)
+            assert hexes(*op_t[op]) == hexes(*want_t)
+            assert cands[op] == tuple(want_cands)
+        for i, src in enumerate(prof.schemes):
+            for j, dst in enumerate(prof.schemes):
+                price = prof.conversions.get((src, dst), (0.0, 0.0))
+                p, n = float(price[0]) * scale, float(price[1]) * scale
+                assert hexes(ct[i][j]) == hexes(p + n)
+                assert hexes(*prof.conv_cost_cents(src, dst)) == hexes(p, n)
+
+
 def reference_hill_climb(circuit, profile, init_scheme, max_passes):
     """Hill climbing as specified, with every sweep visiting every node:
     ``(assignment, iterations, limit_exceeded, sweep_totals)``."""
@@ -582,7 +625,7 @@ def test_exhaustive_memory_is_bounded(inter_m3_medium, circuit, uniform, scheme)
     # cost extra, so all-arithmetic is the optimum term by term. Under a
     # uniform profile every conversion-free row is optimal; all-boolean is
     # the first, as the mux ladder's eq and mux nodes have no arithmetic.
-    # The solver keeps a few floats per node and per edge end, so its
+    # The solver keeps a few ints per node and per edge end, so its
     # memory follows the circuit, not the search space (4**10 on the mux
     # ladder).
     prof = inter_m3_medium if uniform is None else _uniform_profile(inter_m3_medium, uniform)
@@ -613,6 +656,22 @@ def test_exhaustive_solves_a_wide_star_quickly(inter_m3_medium, outs, zero):
     result = exhaustive_optimal(c, prof)
     assert time.perf_counter() - start < 3.0
     assert set(result.assignment.values()) == {"arithmetic"}
+
+
+def test_exhaustive_solves_a_mux_ladder_whose_float_sums_overflow_quickly(
+    inter_m3_medium,
+):
+    # Every price is 1.7e308, so each float sum of two prices is inf, and
+    # every conversion-free row ties; all-boolean is the first, as eq and
+    # mux have no arithmetic. A solver whose ascent ran on floats zeroed
+    # its messages on overflow and searched the ties with no bound: about
+    # 6 s and 4.6 million pops here, ten times more per rung.
+    prof = _uniform_profile(inter_m3_medium, 1.7e308)
+    c = mux_ladder(6)
+    start = time.perf_counter()
+    result = exhaustive_optimal(c, prof)
+    assert time.perf_counter() - start < 1.0
+    assert result.assignment == fixed_sharing(c, prof, "boolean").assignment
 
 
 @pytest.mark.parametrize("name", ["inter-m3.medium", "intra-c4.large"])
