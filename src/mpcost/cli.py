@@ -176,7 +176,7 @@ def cmd_compare(args) -> int:
     compiled = Compiled(circuit, profile)
     # Each row keeps the sums it was scored with, the exact row those of
     # its search. No row needs per-node records.
-    runs = candidates(compiled, limits)
+    runs = dict(candidates(compiled, limits))
     labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:

@@ -80,7 +80,7 @@ class _Uniform(namedtuple("_Uniform", "universal fixed start")):
     __slots__ = ()
 
 
-class _Exact(namedtuple("_Exact", "e k op_x cx unit mask step")):
+class _Exact(namedtuple("_Exact", "e k op_x cx unit mask step least")):
     """A profile's cent prices as exact ints: each is ``price * 2**e``,
     with ``e`` the least exponent that makes every one an integer.
 
@@ -93,6 +93,13 @@ class _Exact(namedtuple("_Exact", "e k op_x cx unit mask step")):
     ``out``), and ``cx`` is the packed conversion matrix ``[src][dst]``.
     ``unit`` is ``2**e``, ``mask`` is ``2**k - 1`` and ``step`` is the
     float ``2.0**-e`` where that is normal (``e <= 1022``), else 0.
+
+    ``least`` maps each op kind to its least unpacked price (compute plus
+    network) over the schemes that support it, ``0`` for ``in`` and
+    ``out``. Every row pays at least that per node and no conversion is
+    negative, so the sum of ``count * least[op]`` over a circuit's
+    :attr:`~mpcost.circuit.Circuit.op_counts` bounds every row's exact
+    total from below.
     """
 
     __slots__ = ()
@@ -311,8 +318,13 @@ class CostProfile(_Value):
         cx = [[0] * ns for _ in range(ns)]
         for (src, dst), (p, n) in convs.items():
             cx[index[src]][index[dst]] = p << k | n
-        return _Exact(e, k, op_x, cx, 1 << e, (1 << k) - 1,
-                      2.0 ** -e if e <= 1022 else 0.0)
+        mask = (1 << k) - 1
+        # An op no scheme supports fails the constructor's universal check.
+        least = {op: min([(x >> k) + (x & mask) for x in row if x is not None],
+                         default=0)
+                 for op, row in op_x.items()}
+        return _Exact(e, k, op_x, cx, 1 << e, mask,
+                      2.0 ** -e if e <= 1022 else 0.0, least)
 
     def op_cost_cents(self, op: OpKind, scheme: str) -> tuple[float, float]:
         """(compute, network) cents for running ``op`` under ``scheme``."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from operator import add
 
 from .circuit import Circuit, OpKind, _check_count, _Value
@@ -112,9 +113,10 @@ def _result(
 
 
 # Each public strategy compiles, runs its pass (scheme indices over a
-# given ``Compiled``) and reports. ``candidates`` runs every heuristic pass
-# on one compiled form; ``best_of`` and ``mpcost compare`` read it, and
-# ``compare`` runs ``exact_pass`` on that same form.
+# given ``Compiled``) and reports. ``candidates`` runs the heuristic passes
+# on one compiled form as they are read; ``mpcost compare`` reads them all
+# and runs ``exact_pass`` on that same form, and ``best_of`` reads them
+# until its leader is at the floor no row can beat.
 
 
 def fixed_sharing(
@@ -502,12 +504,16 @@ def exact_pass(
 
 def candidates(
     compiled: Compiled, limits: SolverLimits
-) -> dict[str, tuple[tuple[int, int], list[int], dict]]:
-    """Every heuristic's result on ``compiled`` as label -> ``(sums, scheme
-    indices, OptimizeResult keyword arguments)``, in tie-break order: a
-    ``fixed:<scheme>`` run for each scheme that supports every operation
-    in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing`` from
-    :func:`default_scheme`.
+) -> Iterator[tuple[str, tuple[tuple[int, int], list[int], dict]]]:
+    """Every heuristic's result on ``compiled`` as ``(label, (sums, scheme
+    indices, OptimizeResult keyword arguments))`` pairs, in tie-break
+    order: a ``fixed:<scheme>`` run for each scheme that supports every
+    operation in the circuit, ``bottom-up``, ``top-down`` and
+    ``hill-climbing`` from :func:`default_scheme`.
+
+    It is a generator, and a pass runs only when its pair is asked for:
+    :func:`best_of` stops reading once no later pair can win, and
+    ``mpcost compare`` takes ``dict()`` of it, every candidate.
 
     ``sums`` are each row's exact
     :meth:`~mpcost.cost_model.Compiled.sums`, and each distinct row is
@@ -520,22 +526,26 @@ def candidates(
     scored = {}
     # Universal schemes support every node's op, so no per-node check.
     for label, s in fixed:
-        scored[label] = (compiled.uniform_sums(s), [s] * n, {})
-    for label, (idx, extra) in (
-        ("bottom-up", (bottom_up_pass(compiled), {})),
-        ("top-down", (top_down_pass(compiled), {})),
-        ("hill-climbing", hill_pass(compiled, start, limits)),
-    ):
-        scored[label] = (row_sums(compiled, idx, scored), idx, extra)
-    return scored
+        scored[label] = run = (compiled.uniform_sums(s), [s] * n, {})
+        yield label, run
+    for label in ("bottom-up", "top-down", "hill-climbing"):
+        if label == "bottom-up":
+            idx, extra = bottom_up_pass(compiled), {}
+        elif label == "top-down":
+            idx, extra = top_down_pass(compiled), {}
+        else:
+            idx, extra = hill_pass(compiled, start, limits)
+        scored[label] = run = (row_sums(compiled, idx, scored), idx, extra)
+        yield label, run
 
 
 def row_sums(
     compiled: Compiled, idx: list[int], scored: dict
 ) -> tuple[int, int]:
     """:meth:`~mpcost.cost_model.Compiled.sums` of ``idx``: those of the
-    first candidate in ``scored`` (as :func:`candidates` returns them)
-    whose row equals ``idx``, else one fold."""
+    first candidate in ``scored`` (label -> ``(sums, row, extra)``, the
+    candidates :func:`candidates` has yielded so far) whose row equals
+    ``idx``, else one fold."""
     for sums, row, _ in scored.values():
         if row == idx:
             return sums
@@ -547,7 +557,7 @@ def best_of(
     profile: CostProfile,
     limits: SolverLimits | None = None,
 ) -> OptimizeResult:
-    """Run every heuristic and keep the cheapest result.
+    """Run the heuristics and keep the cheapest result.
 
     The candidates are those of :func:`candidates`, on one compiled form.
     The first candidate with the least exact total wins, and its result
@@ -555,13 +565,26 @@ def best_of(
     function returns. Its report reuses the winner's sums, so no row is
     summed twice, and builds per-node records only when they are read.
     ``exhaustive_optimal`` is not a candidate.
+
+    The run stops as soon as the leader's exact total equals the floor,
+    the sum of each node's least op price (``least`` of
+    :class:`~mpcost.cost_model._Exact`). No row costs less, as no
+    conversion is negative, and a later candidate that ties loses to the
+    leader. So the passes left unrun could not change the result: its
+    row, label, sums, ``iterations``, ``limit_exceeded`` and report are
+    those that running every pass gives.
     """
     compiled = Compiled(circuit, profile)
-    scored = candidates(compiled, limits or _DEFAULT_LIMITS)
-    label = None
-    for key, (sums, _, _) in scored.items():  # the first least total
-        total = sums[0] + sums[1]
-        if label is None or total < best:
-            label, best = key, total
-    sums, idx, extra = scored[label]
+    least = profile._exact.least
+    floor = 0
+    for op, count in circuit.op_counts:
+        floor += count * least[op]
+    winner = None
+    for label, run in candidates(compiled, limits or _DEFAULT_LIMITS):
+        tc, tn = run[0]
+        if winner is None or tc + tn < best:
+            winner, best = (label, run), tc + tn
+            if best == floor:
+                break
+    label, (sums, idx, extra) = winner
     return _result(compiled, idx, label, sums, **extra)

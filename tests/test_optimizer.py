@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -977,7 +978,8 @@ def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
         return row_sums(compiled, idx, scored)
 
     monkeypatch.setattr(optimizer, "row_sums", counted_row_sums)
-    scored = optimizer.candidates(Compiled(circuit, inter_m3_medium), SolverLimits())
+    scored = dict(optimizer.candidates(Compiled(circuit, inter_m3_medium),
+                                       SolverLimits()))
     # Each non-fixed row goes through row_sums once. Bottom-up, top-down
     # and hill climbing all land on the fixed arithmetic row, so they take
     # its uniform fold's sums, and no hill sweep is folded, though hill
@@ -1032,7 +1034,7 @@ def test_compare_folds_no_more_than_its_passes(capsys, monkeypatch, tmp_path,
             < best_of(circuit, inter_m3_medium).report.total)
     folded = counted_folds(monkeypatch)
     compiled = Compiled(circuit, inter_m3_medium)
-    optimizer.candidates(compiled, SolverLimits())
+    dict(optimizer.candidates(compiled, SolverLimits()))
     optimizer.exact_pass(compiled, SolverLimits())
     passes = folded[:]
     folded.clear()
@@ -1133,7 +1135,7 @@ def check_candidates(circuit, profile, max_passes=None):
     that are not universal on ``circuit``, which have no fixed candidate."""
     compiled = Compiled(circuit, profile)
     limits = SolverLimits(max_passes=max_passes)
-    assert shown(optimizer.candidates(compiled, limits)) == shown(
+    assert shown(dict(optimizer.candidates(compiled, limits))) == shown(
         reference_candidates(compiled, limits))
     universal = profile.universal_schemes(circuit.ops_present())
     return [s for s in profile.schemes if s not in universal]
@@ -1170,8 +1172,8 @@ def test_candidates_match_the_reference_on_the_case_studies(
     candidates share a row."""
     circuit, profile = make(), all_profiles[name]
     check_candidates(circuit, profile)
-    rows = [row for _, row, _ in optimizer.candidates(
-        Compiled(circuit, profile), SolverLimits()).values()]
+    rows = [row for _, (_, row, _) in optimizer.candidates(
+        Compiled(circuit, profile), SolverLimits())]
     distinct = len({tuple(row) for row in rows})
     assert (distinct < len(rows)) is coincide
 
@@ -1185,6 +1187,136 @@ def test_best_of_on_a_fresh_profile_equals_the_warm_result(all_profiles, name):
         best_of(circuit, warm)  # its tables are built by now
         assert repr(best_of(circuit, load_builtin(name))) == repr(
             best_of(circuit, warm))
+
+
+def op_price_floor(circuit, profile):
+    """Each node's least op price, summed exactly (units of ``2**-e``)."""
+    least = profile._exact.least
+    return sum(count * least[op] for op, count in circuit.op_counts)
+
+
+def all_zero(profile):
+    """``profile`` with every price 0: every row costs 0, so every
+    candidate ties at the floor."""
+    return CostProfile(
+        f"zero-{profile.name}", 1.0, profile.schemes,
+        {key: (0.0, 0.0) for key in profile.op_costs},
+        {key: (0.0, 0.0) for key in profile.conversions})
+
+
+def check_best_of_is_the_first_least_candidate(circuit, profile, max_passes=None):
+    """``best_of``, which stops once its leader is at the floor, equals
+    the first least candidate of every pass run; returns the winner."""
+    limits = SolverLimits(max_passes=max_passes)
+    compiled = Compiled(circuit, profile)
+    scored = dict(optimizer.candidates(compiled, limits))
+    totals = [sum(sums) for sums, _, _ in scored.values()]
+    label = list(scored)[totals.index(min(totals))]
+    sums, idx, extra = scored[label]
+    want = optimizer._result(compiled, idx, label, sums, **extra)
+    got = best_of(circuit, profile, limits)
+    assert repr(got) == repr(want)
+    assert got.assignment == want.assignment
+    assert (got.heuristic, got.iterations, got.limit_exceeded) == (
+        want.heuristic, want.iterations, want.limit_exceeded)
+    assert got.report == want.report  # reports compare by their three totals
+    assert got.report.row == want.report.row
+    return got
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_best_of_with_its_floor_stop_equals_every_pass_run(name):
+    """On seeded random circuits of 1-60 ops under a bundled profile or
+    seeded stress profiles, with hill climbing capped or not, stopping at
+    the floor changes no field of ``best_of``'s result."""
+    for seed in range(40):
+        circuit = gen_random(seed, n_ops=1 + (seed * 7) % 60)
+        check_best_of_is_the_first_least_candidate(
+            circuit, profile_named(name, seed), (None, 1, 2)[seed % 3])
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES)
+def test_best_of_with_its_floor_stop_equals_every_pass_run_on_case_studies(
+        all_profiles, name):
+    """Under every bundled profile and its all-zero copy, where the floor
+    is 0 and every candidate ties, so the first one wins."""
+    profile = all_profiles[name]
+    for circuit in (gen_matmul(MatMulSpec(n=5)),
+                    gen_biometric(BiometricSpec(30, 5))):
+        check_best_of_is_the_first_least_candidate(circuit, profile)
+        zero = all_zero(profile)
+        assert op_price_floor(circuit, zero) == 0
+        got = check_best_of_is_the_first_least_candidate(circuit, zero)
+        first = zero.universal_schemes(circuit.ops_present())[0]
+        assert got.heuristic == f"fixed:{first}"
+        assert got.report.total == 0
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_op_price_floor_bounds_every_row(name):
+    """The floor is at most the true minimum's exact total, and each op's
+    least price is the least exact cent value of its stored prices."""
+    for seed in range(14):
+        circuit = gen_random(seed, n_ops=1 + seed % 3)
+        if len(circuit.nodes) > 8:
+            continue
+        profile = profile_named(name, seed)
+        compiled = Compiled(circuit, profile)
+        asg, _ = brute_force_minimum(circuit, profile)
+        minimum = sum(compiled.sums(compiled.indices(asg)))
+        assert op_price_floor(circuit, profile) <= minimum
+    for seed in range(3):
+        profile = profile_named(name, seed)
+        exact, scale = profile._exact, float(profile.scale)
+        for op in OpKind:
+            cents = [Fraction(float(p) * scale) + Fraction(float(n) * scale)
+                     for (o, _), (p, n) in profile.op_costs.items() if o is op]
+            want = min(cents) if op in COMPUTE_OPS else 0
+            assert Fraction(exact.least[op], exact.unit) == want
+
+
+def test_op_price_floor_is_the_arithmetic_row_on_matmul(all_profiles):
+    circuit = gen_matmul(MatMulSpec(n=5))
+    for profile in all_profiles.values():
+        compiled = Compiled(circuit, profile)
+        s = profile.scheme_index["arithmetic"]
+        assert op_price_floor(circuit, profile) == sum(compiled.uniform_sums(s))
+
+
+def counted_passes(monkeypatch):
+    """Patch the three non-fixed passes to count their calls."""
+    calls = {}
+    for name in ("bottom_up_pass", "top_down_pass", "hill_pass"):
+        def counted(*args, _run=getattr(optimizer, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _run(*args)
+        monkeypatch.setattr(optimizer, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["inter-m3.medium", "inter-m3.large",
+                                  "intra-c4.large"])
+def test_best_of_runs_no_pass_a_leader_at_the_floor_makes_moot(
+        all_profiles, monkeypatch, tmp_path, capsys, name):
+    """On matmul(5) ``fixed:arithmetic`` is at the floor, so ``best_of``
+    runs no greedy or hill pass; on biometric(30, 5) no candidate reaches
+    it, so each runs once. ``compare`` still runs every pass and prints
+    every row."""
+    profile = all_profiles[name]
+    calls = counted_passes(monkeypatch)
+    matmul = gen_matmul(MatMulSpec(n=5))
+    assert best_of(matmul, profile).heuristic == "fixed:arithmetic"
+    assert calls == {}
+    best_of(gen_biometric(BiometricSpec(30, 5)), profile)
+    assert calls == {"bottom_up_pass": 1, "top_down_pass": 1, "hill_pass": 1}
+    calls.clear()
+    path = tmp_path / "matmul5.json"
+    save_circuit(matmul, path)
+    assert main(["compare", str(path), name]) == 0
+    assert calls == {"bottom_up_pass": 1, "top_down_pass": 1, "hill_pass": 1}
+    labels = [line[1:].split()[0] for line in capsys.readouterr().out.splitlines()
+              if line[1:].startswith(("pure-", "hill-", "top-", "bottom-"))]
+    assert labels == ["pure-yao", "hill-climbing", "top-down", "bottom-up"]
 
 
 def one_of_each(ops):
@@ -1218,8 +1350,8 @@ def test_uniform_memo_equals_the_uncached_facts_for_every_op_set(name):
             assert profile._uniform(ops) == expected
             assert profile._uniform(ops) is profile._uniform(ops)
             assert optimizer.default_scheme(circuit, profile) == default
-            labels = list(optimizer.candidates(Compiled(circuit, profile),
-                                               SolverLimits()))
+            labels = list(dict(optimizer.candidates(Compiled(circuit, profile),
+                                                    SolverLimits())))
             assert labels[:-3] == [label for label, _ in fixed]
         assert len(profile._uniform_memo) == 2 ** len(COMPUTE_OPS)
 
