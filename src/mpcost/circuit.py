@@ -165,8 +165,9 @@ class Circuit(_Value):
     Facts that depend on the nodes alone are derived on first read and
     kept: each node's op (:attr:`node_ops`) and input ids
     (:attr:`node_inputs`), the in, out and priced node ids, each node's
-    consumer edges, the priced op set (:meth:`ops_present`) and the count
-    of each priced op (:attr:`op_counts`). So every
+    consumer edges, the priced op set (:meth:`ops_present`), the count
+    of each priced op (:attr:`op_counts`) and the node shapes
+    (:attr:`_shapes`). So every
     strategy call on one circuit shares them. Each is one tuple of at
     most one entry per node or edge, made once per circuit. Sharing is
     safe: the nodes never change, so two threads that derive one fact
@@ -219,6 +220,19 @@ class Circuit(_Value):
             for j in n.inputs:
                 edges[j].append(i)
         return tuple(tuple(e) for e in edges)
+
+    @cached_property
+    def _shapes(self) -> tuple[tuple[tuple[OpKind, int, int], ...],
+                               tuple[int, ...]]:
+        """The distinct node shapes ``(op, n_in, n_cons)``, the node's op
+        and its numbers of input and consumer edges, in order of first
+        appearance, and each node's index into them. A compile looks up
+        a profile's choices once per shape, not once per node."""
+        index: dict = {}
+        at = [index.setdefault(shape, len(index)) for shape in zip(
+            self.node_ops, map(len, self.node_inputs),
+            map(len, self.consumer_edges))]
+        return tuple(index), tuple(at)
 
     def ops_present(self) -> tuple[OpKind, ...]:
         """Distinct priced operations used by this circuit, in

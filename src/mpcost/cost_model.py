@@ -70,6 +70,13 @@ YAO = "yao"
 Assignment = dict[int, str]
 
 
+#: Most consumer edges of a node shape whose choices
+#: :meth:`CostProfile._choices` works out and keeps; a shape of more
+#: keeps every supported scheme. Every node of the bundled case studies
+#: has at most 30.
+_CHOICE_FANOUT = 32
+
+
 class _Uniform(namedtuple("_Uniform", "universal fixed start")):
     """What a profile's schemes give a circuit that uses a given priced op
     set: its ``universal`` schemes (:meth:`CostProfile.universal_schemes`),
@@ -156,7 +163,11 @@ class CostProfile(_Value):
     (:meth:`_uniform`): its universal schemes, the fixed candidates and
     the default scheme. That memo is keyed by an ordered subset of
     :data:`~mpcost.circuit.COMPUTE_OPS`, so it holds at most ``2**8``
-    entries. Sharing is safe: an entry depends only on the prices, which
+    entries. A second memo keeps, per node shape ``(op, n_in, n_cons)``,
+    the schemes a heuristic pass scores at such a node (:meth:`_choices`).
+    It keys only shapes of at most ``_CHOICE_FANOUT`` consumer edges, and
+    ``n_in`` is the op's arity, so it holds at most ``10 * 33`` entries.
+    Sharing is safe: an entry depends only on the prices, which
     never change, so a write is idempotent (two threads that fill one
     key at once store equal values), and none of these caches enters
     equality, hash or ``repr``.
@@ -258,6 +269,57 @@ class CostProfile(_Value):
 
     @cached_property
     def _uniform_memo(self) -> dict:
+        return {}
+
+    def _choices(self, shape: tuple[OpKind, int, int]) -> tuple[int, ...]:
+        """The choices at a node of ``shape``, ``(op, n_in, n_cons)``: the
+        indices of the schemes supporting ``op``, less each scheme ``t``
+        that another beats whatever schemes the node's neighbours take,
+        kept per shape (see the class docstring). ``n_in`` and ``n_cons``
+        count the node's input and consumer edges.
+
+        Let ``U(s)`` be ``s``'s op price, plus its dearest conversion in
+        added ``n_in`` times, plus its dearest conversion out added
+        ``n_cons`` times, added left to right in floats. ``t`` goes when
+        some ``U(s)`` is below ``t``'s op price. That is exact for the
+        greedy passes and hill climbing. Round-to-nearest addition is
+        monotone and no price is negative, so each score a pass computes
+        for ``s``, full or partial, is at most ``U(s)``, and each score
+        of ``t`` is at least its op price. So ``t`` is never the first
+        least scheme nor a strict improvement, and the first least of the
+        rest is the first least of all. An ``in`` or ``out`` node (op
+        price 0) keeps every scheme, and so does an overflowing ``U``.
+
+        The result is the ``cands`` tuple of :attr:`_tables` itself when
+        nothing goes. A shape of more than ``_CHOICE_FANOUT`` consumer
+        edges keeps its ``cands``, unstored, which bounds the memo.
+        """
+        found = self._choices_memo.get(shape)
+        if found is None:
+            op, n_in, n_cons = shape
+            op_t, cands, ct = self._tables
+            found = cands[op]
+            if n_cons > _CHOICE_FANOUT:
+                return found
+            row = op_t[op]
+            least = math.inf
+            for s in found:
+                u = row[s]
+                dearest = max([conv[s] for conv in ct])
+                for _ in range(n_in):
+                    u += dearest
+                dearest = max(ct[s])
+                for _ in range(n_cons):
+                    u += dearest
+                least = min(least, u)
+            kept = tuple([t for t in found if row[t] <= least])
+            if len(kept) < len(found):
+                found = kept
+            self._choices_memo[shape] = found
+        return found
+
+    @cached_property
+    def _choices_memo(self) -> dict:
         return {}
 
     @cached_property
@@ -448,15 +510,25 @@ class Compiled:
     An assignment here is a list holding, per node id, the position of
     its scheme in ``profile.schemes``. Per node, ``op_t`` holds the float
     cent row of its operation's summed cost, ``op_x`` the same prices
-    exactly (the packed ints of :class:`_Exact`), and ``cands`` the
+    exactly (the packed ints of :class:`_Exact`), and :attr:`cands` the
     indices of the schemes supporting it, ascending. ``ct`` and ``cx``
     are the float and packed conversion matrices ``[src][dst]``.
     ``inputs`` and ``consumers`` give each node's input ids and its
     consumers' ids, one entry per edge.
 
-    The rows, ``cands`` tuples and matrices are the profile's own, built
-    once per profile and shared by every compile under it (a compile only
-    indexes them per node), so they are read-only.
+    :attr:`choices` holds, per node, the schemes the greedy passes and
+    hill climbing score there: its ``cands`` less the schemes that can
+    never win at a node of its shape (:meth:`CostProfile._choices`), the
+    ``cands`` tuple itself where its shape drops none. The exact solver,
+    the support checks and :meth:`indices` read ``cands``. Each of the
+    two lists is built on first read, so a ``best_of`` call, which runs
+    only the passes, builds no ``cands``, and one whose fixed row is at
+    the floor builds neither.
+
+    The rows, ``cands`` and ``choices`` tuples and matrices are the
+    profile's own, built once per profile and shared by every compile
+    under it (a compile only indexes them per node or per shape), so
+    they are read-only.
 
     Every total comes from the one fold :meth:`sums`. It adds ints, so
     the same assignment gives the same exact sums however it is
@@ -464,11 +536,11 @@ class Compiled:
     passes that only steer a search.
     """
 
-    __slots__ = ("circuit", "profile", "op_t", "cands", "ct", "op_x", "cx",
-                 "inputs", "consumers")
+    __slots__ = ("circuit", "profile", "op_t", "_cands", "_choices", "ct",
+                 "op_x", "cx", "inputs", "consumers")
 
     def __init__(self, circuit: Circuit, profile: CostProfile):
-        op_t, cands, self.ct = profile._tables
+        op_t, _, self.ct = profile._tables
         exact = profile._exact
         ops = circuit.node_ops
         self.circuit = circuit
@@ -476,9 +548,32 @@ class Compiled:
         self.op_t = list(map(op_t.__getitem__, ops))
         self.op_x = list(map(exact.op_x.__getitem__, ops))
         self.cx = exact.cx
-        self.cands = list(map(cands.__getitem__, ops))
         self.inputs = circuit.node_inputs
         self.consumers = circuit.consumer_edges
+        self._cands = self._choices = None
+
+    @property
+    def cands(self) -> list[tuple[int, ...]]:
+        """Per node, the profile's ``cands`` tuple of its op."""
+        found = self._cands
+        if found is None:
+            cands = self.profile._tables[1]
+            found = self._cands = list(map(cands.__getitem__,
+                                           self.circuit.node_ops))
+        return found
+
+    @property
+    def choices(self) -> list[tuple[int, ...]]:
+        """Per node, its profile's choices at the node's shape."""
+        found = self._choices
+        if found is None:
+            shapes, at = self.circuit._shapes
+            profile = self.profile
+            per_shape = list(map(profile._choices_memo.get, shapes))
+            if None in per_shape:  # a shape not stored yet, or too wide
+                per_shape = list(map(profile._choices, shapes))
+            found = self._choices = list(map(per_shape.__getitem__, at))
+        return found
 
     def indices(self, assignment: Mapping[int, str]) -> list[int]:
         """Scheme indices of a name assignment; raises

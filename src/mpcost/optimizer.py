@@ -143,12 +143,16 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     so they are left open and adopt the scheme of the first consumer that
     gets processed, which makes that edge conversion-free.
 
-    Ties go to the first least scheme. A scheme whose op cost alone is
-    not below the least score so far is not scored further: prices are
-    non-negative, and a rounded add of a non-negative addend never lowers
-    a sum, so its full score could not be below either. The first
-    scheme is the start (it wins when every score is ``inf``), so the
-    pass gives what scoring every scheme in full gives.
+    Ties go to the first least scheme. A node scores only its choices
+    (``Compiled.choices``): its supported schemes less those that another
+    beats whatever schemes its neighbours take, which could not be the
+    first least. A node left with one choice takes it unscored. A scheme
+    whose op cost alone is not below the least score so far is not
+    scored further: prices are non-negative, and a rounded add of a
+    non-negative addend never lowers a sum, so its full score could not
+    be below either. The first choice is the start (it wins when every
+    score is ``inf``, and then no scheme was dropped), so the pass gives
+    what scoring every supported scheme in full gives.
     """
     compiled = Compiled(circuit, profile)
     return _result(compiled, bottom_up_pass(compiled), "bottom-up")
@@ -158,27 +162,28 @@ def bottom_up_pass(compiled: Compiled) -> list[int]:
     """Scheme indices of :func:`bottom_up`."""
     ct = compiled.ct
     inf = math.inf
-    n = len(compiled.cands)
+    n = len(compiled.inputs)
     idx: list = [None] * n
     # Node order is topological, and only in nodes have no inputs.
-    for i, row, cands, ins in zip(
-        range(n), compiled.op_t, compiled.cands, compiled.inputs
+    for i, row, choices, ins in zip(
+        range(n), compiled.op_t, compiled.choices, compiled.inputs
     ):
         if not ins:
             continue
-        best_scheme = cands[0]
-        best_cost = inf
-        for s in cands:
-            cost = row[s]
-            if cost >= best_cost:
-                continue
-            for j in ins:
-                src = idx[j]
-                if src is not None:
-                    cost += ct[src][s]
-            if cost < best_cost:
-                best_cost = cost
-                best_scheme = s
+        best_scheme = choices[0]
+        if len(choices) > 1:
+            best_cost = inf
+            for s in choices:
+                cost = row[s]
+                if cost >= best_cost:
+                    continue
+                for j in ins:
+                    src = idx[j]
+                    if src is not None:
+                        cost += ct[src][s]
+                if cost < best_cost:
+                    best_cost = cost
+                    best_scheme = s
         idx[i] = best_scheme
         for j in ins:
             if idx[j] is None:  # a still-open in node
@@ -197,8 +202,9 @@ def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     so far. ``out`` nodes are skipped during the pass and finalized to
     their input's scheme at the end (which makes that edge free).
 
-    Ties and pruning are as in :func:`bottom_up`: a scheme whose op cost
-    is not below the least score so far goes unscored.
+    Ties, choices and pruning are as in :func:`bottom_up`: a node scores
+    only its choices, takes a lone one unscored, and a scheme whose op
+    cost is not below the least score so far goes unscored.
     """
     compiled = Compiled(circuit, profile)
     return _result(compiled, top_down_pass(compiled), "top-down")
@@ -212,26 +218,27 @@ def top_down_pass(compiled: Compiled) -> list[int]:
     out = OpKind.OUT  # a local: reading an enum member costs about 0.2 us
     n = len(circuit.nodes)
     idx: list = [None] * n
-    for i, op, row, cands, consumers in zip(
+    for i, op, row, choices, consumers in zip(
         reversed(range(n)), reversed(circuit.node_ops), reversed(compiled.op_t),
-        reversed(compiled.cands), reversed(compiled.consumers),
+        reversed(compiled.choices), reversed(compiled.consumers),
     ):
         if op is out:
             continue
-        best_scheme = cands[0]
-        best_cost = inf
-        for s in cands:
-            cost = row[s]
-            if cost >= best_cost:
-                continue
-            conv = ct[s]
-            for c in consumers:
-                dst = idx[c]
-                if dst is not None:
-                    cost += conv[dst]
-            if cost < best_cost:
-                best_cost = cost
-                best_scheme = s
+        best_scheme = choices[0]
+        if len(choices) > 1:
+            best_cost = inf
+            for s in choices:
+                cost = row[s]
+                if cost >= best_cost:
+                    continue
+                conv = ct[s]
+                for c in consumers:
+                    dst = idx[c]
+                    if dst is not None:
+                        cost += conv[dst]
+                if cost < best_cost:
+                    best_cost = cost
+                    best_scheme = s
         idx[i] = best_scheme
     for i in circuit.out_ids:
         idx[i] = idx[compiled.inputs[i][0]]
@@ -257,14 +264,22 @@ def hill_climbing(
 
     A sweep skips a node when neither it nor any of its inputs or
     consumers has moved since its last visit: its terms are unchanged,
-    so it would not move. A visit scores the node's own scheme first, in
-    full, then the others in ascending order, and drops one as soon as
-    its op cost, or its op cost plus its input conversions, reaches the
-    best score so far: every addend is non-negative and a rounded add of
-    a non-negative addend never lowers a sum, so a partial score is at
+    so it would not move. The first sweep skips every ``in`` node: its
+    consumers come later in id order and are still on ``init``, so its
+    own score is 0.0 and no scheme is strictly cheaper. A visit scores
+    only the node's choices, as in :func:`bottom_up`: some choice is
+    always strictly cheaper than a dropped scheme, so a dropped scheme
+    is never the first least, and a node on one (as ``init`` may be)
+    always moves. So a node left with one choice moves to it on its
+    first visit if it is not there, unscored, and is not visited again.
+    Any other visit scores the node's own scheme first, in full, then
+    the other choices in ascending order, and drops one as soon as its
+    op cost, or its op cost plus its input conversions, reaches the best
+    score so far: every addend is non-negative and a rounded add of a
+    non-negative addend never lowers a sum, so a partial score is at
     most the full one, and that scheme could not be strictly cheaper.
-    The result is the one a sweep that scores every scheme of every node
-    in full gives.
+    The result is the one a sweep that scores every supported scheme of
+    every node in full gives.
     """
     compiled = Compiled(circuit, profile)
     s = _require_support(compiled, init_scheme)
@@ -286,46 +301,53 @@ def hill_pass(
     idx = [init] * n
     ct = compiled.ct
     nodes = list(zip(
-        range(n), compiled.op_t, compiled.cands, compiled.inputs,
+        range(n), compiled.op_t, compiled.choices, compiled.inputs,
         compiled.consumers,
     ))
     # A node's score reads only its own, its inputs' and its consumers'
     # schemes. A node none of these moved for since its last visit is at
-    # the same first minimum and would not move, so it is skipped.
-    stale = [True] * n
+    # the same first minimum and would not move, so it is skipped. An in
+    # node, the one kind without inputs, would not move in the first
+    # sweep (see the docstring).
+    stale = list(map(bool, compiled.inputs))
     sweeps = 0
     limit_exceeded = False
     while True:
         sweeps += 1
         changed = False
-        for i, row, cands, ins, consumers in nodes:
+        for i, row, choices, ins, consumers in nodes:
             if not stale[i]:
                 continue
             stale[i] = False
-            # The node keeps its own scheme unless another is strictly
-            # cheaper, else the first least one wins. So its own score is
-            # the bound, and a scheme whose partial score reaches it goes.
-            best_scheme = current = idx[i]
-            best_cost = row[current]
-            for j in ins:
-                best_cost += ct[idx[j]][current]
-            conv = ct[current]
-            for c in consumers:
-                best_cost += conv[idx[c]]
-            for s in cands:
-                cost = row[s]
-                if cost >= best_cost or s == current:
-                    continue
+            current = idx[i]
+            if len(choices) == 1:
+                best_scheme = choices[0]
+            else:
+                # The node keeps its own scheme unless another is strictly
+                # cheaper, else the first least one wins. So its own score
+                # is the bound, and a scheme whose partial score reaches
+                # it goes.
+                best_scheme = current
+                best_cost = row[current]
                 for j in ins:
-                    cost += ct[idx[j]][s]
-                if cost >= best_cost:
-                    continue
-                conv = ct[s]
+                    best_cost += ct[idx[j]][current]
+                conv = ct[current]
                 for c in consumers:
-                    cost += conv[idx[c]]
-                if cost < best_cost:
-                    best_cost = cost
-                    best_scheme = s
+                    best_cost += conv[idx[c]]
+                for s in choices:
+                    cost = row[s]
+                    if cost >= best_cost or s == current:
+                        continue
+                    for j in ins:
+                        cost += ct[idx[j]][s]
+                    if cost >= best_cost:
+                        continue
+                    conv = ct[s]
+                    for c in consumers:
+                        cost += conv[idx[c]]
+                    if cost < best_cost:
+                        best_cost = cost
+                        best_scheme = s
             if best_scheme != current:
                 idx[i] = best_scheme
                 changed = True
@@ -333,6 +355,8 @@ def hill_pass(
                     stale[j] = True
                 for c in consumers:
                     stale[c] = True
+        if sweeps == 1:  # each one-choice node is on its choice by now
+            nodes = [node for node in nodes if len(node[2]) > 1]
         if not changed:
             break
         if sweeps >= max_passes:

@@ -1141,18 +1141,32 @@ def check_candidates(circuit, profile, max_passes=None):
     return [s for s in profile.schemes if s not in universal]
 
 
+#: Stress price kinds under which no node of the seeded random circuits
+#: loses a scheme from its choices: all-zero prices tie, a small-integer
+#: conversion is as dear as any gap between small-integer op prices, and
+#: sums of near-overflow prices are ``inf``.
+DROPS_NOTHING = ("stress-zero", "stress-small", "stress-huge")
+
+
 @pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
 def test_candidates_match_a_reference_that_folds_every_row(name):
-    """Reusing an earlier candidate's sums for an equal row, and dropping
-    a scheme whose partial score reaches the best one, change no field of
-    any candidate, on seeded random circuits of 1-60 ops under a bundled
-    profile or seeded stress profiles."""
-    partial_seen = False
+    """Reusing an earlier candidate's sums for an equal row, scoring only
+    each node's choices, and dropping a scheme whose partial score
+    reaches the best one, change no field of any candidate, on seeded
+    random circuits of 1-60 ops under a bundled profile or seeded stress
+    profiles."""
+    partial_seen = narrowed_seen = False
     for seed in range(40):
         circuit = gen_random(seed, n_ops=1 + (seed * 7) % 60)
+        profile = profile_named(name, seed)
         partial_seen |= bool(check_candidates(
-            circuit, profile_named(name, seed), max_passes=(None, 1, 2)[seed % 3]))
+            circuit, profile, max_passes=(None, 1, 2)[seed % 3]))
+        compiled = Compiled(circuit, profile)
+        narrowed_seen |= compiled.choices != compiled.cands
     assert partial_seen  # some circuit has a scheme that is not universal
+    # Under the other profiles some node scores fewer schemes than it
+    # supports, so the choices are not compared vacuously.
+    assert narrowed_seen is (name not in DROPS_NOTHING)
 
 
 @pytest.mark.parametrize("make, name, coincide", [
@@ -1160,14 +1174,15 @@ def test_candidates_match_a_reference_that_folds_every_row(name):
     (lambda: gen_matmul(MatMulSpec(n=5)), "inter-m3.large", True),
     (lambda: gen_matmul(MatMulSpec(n=5)), "intra-c4.large", True),
     (lambda: gen_biometric(BiometricSpec(30, 5)), "inter-m3.medium", True),
+    (lambda: gen_biometric(BiometricSpec(30, 5)), "inter-m3.large", True),
     (lambda: gen_biometric(BiometricSpec(30, 5)), "intra-c4.large", False),
 ], ids=["matmul5-inter-m3.medium", "matmul5-inter-m3.large",
         "matmul5-intra-c4.large", "biometric30x5-inter-m3.medium",
-        "biometric30x5-intra-c4.large"])
+        "biometric30x5-inter-m3.large", "biometric30x5-intra-c4.large"])
 def test_candidates_match_the_reference_on_the_case_studies(
         all_profiles, make, name, coincide):
     """On matmul(5) the greedy and hill rows coincide with the fixed
-    arithmetic row, and on biometric(30, 5) under inter-m3.medium hill
+    arithmetic row, and on biometric(30, 5) under inter-m3.* hill
     climbing ends on bottom-up's row; under intra-c4.large no two of its
     candidates share a row."""
     circuit, profile = make(), all_profiles[name]
@@ -1356,6 +1371,102 @@ def test_uniform_memo_equals_the_uncached_facts_for_every_op_set(name):
         assert len(profile._uniform_memo) == 2 ** len(COMPUTE_OPS)
 
 
+def uncached_choices(profile, shape):
+    """The choices of ``CostProfile._choices`` worked out afresh: each
+    supported scheme but those whose op price lies above some scheme's
+    ``U``, its op price plus its dearest conversion in ``n_in`` times and
+    its dearest conversion out ``n_cons`` times, added left to right."""
+    op, n_in, n_cons = shape
+    op_t, cands, ct = profile._tables
+    row = op_t[op]
+
+    def bound(s):
+        u = row[s]
+        for _ in range(n_in):
+            u += max(ct[r][s] for r in range(len(ct)))
+        for _ in range(n_cons):
+            u += max(ct[s])
+        return u
+
+    return tuple(t for t in cands[op]
+                 if not any(bound(s) < row[t] for s in cands[op]))
+
+
+def left_to_right(first, addends):
+    """``first`` plus each of ``addends`` in order, in floats."""
+    for x in addends:
+        first += x
+    return first
+
+
+def dominance_profiles(name):
+    """The bundled profile ``name``, or seeded stress profiles of kind
+    ``name`` at scales 1 and 1000 (the larger scale spreads small
+    integer prices far enough apart for a scheme to drop)."""
+    if name in BUILTIN_PROFILES:
+        return [load_builtin(name)]
+    return [CostProfile(f"{p.name}-{scale}", scale, p.schemes, p.op_costs,
+                        p.conversions)
+            for p in map(functools.partial(stress_profile, name), range(6))
+            for scale in (1.0, 1000.0)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_PROFILES + tuple(STRESS_PRICES))
+def test_dropped_choices_lose_under_every_neighbour_assignment(name):
+    """For every priced op and every shape of up to its arity inputs and
+    up to 3 consumers, each scheme ``_choices`` drops scores strictly
+    above some kept one under every assignment of the neighbours' schemes,
+    in each pass's float order: bottom-up's op price plus the conversions
+    from the inputs that are set (any subset), top-down's op price plus
+    the conversions into the consumers that are set (any subset), and
+    hill climbing's op price plus every input's then every consumer's
+    conversion. The memo equals an uncached computation, keeps the
+    ``cands`` tuple itself when nothing drops, and a shape past the
+    fan-out cap keeps its ``cands`` and is not stored."""
+    dropped_seen = False
+    for profile in dominance_profiles(name):
+        op_t, cands, ct = profile._tables
+        schemes = range(len(profile.schemes))
+        unset = (None,) + tuple(schemes)
+        for op in COMPUTE_OPS:
+            row = op_t[op]
+            for n_in, n_cons in itertools.product(range(op.arity + 1), range(4)):
+                shape = (op, n_in, n_cons)
+                kept = profile._choices(shape)
+                assert kept == uncached_choices(profile, shape)
+                assert profile._choices(shape) is kept
+                assert profile._choices_memo[shape] is kept
+                if kept == cands[op]:
+                    assert kept is cands[op]
+                    continue
+                dropped = [t for t in cands[op] if t not in kept]
+                dropped_seen = True
+
+                def check(score, neighbours):
+                    for assigned in neighbours:
+                        least = min(score(s, assigned) for s in kept)
+                        for t in dropped:
+                            assert score(t, assigned) > least, (shape, t, assigned)
+
+                check(lambda s, ins: left_to_right(
+                          row[s], [ct[r][s] for r in ins if r is not None]),
+                      itertools.product(unset, repeat=n_in))
+                check(lambda s, outs: left_to_right(
+                          row[s], [ct[s][d] for d in outs if d is not None]),
+                      itertools.product(unset, repeat=n_cons))
+                check(lambda s, both: left_to_right(
+                          row[s], [ct[r][s] for r in both[:n_in]]
+                          + [ct[s][d] for d in both[n_in:]]),
+                      itertools.product(schemes, repeat=n_in + n_cons))
+        for op in OpKind:
+            wide = (op, op.arity, cost_model._CHOICE_FANOUT + 1)
+            assert profile._choices(wide) is cands[op]
+            assert wide not in profile._choices_memo
+        assert all(not n_cons > cost_model._CHOICE_FANOUT
+                   for _, _, n_cons in profile._choices_memo)
+    assert dropped_seen is (name != "stress-zero")
+
+
 def test_served_circuit_and_profile_equal_fresh_ones_and_stay_frozen(tmp_path):
     """A circuit and a profile that served ``best_of`` and the single
     strategies, so that every cache of theirs is filled, still compare,
@@ -1370,7 +1481,8 @@ def test_served_circuit_and_profile_equal_fresh_ones_and_stay_frozen(tmp_path):
     hill_climbing(circuit, profile, "boolean")
     optimizer.default_scheme(circuit, profile)
     assert "_ops_present" in circuit.__dict__ and "node_inputs" in circuit.__dict__
-    assert profile._uniform_memo
+    assert "_shapes" in circuit.__dict__
+    assert profile._uniform_memo and profile._choices_memo
     fresh_circuit, fresh_profile = load_circuit(path), load_builtin("inter-m3.medium")
     for served, fresh in ((circuit, fresh_circuit), (profile, fresh_profile)):
         assert served == fresh
@@ -1379,8 +1491,10 @@ def test_served_circuit_and_profile_equal_fresh_ones_and_stay_frozen(tmp_path):
     for value in (profile, fresh_profile):
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(value)
-    for value, names in ((circuit, ("nodes", "node_inputs", "_ops_present")),
-                         (profile, ("name", "scheme_index", "_uniform_memo"))):
+    for value, names in ((circuit, ("nodes", "node_inputs", "_ops_present",
+                                    "_shapes")),
+                         (profile, ("name", "scheme_index", "_uniform_memo",
+                                    "_choices_memo"))):
         for attr in names + ("new",):
             with pytest.raises(AttributeError):
                 setattr(value, attr, None)
@@ -1391,20 +1505,30 @@ def test_served_circuit_and_profile_equal_fresh_ones_and_stay_frozen(tmp_path):
 
 def test_threads_sharing_a_cold_circuit_and_profile_agree():
     """Eight threads that start ``best_of`` together on fresh circuits and
-    a fresh profile, filling their caches at once under a short switch
-    interval, each get the result a lone call gives."""
+    a fresh profile, filling their caches (the choices memo and the
+    shape index among them) at once under a short switch interval, each
+    get the result, the choices and the candidate rows a lone call
+    gives."""
     makers = [lambda: gen_matmul(MatMulSpec(n=2)),
               lambda: gen_biometric(BiometricSpec(3, 2)),
               lambda: gen_random(5, n_ops=30), lambda: gen_chain(OpKind.SUB, 9)]
-    expected = [repr(best_of(make(), load_builtin("intra-c4.large")))
-                for make in makers]
+
+    def outcome(circuit, profile):
+        compiled = Compiled(circuit, profile)
+        rows = [row for _, (_, row, _) in optimizer.candidates(
+            compiled, SolverLimits())]
+        return repr(best_of(circuit, profile)), compiled.choices, rows
+
+    expected = [outcome(make(), load_builtin("intra-c4.large")) for make in makers]
+    assert any(choices != Compiled(make(), load_builtin("intra-c4.large")).cands
+               for make, (_, choices, _) in zip(makers, expected))
     circuits, profile = [make() for make in makers], load_builtin("intra-c4.large")
     barrier = threading.Barrier(8, timeout=10)
     seen = [None] * 8
 
     def work(k):
         barrier.wait()
-        seen[k] = [repr(best_of(c, profile)) for c in circuits[k % 2:] + circuits]
+        seen[k] = [outcome(c, profile) for c in circuits[k % 2:] + circuits]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1420,6 +1544,8 @@ def test_threads_sharing_a_cold_circuit_and_profile_agree():
     for k, results in enumerate(seen):
         assert results == expected[k % 2:] + expected
     assert len(profile._uniform_memo) == len({c.ops_present() for c in circuits})
+    assert set(profile._choices_memo) == {
+        shape for c in circuits for shape in c._shapes[0]}
 
 
 @pytest.mark.parametrize("warm", [False, True])
