@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,6 @@ from .circuit import (
     Circuit,
     circuit_to_json,
     evaluate_plaintext,
-    inputs_by_name,
     load_circuit,
     op_from_name,
     parse_json,
@@ -168,6 +168,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _reduction(pure: int, total: int) -> float:
+    """``(pure - total) / pure`` of two exact sums, correctly rounded: at
+    most 1, 0.0 when ``pure`` is 0, and ``-inf`` where it lies below the
+    float range."""
+    if pure == 0:
+        return 0.0
+    try:
+        return (pure - total) / pure
+    except OverflowError:
+        return -math.inf
+
+
 def cmd_compare(args) -> int:
     circuit = load_circuit(args.circuit)
     profile = _resolve_profile(args.profile)
@@ -190,7 +202,7 @@ def cmd_compare(args) -> int:
         sums, idx, _ = runs[label]
         reports.append((label, compiled.report(idx, sums), sum(sums)))
 
-    pure_total = reports[0][1].total
+    pure = reports[0][2]
     best_total = min(exact for _, _, exact in reports)  # exact sums rank
     factor = UNIT_FACTOR[args.unit]
     rows = [
@@ -199,8 +211,7 @@ def cmd_compare(args) -> int:
             "compute": rep.total_compute * factor,
             "network": rep.total_network * factor,
             "total": rep.total * factor,
-            # vs the pure baseline, in [0, 1]
-            "reduction": 0.0 if pure_total == 0 else 1.0 - rep.total / pure_total,
+            "reduction": _reduction(pure, exact),
             "winner": exact == best_total,
         }
         for label, rep, exact in reports
@@ -278,13 +289,28 @@ def cmd_eval(args) -> int:
         doc = parse_json(f.read(), "inputs")
     if not isinstance(doc, dict):
         raise ParseError("inputs JSON must map in-node ids or names to integers")
-    by_name = inputs_by_name(circuit)
+    # A key is an in node's name or id; it must mean one node, and no
+    # two keys the same one.
+    meant: dict[str, set[int]] = {}
+    for i in circuit.in_ids:
+        meant.setdefault(str(i), set()).add(i)
+        name = circuit.nodes[i].name
+        if name is not None:
+            meant.setdefault(name, set()).add(i)
     inputs: dict[int, int] = {}
     for key, value in doc.items():
-        if key in by_name:
-            inputs[by_name[key]] = value
+        ids = meant.get(key)
+        if ids is None:
+            i = parse_node_id(key, "inputs")
+        elif len(ids) > 1:
+            raise ParseError(
+                f"inputs key {key!r} could mean any of in nodes {sorted(ids)}")
         else:
-            inputs[parse_node_id(key, "inputs")] = value
+            (i,) = ids
+        if i in inputs:
+            raise ParseError(
+                f"inputs key {key!r} means in node {i}, as another key does")
+        inputs[i] = value
     outputs = evaluate_plaintext(circuit, inputs)
     doc_out = {}
     for i in circuit.out_ids:

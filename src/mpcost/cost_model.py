@@ -499,7 +499,8 @@ class CostReport(_Value):
 
 class Violation(namedtuple("Violation", "node reason")):
     """One feasibility problem found by :func:`check_feasible` (an
-    immutable named tuple): the ``node`` id and the ``reason`` text."""
+    immutable named tuple): the ``node`` id, or the assignment key that
+    is no node id, and the ``reason`` text."""
 
     __slots__ = ()
 
@@ -519,11 +520,11 @@ class Compiled:
     :attr:`choices` holds, per node, the schemes the greedy passes and
     hill climbing score there: its ``cands`` less the schemes that can
     never win at a node of its shape (:meth:`CostProfile._choices`), the
-    ``cands`` tuple itself where its shape drops none. The exact solver,
-    the support checks and :meth:`indices` read ``cands``. Each of the
-    two lists is built on first read, so a ``best_of`` call, which runs
-    only the passes, builds no ``cands``, and one whose fixed row is at
-    the floor builds neither.
+    ``cands`` tuple itself where its shape drops none. The exact solver
+    and the support checks read ``cands``. Each of the four per-node
+    lists is built on first read, so a ``best_of`` call, which runs only
+    the passes, builds no ``cands``, one whose fixed row is at the floor
+    builds none, and the exact solver builds no ``op_t``.
 
     The rows, ``cands`` and ``choices`` tuples and matrices are the
     profile's own, built once per profile and shared by every compile
@@ -536,44 +537,41 @@ class Compiled:
     passes that only steer a search.
     """
 
-    __slots__ = ("circuit", "profile", "op_t", "_cands", "_choices", "ct",
-                 "op_x", "cx", "inputs", "consumers")
-
     def __init__(self, circuit: Circuit, profile: CostProfile):
-        op_t, _, self.ct = profile._tables
-        exact = profile._exact
-        ops = circuit.node_ops
         self.circuit = circuit
         self.profile = profile
-        self.op_t = list(map(op_t.__getitem__, ops))
-        self.op_x = list(map(exact.op_x.__getitem__, ops))
-        self.cx = exact.cx
+        self.ct = profile._tables[2]
+        self.cx = profile._exact.cx
         self.inputs = circuit.node_inputs
         self.consumers = circuit.consumer_edges
-        self._cands = self._choices = None
 
-    @property
+    @cached_property
+    def op_t(self) -> list[list[float]]:
+        """Per node, the float cent row of its op."""
+        return list(map(self.profile._tables[0].__getitem__,
+                        self.circuit.node_ops))
+
+    @cached_property
+    def op_x(self) -> list[list[int | None]]:
+        """Per node, the packed exact row of its op."""
+        return list(map(self.profile._exact.op_x.__getitem__,
+                        self.circuit.node_ops))
+
+    @cached_property
     def cands(self) -> list[tuple[int, ...]]:
         """Per node, the profile's ``cands`` tuple of its op."""
-        found = self._cands
-        if found is None:
-            cands = self.profile._tables[1]
-            found = self._cands = list(map(cands.__getitem__,
-                                           self.circuit.node_ops))
-        return found
+        return list(map(self.profile._tables[1].__getitem__,
+                        self.circuit.node_ops))
 
-    @property
+    @cached_property
     def choices(self) -> list[tuple[int, ...]]:
         """Per node, its profile's choices at the node's shape."""
-        found = self._choices
-        if found is None:
-            shapes, at = self.circuit._shapes
-            profile = self.profile
-            per_shape = list(map(profile._choices_memo.get, shapes))
-            if None in per_shape:  # a shape not stored yet, or too wide
-                per_shape = list(map(profile._choices, shapes))
-            found = self._choices = list(map(per_shape.__getitem__, at))
-        return found
+        shapes, at = self.circuit._shapes
+        profile = self.profile
+        per_shape = list(map(profile._choices_memo.get, shapes))
+        if None in per_shape:  # a shape not stored yet, or too wide
+            per_shape = list(map(profile._choices, shapes))
+        return list(map(per_shape.__getitem__, at))
 
     def indices(self, assignment: Mapping[int, str]) -> list[int]:
         """Scheme indices of a name assignment; raises
@@ -582,7 +580,7 @@ class Compiled:
         for v in check_feasible(self.circuit, assignment, self.profile):
             raise InfeasibleAssignment(f"node {v.node}: {v.reason}")
         index = self.profile.scheme_index
-        return [index[assignment[i]] for i in range(len(self.cands))]
+        return [index[assignment[i]] for i in range(len(self.circuit.nodes))]
 
     def assignment(self, idx: Sequence[int]) -> Assignment:
         return dict(enumerate(map(self.profile.schemes.__getitem__, idx)))
@@ -676,7 +674,8 @@ def check_feasible(
 ) -> list[Violation]:
     """Return one violation per node whose assignment is missing, names an
     undeclared scheme, or uses a scheme that does not support the node's
-    operation. Empty list means the assignment is feasible."""
+    operation, then one per assignment key that is not a node id of the
+    circuit. Empty list means the assignment is feasible."""
     violations = []
     for node in circuit.nodes:
         scheme = assignment.get(node.id)
@@ -693,6 +692,10 @@ def check_feasible(
                     f"scheme {scheme!r} does not support op {node.op}",
                 )
             )
+    n = len(circuit.nodes)
+    for key in assignment:
+        if not (isinstance(key, int) and 0 <= key < n):
+            violations.append(Violation(key, "key is not a node id"))
     return violations
 
 

@@ -271,7 +271,8 @@ def hill_climbing(
     always strictly cheaper than a dropped scheme, so a dropped scheme
     is never the first least, and a node on one (as ``init`` may be)
     always moves. So a node left with one choice moves to it on its
-    first visit if it is not there, unscored, and is not visited again.
+    first visit if it is not there, unscored, and never moves again: a
+    later visit, when a neighbour moves, takes the same choice.
     Any other visit scores the node's own scheme first, in full, then
     the other choices in ascending order, and drops one as soon as its
     op cost, or its op cost plus its input conversions, reaches the best
@@ -300,41 +301,41 @@ def hill_pass(
 
     idx = [init] * n
     ct = compiled.ct
-    nodes = list(zip(
-        range(n), compiled.op_t, compiled.choices, compiled.inputs,
-        compiled.consumers,
-    ))
+    op_t, choices = compiled.op_t, compiled.choices
+    inputs, consumers = compiled.inputs, compiled.consumers
     # A node's score reads only its own, its inputs' and its consumers'
     # schemes. A node none of these moved for since its last visit is at
     # the same first minimum and would not move, so it is skipped. An in
     # node, the one kind without inputs, would not move in the first
-    # sweep (see the docstring).
-    stale = list(map(bool, compiled.inputs))
+    # sweep (see the docstring). A sweep finds each next stale node with
+    # list.index, a scan in C, and the True at n ends it.
+    stale = [*map(bool, inputs), True]
     sweeps = 0
     limit_exceeded = False
     while True:
         sweeps += 1
         changed = False
-        for i, row, choices, ins, consumers in nodes:
-            if not stale[i]:
-                continue
+        i = stale.index(True)
+        while i < n:
             stale[i] = False
             current = idx[i]
-            if len(choices) == 1:
-                best_scheme = choices[0]
+            node_choices, ins, cons = choices[i], inputs[i], consumers[i]
+            if len(node_choices) == 1:
+                best_scheme = node_choices[0]
             else:
                 # The node keeps its own scheme unless another is strictly
                 # cheaper, else the first least one wins. So its own score
                 # is the bound, and a scheme whose partial score reaches
                 # it goes.
+                row = op_t[i]
                 best_scheme = current
                 best_cost = row[current]
                 for j in ins:
                     best_cost += ct[idx[j]][current]
                 conv = ct[current]
-                for c in consumers:
+                for c in cons:
                     best_cost += conv[idx[c]]
-                for s in choices:
+                for s in node_choices:
                     cost = row[s]
                     if cost >= best_cost or s == current:
                         continue
@@ -343,7 +344,7 @@ def hill_pass(
                     if cost >= best_cost:
                         continue
                     conv = ct[s]
-                    for c in consumers:
+                    for c in cons:
                         cost += conv[idx[c]]
                     if cost < best_cost:
                         best_cost = cost
@@ -353,10 +354,9 @@ def hill_pass(
                 changed = True
                 for j in ins:
                     stale[j] = True
-                for c in consumers:
+                for c in cons:
                     stale[c] = True
-        if sweeps == 1:  # each one-choice node is on its choice by now
-            nodes = [node for node in nodes if len(node[2]) > 1]
+            i = stale.index(True, i + 1)
         if not changed:
             break
         if sweeps >= max_passes:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +24,10 @@ from mpcost import (
     load_circuit,
     load_profile,
     save_circuit,
+    save_profile,
     top_down,
 )
-from mpcost import cost_model, derive
+from mpcost import cli, cost_model, derive
 from mpcost.circuit import COMPUTE_OPS
 from mpcost.cli import main
 from mpcost.cost_model import Compiled, NodeCost
@@ -235,6 +237,48 @@ def test_compare_reports_winner_and_reduction(capsys, tmp_path):
         )
 
 
+def reject_nan(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_compare_prints_no_nan_where_float_totals_overflow(capsys, tmp_path):
+    # Every total is inf as a float, and inf / inf is NaN; the exact sums
+    # give each reduction.
+    base = load_builtin("inter-m3.medium")
+    huge = cost_model.CostProfile(
+        "huge", 1.0, base.schemes,
+        {key: (1e308, 1e308) for key in base.op_costs},
+        {key: (1e308, 1e308) for key in base.conversions})
+    circuit_path = tmp_path / "mm2.json"
+    save_circuit(gen_matmul(MatMulSpec(2)), circuit_path)
+    profile_path = tmp_path / "huge.json"
+    save_profile(huge, profile_path)
+    code, out, err = run(capsys, "compare", str(circuit_path),
+                         str(profile_path), "--json")
+    assert code == 0, err
+    rows = json.loads(out, parse_constant=lambda name: (
+        math.inf if name == "Infinity" else reject_nan(name)))["rows"]
+    assert all(r["total"] == math.inf for r in rows)
+    assert rows[0]["reduction"] == 0.0
+    assert all(r["reduction"] <= 0.0 for r in rows)
+    assert rows[-1]["reduction"] == 0.0  # no row is cheaper than a uniform one
+    code, out, err = run(capsys, "compare", str(circuit_path),
+                         str(profile_path))
+    assert code == 0, err
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("pure, total, reduction", [
+    (0, 0, 0.0), (0, 5, 0.0), (4, 4, 0.0), (4, 0, 1.0), (3, 1, 2 / 3),
+    (3, 4, -1 / 3),
+    pytest.param(10**400, 10**400 - 1, 0.0, id="underflow"),
+    pytest.param(1, 10**400, -math.inf, id="below-the-float-range"),
+])
+def test_compare_reduction_is_correctly_rounded_from_the_exact_sums(
+        pure, total, reduction):
+    assert repr(cli._reduction(pure, total)) == repr(reduction)
+
+
 def test_compare_skips_exhaustive_over_cap(capsys, tmp_path):
     circuit = gen_matmul(MatMulSpec(3))  # 3^36 assignments
     path = tmp_path / "mm3.json"
@@ -398,6 +442,37 @@ def test_eval_input_keys_must_be_names_or_canonical_ids(capsys, adder_path, tmp_
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not a node id" in err
+
+
+@pytest.mark.parametrize("names, doc, key", [
+    (("x", "x"), {"x": 5, "0": 1}, "x"),  # a name two in nodes share
+    (("x", "x"), {"x": 5, "1": 7}, "x"),
+    (("1", None), {"1": 5, "0": 7}, "1"),  # in node 0's name, in node 1's id
+    (("a", "b"), {"a": 5, "b": 7, "0": 1}, "0"),  # two keys for in node 0
+], ids=["shared-name", "shared-name-and-id", "name-is-another-id",
+        "two-keys-one-node"])
+def test_eval_rejects_an_input_key_that_does_not_mean_one_node(
+        capsys, tmp_path, names, doc, key):
+    path = tmp_path / "adder.json"
+    save_circuit(build([("in", [], None, names[0]), ("in", [], None, names[1]),
+                        ("add", [0, 1]), ("out", [2])]), path)
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", str(path), str(inputs))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: inputs key {key!r} ") and err.count("\n") == 1
+
+
+def test_eval_takes_a_name_that_is_its_own_nodes_id(capsys, tmp_path):
+    path = tmp_path / "adder.json"
+    save_circuit(build([("in", [], None, "0"), ("in", [], None, "b"),
+                        ("add", [0, 1]), ("out", [2])]), path)
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text('{"0": 5, "b": 7}')
+    code, out, _ = run(capsys, "eval", str(path), str(inputs))
+    assert code == 0
+    assert json.loads(out) == {"3": 12}
 
 
 _HUGE_SCALE = builtin_text("inter-m3.medium").replace(

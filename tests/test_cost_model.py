@@ -475,6 +475,17 @@ def test_check_feasible_requires_totality(adder, inter_m3_medium):
     assert "not in profile" in violations[0].reason
 
 
+def test_check_feasible_flags_keys_that_are_not_node_ids(adder, inter_m3_medium):
+    asg = {0: "yao", 1: "yao", 2: "yao", 3: "yao"}
+    assert check_feasible(adder, asg, inter_m3_medium) == []
+    for key in (99, 4, -1, "0", 1.5, None):
+        violations = check_feasible(adder, {**asg, key: "nonsense"},
+                                    inter_m3_medium)
+        assert [v.node for v in violations] == [key]
+        with pytest.raises(InfeasibleAssignment, match="not a node id"):
+            total_cost(adder, {**asg, key: "yao"}, inter_m3_medium)
+
+
 # --- assignment JSON ------------------------------------------------------------
 
 

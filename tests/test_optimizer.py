@@ -1186,11 +1186,33 @@ def test_candidates_match_the_reference_on_the_case_studies(
     climbing ends on bottom-up's row; under intra-c4.large no two of its
     candidates share a row."""
     circuit, profile = make(), all_profiles[name]
-    check_candidates(circuit, profile)
+    for max_passes in (None, 1, 2):  # partial sweeps revisit one-choice nodes
+        check_candidates(circuit, profile, max_passes)
     rows = [row for _, (_, row, _) in optimizer.candidates(
         Compiled(circuit, profile), SolverLimits())]
     distinct = len({tuple(row) for row in rows})
     assert (distinct < len(rows)) is coincide
+
+
+PER_NODE_LISTS = {"op_t", "op_x", "cands", "choices"}
+
+
+@pytest.mark.parametrize("make, unbuilt", [
+    (lambda: gen_matmul(MatMulSpec(n=5)), PER_NODE_LISTS),
+    (lambda: gen_biometric(BiometricSpec(30, 5)), {"cands"}),
+], ids=["matmul5", "biometric30x5"])
+def test_compiled_builds_a_per_node_list_only_when_it_is_read(
+        inter_m3_medium, make, unbuilt):
+    """``best_of`` at the op-price floor reads none of the four lists,
+    and past it only the passes' lists; the exact solver reads no
+    ``op_t``. Each list read is kept."""
+    circuit = make()
+    compiled = best_of(circuit, inter_m3_medium).report.compiled
+    assert PER_NODE_LISTS - vars(compiled).keys() == unbuilt
+    compiled = exhaustive_optimal(gen_random(3, n_ops=6),
+                                  inter_m3_medium).report.compiled
+    assert "op_t" not in vars(compiled)
+    assert compiled.cands is compiled.cands
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)
