@@ -25,7 +25,6 @@ from .circuit import (
     circuit_from_json,
     circuit_to_json,
     evaluate_plaintext,
-    inputs_by_name,
     load_circuit,
     save_circuit,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "gen_matmul",
     "gen_random",
     "hill_climbing",
-    "inputs_by_name",
     "load_builtin",
     "load_circuit",
     "load_measurements",

@@ -396,15 +396,6 @@ def evaluate_plaintext(
     return outputs
 
 
-def inputs_by_name(circuit: Circuit) -> dict[str, int]:
-    """Map the names of named ``in`` nodes to their ids."""
-    return {
-        n.name: n.id
-        for n in circuit.nodes
-        if n.op is OpKind.IN and n.name is not None
-    }
-
-
 # --- JSON wire format -----------------------------------------------------
 #
 # {"bitwidth":32,"nodes":[{"id":0,"op":"in","inputs":[],"party":"client"},...]}

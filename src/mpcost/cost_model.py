@@ -22,10 +22,8 @@ order does not matter. The float rows (``op_t``, ``ct``) that steer the
 greedy passes and hill climbing are read off it. :meth:`Compiled.sums`
 adds the ints, and every total and report comes from it: every
 strategy, the exact solver included, is ranked by its exact sums, and a
-report rounds each total once, to the float nearest the exact sum. It
-builds the per-node records of a :class:`CostReport` either in the fold
-that gives the report's totals or, when a strategy already has those,
-only when they are read.
+report rounds each total once, to the float nearest the exact sum. A
+:class:`CostReport` builds its per-node records only when they are read.
 
 Deriving a profile from raw measurements lives in :mod:`mpcost.derive`.
 
@@ -469,10 +467,11 @@ class CostReport(_Value):
     cent prices (``inf`` above the float range), so ``total`` need not
     equal ``total_compute + total_network`` in the last bit.
 
-    ``per_node`` maps each node id to its :class:`NodeCost`. It holds the
-    ``records`` of the fold that gave the totals when that fold kept them;
-    otherwise it is built on first read, by that fold run again on the
-    report's compiled form and row, and then kept.
+    ``per_node`` maps each node id to its :class:`NodeCost`. It is built
+    on first read, from the report's compiled form and row, and then kept.
+    A node's record holds its op price and the sum of its conversions in,
+    each part the float nearest its exact sum; nodes whose exact sums are
+    equal share one record.
     """
 
     total_compute: float
@@ -480,21 +479,34 @@ class CostReport(_Value):
     total: float
     compiled: Compiled
     row: tuple[int, ...]
-    records: list[NodeCost] | None
     _compared = ("total_compute", "total_network", "total")
 
-    def __init__(self, total_compute, total_network, total, compiled, row,
-                 records=None):
+    def __init__(self, total_compute, total_network, total, compiled, row):
         self._store(total_compute=total_compute, total_network=total_network,
-                    total=total, compiled=compiled, row=row, records=records)
+                    total=total, compiled=compiled, row=row)
 
     @cached_property
     def per_node(self) -> dict[int, NodeCost]:
-        records = self.records
-        if records is None:
-            records = []
-            self.compiled.sums(self.row, records)
-        return dict(enumerate(records))
+        compiled, idx = self.compiled, self.row
+        cx = compiled.cx
+        exact = compiled.profile._exact
+        parts, cents = exact.parts, exact.cents
+        made = {}  # a record per pair of packed op and conversion sums
+        per_node = {}
+        for i, (s, row, ins) in enumerate(
+                zip(idx, compiled.op_x, compiled.inputs)):
+            op = row[s]
+            conv = 0
+            for j in ins:
+                r = idx[j]
+                if r != s:
+                    conv += cx[r][s]
+            record = made.get((op, conv))
+            if record is None:
+                record = made[op, conv] = NodeCost(
+                    *map(cents, parts(op)), *map(cents, parts(conv)))
+            per_node[i] = record
+        return per_node
 
 
 class Violation(namedtuple("Violation", "node reason")):
@@ -534,7 +546,8 @@ class Compiled:
     Every total comes from the one fold :meth:`sums`. It adds ints, so
     the same assignment gives the same exact sums however it is
     evaluated, and two totals compare exactly. The float rows serve the
-    passes that only steer a search.
+    passes that only steer a search. A fold builds no per-node record;
+    :attr:`CostReport.per_node` does, when it is read.
     """
 
     def __init__(self, circuit: Circuit, profile: CostProfile):
@@ -567,10 +580,7 @@ class Compiled:
     def choices(self) -> list[tuple[int, ...]]:
         """Per node, its profile's choices at the node's shape."""
         shapes, at = self.circuit._shapes
-        profile = self.profile
-        per_shape = list(map(profile._choices_memo.get, shapes))
-        if None in per_shape:  # a shape not stored yet, or too wide
-            per_shape = list(map(profile._choices, shapes))
+        per_shape = list(map(self.profile._choices, shapes))
         return list(map(per_shape.__getitem__, at))
 
     def indices(self, assignment: Mapping[int, str]) -> list[int]:
@@ -585,44 +595,21 @@ class Compiled:
     def assignment(self, idx: Sequence[int]) -> Assignment:
         return dict(enumerate(map(self.profile.schemes.__getitem__, idx)))
 
-    def sums(
-        self, idx: Sequence[int], records: list | None = None
-    ) -> tuple[int, int]:
+    def sums(self, idx: Sequence[int]) -> tuple[int, int]:
         """Exact total compute and network cost of ``idx``, as ints in
         units of ``2**-e`` cents (:class:`_Exact`): the one fold every
-        total and report comes from. It adds one packed int per op and
-        per converting edge; a same-scheme edge costs nothing and is
-        skipped. When ``records`` is a list, each node's
-        :class:`NodeCost` is appended to it, in id order; nodes with equal
-        op prices and conversion sums share one record.
+        total comes from. It adds one packed int per op and per
+        converting edge; a same-scheme edge costs nothing and is skipped.
         """
         cx = self.cx
         t = 0
-        if records is None:
-            for s, row, ins in zip(idx, self.op_x, self.inputs):
-                t += row[s]
-                for j in ins:
-                    r = idx[j]
-                    if r != s:
-                        t += cx[r][s]
-            return self.profile._exact.parts(t)
-        exact = self.profile._exact
-        parts, cents = exact.parts, exact.cents
-        made = {}  # a record per pair of packed op and conversion sums
         for s, row, ins in zip(idx, self.op_x, self.inputs):
-            op = row[s]
-            conv = 0
+            t += row[s]
             for j in ins:
                 r = idx[j]
                 if r != s:
-                    conv += cx[r][s]
-            record = made.get((op, conv))
-            if record is None:
-                record = made[op, conv] = NodeCost(
-                    *map(cents, parts(op)), *map(cents, parts(conv)))
-            records.append(record)
-            t += op + conv
-        return parts(t)
+                    t += cx[r][s]
+        return self.profile._exact.parts(t)
 
     def uniform_sums(self, s: int) -> tuple[int, int]:
         """:meth:`sums` of the row that puts every node on scheme ``s``,
@@ -640,19 +627,14 @@ class Compiled:
         self, idx: Sequence[int], sums: tuple[int, int] | None = None
     ) -> CostReport:
         """Cost report of ``idx``. ``sums``, when given, must be
-        :meth:`sums` of ``idx``, which a caller has already computed; the
-        per-node records are then built only when the report's
-        ``per_node`` is first read. Without ``sums``, one fold gives both
-        the totals and the records. Each total is the float nearest its
-        exact sum, as :meth:`_Exact.cents` gives it."""
-        records = None
-        if sums is None:
-            records = []
-            sums = self.sums(idx, records)
-        tc, tn = sums
+        :meth:`sums` of ``idx``, which a caller has already computed;
+        without it, one fold gives them. Each total is the float nearest
+        its exact sum, as :meth:`_Exact.cents` gives it, and the per-node
+        records are built when the report's ``per_node`` is first read."""
+        tc, tn = self.sums(idx) if sums is None else sums
         cents = self.profile._exact.cents
         return CostReport(cents(tc), cents(tn), cents(tc + tn), self,
-                          tuple(idx), records)
+                          tuple(idx))
 
 
 def total_cost(

@@ -106,7 +106,8 @@ def _result(
     compiled: Compiled, idx: list[int], heuristic: str, sums=None, **extra
 ) -> OptimizeResult:
     """The result of ``idx``, with ``sums`` as in
-    :meth:`~mpcost.cost_model.Compiled.report`."""
+    :meth:`~mpcost.cost_model.Compiled.report`: ``None`` folds ``idx``
+    once, for the totals alone."""
     return OptimizeResult(
         compiled.assignment(idx), compiled.report(idx, sums), heuristic, **extra
     )
@@ -393,8 +394,7 @@ def exhaustive_optimal(
     ``max_space``, before any solver work, is the product of the
     candidate counts over the priced nodes, e.g. ``3**k`` for ``k``
     add/mul nodes under the bundled profiles; above it the call raises
-    :class:`SearchSpaceTooLarge`. The report reuses the pass's sums and
-    builds per-node records only when they are read.
+    :class:`SearchSpaceTooLarge`. The report reuses the pass's sums.
     """
     compiled = Compiled(circuit, profile)
     sums, idx = exact_pass(compiled, limits or _DEFAULT_LIMITS)
@@ -430,12 +430,12 @@ def exact_pass(
     entry carries ``g``, the sum of its path's node terms, which at a
     leaf is the row's exact total. Each node past the path's end adds at
     least ``l_u = min b_u + sum_e min t_e`` over its in-edges, so ``g +
-    sum_u l_u`` bounds every row below. Order breaks ties: the first leaf
-    costing ``cap`` or less leads, and a later one replaces it only by
-    costing strictly less. So a child goes when its bound exceeds
-    ``cap`` before a leaf leads, and when it reaches the leader's total
-    after. Before a leaf leads, a row costing ``cap`` may be the first
-    least one, so ties with the cap stay.
+    sum_u l_u`` bounds every row below. Order breaks ties: ``best`` starts
+    at ``cap + 1`` and then holds the leader's total, and a leaf leads
+    only by costing less than ``best``. Totals are ints, so the first
+    leaf costing ``cap`` or less leads, a later one replaces it only by
+    costing strictly less, and a child goes when its bound reaches
+    ``best``.
     """
     inputs, cands = compiled.inputs, compiled.cands
     space = math.prod(len(cands[i]) for i in compiled.circuit.op_node_ids)
@@ -490,18 +490,17 @@ def exact_pass(
             low += min([ci[r][s] - mj[r] - mu[s] for r in cands[j] for s in cands[u]])
         rest[p] = low + rest[p + 1]
 
-    best_row = first[:]
-    best = 0  # the decoded row's total, the cap until a leaf leads
+    row = first[:]
+    best = 1  # one more than the decoded row's total, until a leaf leads
     for u in nodes:
-        ins = [(best_row[j], mj, mu) for j, mj, mu in into[u]]
+        ins = [(row[j], mj, mu) for j, mj, mu in into[u]]
         terms = [b[u][s] + sum([ci[r][s] - mj[r] - mu[s] for r, mj, mu in ins])
                  for s in cands[u]]
         least = min(terms)
-        best_row[u] = cands[u][terms.index(least)]
+        row[u] = cands[u][terms.index(least)]
         best += least
+    best_row = row[:]
 
-    row = first[:]
-    led = False
     stack = [(0, s, 0) for s in reversed(cands[nodes[0]])] if nodes else []
     while stack:
         p, s, g = stack.pop()
@@ -512,12 +511,10 @@ def exact_pass(
             r = row[j]
             g += ci[r][s] - mj[r] - mu[s]
         p += 1
-        # A tie loses to a leader, which comes first, but not to the cap.
-        low = g + rest[p]
-        if low > best or led and low == best:
+        if g + rest[p] >= best:
             continue
         if p == len(nodes):
-            best, best_row, led = g, row[:], True
+            best, best_row = g, row[:]
             continue
         stack.extend((p, t, g) for t in reversed(cands[nodes[p]]))
     return compiled.sums(best_row), best_row
@@ -587,8 +584,7 @@ def best_of(
     The first candidate with the least exact total wins, and its result
     (including its ``heuristic`` label) is what that strategy's own
     function returns. Its report reuses the winner's sums, so no row is
-    summed twice, and builds per-node records only when they are read.
-    ``exhaustive_optimal`` is not a candidate.
+    summed twice. ``exhaustive_optimal`` is not a candidate.
 
     The run stops as soon as the leader's exact total equals the floor,
     the sum of each node's least op price (``least`` of

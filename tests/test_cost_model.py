@@ -21,7 +21,6 @@ from mpcost import (
     assignment_from_json,
     assignment_to_json,
     best_of,
-    bottom_up,
     build,
     check_feasible,
     derive_profile,
@@ -30,7 +29,6 @@ from mpcost import (
     load_builtin,
     profile_from_json,
     profile_to_json,
-    top_down,
     total_cost,
 )
 from mpcost.circuit import COMPUTE_OPS
@@ -394,27 +392,6 @@ def test_reports_compare_by_their_totals_only():
     assert report == CostReport(*totals, None, ())
     assert report != CostReport(*totals[:2], totals[2] + 1.0, report.compiled,
                                 report.row)
-
-
-@pytest.mark.parametrize("how", ["total_cost", "bottom-up", "top-down"])
-def test_read_records_come_from_the_totals_fold(how, inter_m3_medium, monkeypatch):
-    c = gen_random(7, n_ops=12)
-    folds = []
-    fold = Compiled.sums
-
-    def counted(self, idx, records=None):
-        folds.append(records is not None)
-        return fold(self, idx, records)
-
-    monkeypatch.setattr(Compiled, "sums", counted)
-    if how == "total_cost":
-        report = total_cost(c, {i: "yao" for i in range(len(c.nodes))},
-                            inter_m3_medium)
-    else:
-        run = bottom_up if how == "bottom-up" else top_down
-        report = run(c, inter_m3_medium).report
-    assert len(report.per_node) == len(c.nodes)
-    assert folds == [True]
 
 
 def test_total_cost_scales_linearly_with_profile():

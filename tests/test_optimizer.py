@@ -955,13 +955,13 @@ def test_best_of_compiles_once_and_builds_records_on_first_read(
 
 
 def counted_folds(monkeypatch):
-    """Patch ``Compiled.sums`` to log each fold as ``(row, records)``."""
+    """Patch ``Compiled.sums`` to log the row of each fold."""
     folded = []
     sums = Compiled.sums
 
-    def counted_sums(self, idx, records=None):
-        folded.append((list(idx), records))
-        return sums(self, idx, records)
+    def counted_sums(self, idx):
+        folded.append(list(idx))
+        return sums(self, idx)
 
     monkeypatch.setattr(Compiled, "sums", counted_sums)
     return folded
@@ -996,33 +996,46 @@ def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
     assert folded == []
 
 
-def test_hill_climbing_folds_its_row_once_with_records(monkeypatch, inter_m3_medium):
-    """No hill sweep is folded: the result's one fold gives the totals and
-    the per-node records together, so reading them folds nothing more."""
-    circuit = gen_matmul(MatMulSpec(n=5))
-    folded = counted_folds(monkeypatch)
-    result = hill_climbing(circuit, inter_m3_medium, "yao")
-    per_node = result.report.per_node
-    assert result.iterations > 2
-    assert len(folded) == 1
-    row, records = folded[0]
-    assert row == Compiled(circuit, inter_m3_medium).indices(result.assignment)
-    assert tuple(records) == tuple(per_node.values())
+_STRATEGIES = {
+    "total_cost": lambda c, prof: total_cost(
+        c, {i: "yao" for i in range(len(c.nodes))}, prof),
+    "bottom-up": lambda c, prof: bottom_up(c, prof).report,
+    "top-down": lambda c, prof: top_down(c, prof).report,
+    "hill-climbing": lambda c, prof: hill_climbing(c, prof, "yao").report,
+    "exhaustive": lambda c, prof: exhaustive_optimal(c, prof).report,
+    "best": lambda c, prof: best_of(c, prof).report,
+}
 
 
-def test_exhaustive_folds_its_cap_then_records_on_read(monkeypatch, inter_m3_medium):
-    """The search's cap is the sum of the decoded row's terms, so the only
-    fold before a read is the returned row's, without records; the
-    per-node records come from one more fold, on first read."""
-    circuit = gen_matmul(MatMulSpec(n=2))
+@pytest.mark.parametrize("how", list(_STRATEGIES))
+def test_only_the_first_per_node_read_builds_records(
+        how, monkeypatch, inter_m3_medium):
+    """No fold builds a ``NodeCost``. The first ``per_node`` read folds
+    nothing and builds each distinct record once, shared by the nodes
+    that have it; a second read returns the same dict. A strategy other
+    than ``best_of`` folds its result's row once, for the totals (hill
+    climbing takes 3 sweeps here)."""
+    circuit = gen_random(7, n_ops=12)
     folded = counted_folds(monkeypatch)
-    result = exhaustive_optimal(circuit, inter_m3_medium)
-    assert [records for _, records in folded] == [None]
-    per_node = result.report.per_node
-    assert len(folded) == 2
-    row, records = folded[1]
-    assert row == Compiled(circuit, inter_m3_medium).indices(result.assignment)
-    assert tuple(records) == tuple(per_node.values())
+    built = []
+
+    class CountedNodeCost(NodeCost):
+        def __new__(cls, *fields):
+            built.append(super().__new__(cls, *fields))
+            return built[-1]
+
+    monkeypatch.setattr(cost_model, "NodeCost", CountedNodeCost)
+    report = _STRATEGIES[how](circuit, inter_m3_medium)
+    assert built == []
+    if how != "best":
+        assert folded == [list(report.row)]
+    folds = folded[:]
+    per_node = report.per_node
+    assert folded == folds
+    assert list(per_node) == list(range(len(circuit.nodes)))
+    assert len(set(built)) == len(built) < len(per_node)
+    assert {id(r) for r in per_node.values()} == {id(r) for r in built}
+    assert report.per_node is per_node
 
 
 def test_compare_folds_no_more_than_its_passes(capsys, monkeypatch, tmp_path,
