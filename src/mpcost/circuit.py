@@ -166,13 +166,13 @@ class Circuit(_Value):
     kept: each node's op (:attr:`node_ops`) and input ids
     (:attr:`node_inputs`), the in, out and priced node ids, each node's
     consumer edges, the priced op set (:meth:`ops_present`), the count
-    of each priced op (:attr:`op_counts`) and the node shapes
-    (:attr:`_shapes`). So every
-    strategy call on one circuit shares them. Each is one tuple of at
-    most one entry per node or edge, made once per circuit. Sharing is
-    safe: the nodes never change, so two threads that derive one fact
-    at once store equal tuples, and none of them enters equality, hash
-    or ``repr``."""
+    of each priced op (:attr:`op_counts`), the node shapes
+    (:attr:`_shapes`) and the first node with inputs (:attr:`_first_fed`).
+    So every strategy call on one circuit shares them. Each is an int or
+    one tuple of at most one entry per node or edge, made once per
+    circuit. Sharing is safe: the nodes never change, so two threads
+    that derive one fact at once store equal values, and none of them
+    enters equality, hash or ``repr``."""
 
     nodes: tuple[Node, ...]
     bitwidth: int
@@ -233,6 +233,13 @@ class Circuit(_Value):
             self.node_ops, map(len, self.node_inputs),
             map(len, self.consumer_edges))]
         return tuple(index), tuple(at)
+
+    @cached_property
+    def _first_fed(self) -> int:
+        """The id of the first node with inputs, or ``len(nodes)`` if no
+        node has any: every node before it is an ``in`` node."""
+        return next((i for i, ins in enumerate(self.node_inputs) if ins),
+                    len(self.nodes))
 
     def ops_present(self) -> tuple[OpKind, ...]:
         """Distinct priced operations used by this circuit, in
@@ -352,8 +359,8 @@ def evaluate_plaintext(
     mask = (1 << circuit.bitwidth) - 1
     in_set = set(circuit.in_ids)
     for key in inputs:
-        if key not in in_set:
-            raise UnknownNode(f"id {key} is not an in node of this circuit")
+        if not _is_int(key) or key not in in_set:
+            raise UnknownNode(f"id {_shown(key)} is not an in node of this circuit")
     for i in circuit.in_ids:
         if i not in inputs:
             raise MissingInput(f"no value supplied for in node {i}")

@@ -38,6 +38,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
+from itertools import islice
 
 from .circuit import (
     COMPUTE_OPS,
@@ -593,17 +594,22 @@ class Compiled:
         return [index[assignment[i]] for i in range(len(self.circuit.nodes))]
 
     def assignment(self, idx: Sequence[int]) -> Assignment:
-        return dict(enumerate(map(self.profile.schemes.__getitem__, idx)))
+        names = self.profile.schemes
+        return {i: names[s] for i, s in enumerate(idx)}
 
     def sums(self, idx: Sequence[int]) -> tuple[int, int]:
         """Exact total compute and network cost of ``idx``, as ints in
         units of ``2**-e`` cents (:class:`_Exact`): the one fold every
         total comes from. It adds one packed int per op and per
         converting edge; a same-scheme edge costs nothing and is skipped.
+        It starts at the first node with inputs
+        (:attr:`~mpcost.circuit.Circuit._first_fed`): the ``in`` nodes
+        before it have op price 0 and no edges, so they add 0.
         """
         cx = self.cx
         t = 0
-        for s, row, ins in zip(idx, self.op_x, self.inputs):
+        for s, row, ins in islice(zip(idx, self.op_x, self.inputs),
+                                  self.circuit._first_fed, None):
             t += row[s]
             for j in ins:
                 r = idx[j]
@@ -676,7 +682,7 @@ def check_feasible(
             )
     n = len(circuit.nodes)
     for key in assignment:
-        if not (isinstance(key, int) and 0 <= key < n):
+        if not (_is_int(key) and 0 <= key < n):
             violations.append(Violation(key, "key is not a node id"))
     return violations
 

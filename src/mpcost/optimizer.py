@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import islice
 from operator import add
 
 from .circuit import Circuit, OpKind, _check_count, _Value
@@ -165,10 +166,11 @@ def bottom_up_pass(compiled: Compiled) -> list[int]:
     inf = math.inf
     n = len(compiled.inputs)
     idx: list = [None] * n
-    # Node order is topological, and only in nodes have no inputs.
-    for i, row, choices, ins in zip(
+    # Node order is topological, and only in nodes have no inputs: the
+    # walk starts past the leading ones, which stay open.
+    for i, row, choices, ins in islice(zip(
         range(n), compiled.op_t, compiled.choices, compiled.inputs
-    ):
+    ), compiled.circuit._first_fed, None):
         if not ins:
             continue
         best_scheme = choices[0]

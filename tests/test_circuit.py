@@ -185,6 +185,9 @@ def test_evaluate_input_validation(adder):
         evaluate_plaintext(adder, {0: 2**32, 1: 0})
     with pytest.raises(UnknownNode):
         evaluate_plaintext(adder, {0: 1, 1: 2, 2: 3})
+    for key in (True, 1.0):  # equal to in node 1's id, but not an int id
+        with pytest.raises(UnknownNode, match=repr(key)):
+            evaluate_plaintext(adder, {0: 2, key: 5})
 
 
 def test_evaluate_respects_custom_bitwidth():

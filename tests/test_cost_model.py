@@ -25,6 +25,7 @@ from mpcost import (
     check_feasible,
     derive_profile,
     exhaustive_optimal,
+    gen_chain,
     gen_random,
     load_builtin,
     profile_from_json,
@@ -229,17 +230,40 @@ def _row(draw, compiled, mode):
     return idx
 
 
+#: Circuit kinds for the fold tests: a random circuit's in nodes all
+#: lead, a chain's interleave with its ops, ``late-ins`` has in nodes
+#: after priced nodes (one unconsumed), and ``ins-only`` no node with
+#: inputs.
+CIRCUIT_KINDS = ("random", "chain", "late-ins", "ins-only")
+
+
+def circuit_of(kind, seed, n_ops, op_weights=None):
+    """A circuit of one of :data:`CIRCUIT_KINDS`; ``seed`` and ``n_ops``
+    draw the random and chain kinds, and the other two are fixed."""
+    if kind == "random":
+        return gen_random(seed, n_ops, op_weights)
+    if kind == "chain":
+        binary = [op for op in COMPUTE_OPS if op.arity == 2]
+        return gen_chain(binary[seed % len(binary)], n_ops)
+    if kind == "late-ins":
+        return build([("in", []), ("in", []), ("mul", [0, 1]), ("in", []),
+                      ("mux", [2, 3, 0]), ("in", []), ("ge", [4, 2]),
+                      ("xor", [6, 3]), ("out", [7])])
+    return build([("in", [])] * 3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32), n_ops=st.integers(1, 30),
        mux_weight=st.sampled_from([0.0, 1.0, 20.0]),
+       kind=st.sampled_from(CIRCUIT_KINDS),
        prof=st.one_of(st.sampled_from(_BUNDLED), _random_profiles()),
        mode=st.sampled_from(["same", "mixed", "differ"]), data=st.data())
 def test_total_and_report_match_a_reference_loop_bit_for_bit(
-    seed, n_ops, mux_weight, prof, mode, data
+    seed, n_ops, mux_weight, kind, prof, mode, data
 ):
     weights = {op: 1.0 for op in COMPUTE_OPS}
     weights[OpKind.MUX] = mux_weight  # mux nodes have three inputs
-    circuit = gen_random(seed, n_ops, weights)
+    circuit = circuit_of(kind, seed, n_ops, weights)
     compiled = Compiled(circuit, prof)
     idx = _row(data.draw, compiled, mode)
     want_nodes, want_tc, want_tn = _reference_report(
@@ -461,6 +485,13 @@ def test_check_feasible_flags_keys_that_are_not_node_ids(adder, inter_m3_medium)
         assert [v.node for v in violations] == [key]
         with pytest.raises(InfeasibleAssignment, match="not a node id"):
             total_cost(adder, {**asg, key: "yao"}, inter_m3_medium)
+    # A bool key equals its int, so a merge would keep the int key: here
+    # True is the only key for node 1.
+    bool_keyed = {0: "yao", True: "yao", 2: "yao", 3: "yao"}
+    violations = check_feasible(adder, bool_keyed, inter_m3_medium)
+    assert [(type(v.node), v.node) for v in violations] == [(bool, True)]
+    with pytest.raises(InfeasibleAssignment, match="not a node id"):
+        total_cost(adder, bool_keyed, inter_m3_medium)
 
 
 # --- assignment JSON ------------------------------------------------------------

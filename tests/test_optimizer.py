@@ -48,7 +48,7 @@ from mpcost.errors import (
     UnsupportedScheme,
 )
 from mpcost.profiles import BUILTIN_PROFILES, load_builtin
-from test_cost_model import check_exact_report
+from test_cost_model import check_exact_report, circuit_of
 from test_exact_golden import mux_ladder
 from test_strategy_golden import sweep_totals
 
@@ -1166,11 +1166,15 @@ def test_candidates_match_a_reference_that_folds_every_row(name):
     """Reusing an earlier candidate's sums for an equal row, scoring only
     each node's choices, and dropping a scheme whose partial score
     reaches the best one, change no field of any candidate, on seeded
-    random circuits of 1-60 ops under a bundled profile or seeded stress
-    profiles."""
+    random circuits of 1-60 ops and the other circuit kinds of the fold
+    tests (chains of 1-15 ops and two fixed circuits) under a bundled
+    profile or seeded stress profiles."""
     partial_seen = narrowed_seen = False
-    for seed in range(40):
-        circuit = gen_random(seed, n_ops=1 + (seed * 7) % 60)
+    sources = [("random", seed, 1 + (seed * 7) % 60) for seed in range(40)]
+    sources += [("chain", seed, 1 + 2 * seed) for seed in range(8)]
+    sources += [("late-ins", 0, None), ("ins-only", 0, None)]
+    for kind, seed, n_ops in sources:
+        circuit = circuit_of(kind, seed, n_ops)
         profile = profile_named(name, seed)
         partial_seen |= bool(check_candidates(
             circuit, profile, max_passes=(None, 1, 2)[seed % 3]))
