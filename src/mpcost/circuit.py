@@ -279,6 +279,8 @@ def _check_bitwidth(x, error=InvalidArgument) -> None:
 def _validate(nodes: tuple[Node, ...], bitwidth: int) -> None:
     """Raise on the first broken rule of a circuit, in one pass in id order."""
     _check_bitwidth(bitwidth, ParseError)
+    if not isinstance(nodes, tuple):  # a list could change once checked
+        raise ParseError(f"nodes must be a tuple of Nodes, got {type(nodes).__name__}")
     in_, out = OpKind.IN, OpKind.OUT  # locals: an enum member read is slow
     for i, node in enumerate(nodes):
         if not isinstance(node, Node):

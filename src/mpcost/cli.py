@@ -188,19 +188,19 @@ def cmd_compare(args) -> int:
     compiled = Compiled(circuit, profile)
     # Each row keeps the sums it was scored with, the exact row those of
     # its search. No row needs per-node records.
-    runs = dict(candidates(compiled, limits))
+    runs = {run[0]: run for run in candidates(compiled, limits)}
     labels = [f"pure-{baseline}", "hill-climbing", "top-down", "bottom-up"]
     notices = []
     try:
-        runs["exhaustive"] = (*exact_pass(compiled, limits), {})
+        runs["exhaustive"] = ("exhaustive", *exact_pass(compiled, limits), 1, False)
         labels.append("exhaustive")
     except SearchSpaceTooLarge as e:
         notices.append(f"exhaustive skipped: {e}")
     runs[f"pure-{baseline}"] = runs[f"fixed:{baseline}"]
     reports = []
     for label in labels:
-        sums, idx, _ = runs[label]
-        reports.append((label, compiled.report(idx, sums), sum(sums)))
+        _, sums, row, _, _ = runs[label]
+        reports.append((label, compiled.report(row, sums), sum(sums)))
 
     pure = reports[0][2]
     best_total = min(exact for _, _, exact in reports)  # exact sums rank
@@ -311,11 +311,16 @@ def cmd_eval(args) -> int:
             raise ParseError(
                 f"inputs key {key!r} means in node {i}, as another key does")
         inputs[i] = value
-    outputs = evaluate_plaintext(circuit, inputs)
-    doc_out = {}
+    # An output's key is its out node's name, else its id; no two out
+    # nodes may share one.
+    labels: dict[str, list[int]] = {}
     for i in circuit.out_ids:
-        label = circuit.nodes[i].name or str(i)
-        doc_out[label] = outputs[i]
+        labels.setdefault(circuit.nodes[i].name or str(i), []).append(i)
+    for label, ids in labels.items():
+        if len(ids) > 1:
+            raise ParseError(f"out nodes {ids} share the output label {label!r}")
+    outputs = evaluate_plaintext(circuit, inputs)
+    doc_out = {label: outputs[ids[0]] for label, ids in labels.items()}
     _emit(json.dumps(doc_out, indent=2) + "\n", args.out)
     return 0
 

@@ -145,7 +145,8 @@ def _exact_cents(price, scale: float) -> tuple[int, int]:
 class CostProfile(_Value):
     """Unit costs for one deployment scenario.
 
-    ``op_costs`` maps ``(op, scheme)`` to ``(compute, network)`` in stored
+    ``schemes`` is a tuple of names. The dict ``op_costs`` maps the
+    tuple ``(op, scheme)`` to the tuple ``(compute, network)`` in stored
     units; an absent pair means the scheme does not support the op.
     ``conversions`` maps every ordered pair of distinct schemes to its
     ``(compute, network)`` conversion price. ``scale`` converts stored
@@ -184,6 +185,13 @@ class CostProfile(_Value):
                     conversions=conversions)
         if not isinstance(self.name, str):
             raise ParseError("profile name must be a string")
+        # A list of schemes could change once checked, leaving
+        # scheme_index stale.
+        for field, kind in (("schemes", tuple), ("op_costs", dict),
+                            ("conversions", dict)):
+            if not isinstance(getattr(self, field), kind):
+                raise ParseError(
+                    f"profile {self.name!r}: {field} must be a {kind.__name__}")
         if not self.schemes:
             raise NoUniversalScheme(f"profile {self.name!r} declares no schemes")
         for s in self.schemes:
@@ -196,7 +204,8 @@ class CostProfile(_Value):
             raise ParseError(f"profile {self.name!r} has duplicate scheme names")
         _check_scale(self.name, self.scale)
         known = set(self.schemes)
-        for (op, scheme), price in self.op_costs.items():
+        for key, price in self.op_costs.items():
+            op, scheme = _check_pair(self.name, "op_costs key", key)
             if op not in COMPUTE_OPS:
                 raise ParseError(
                     f"profile {self.name!r}: op {op} cannot carry a cost entry"
@@ -207,7 +216,8 @@ class CostProfile(_Value):
                     f"scheme {scheme!r}"
                 )
             _check_price(self.name, f"cost for ({op}, {scheme})", price)
-        for (src, dst), price in self.conversions.items():
+        for key, price in self.conversions.items():
+            src, dst = _check_pair(self.name, "conversions key", key)
             if src not in known or dst not in known:
                 raise ParseError(
                     f"profile {self.name!r}: conversion {src}->{dst} uses an "
@@ -235,7 +245,13 @@ class CostProfile(_Value):
     def supports(self, op: OpKind, scheme: str) -> bool:
         """``scheme`` is declared and prices ``op``; ``in`` and ``out`` take
         every scheme."""
-        return self.scheme_index.get(scheme) in self._tables[1].get(op, ())
+        return self._index_of(scheme) in self._tables[1].get(op, ())
+
+    def _index_of(self, scheme) -> int | None:
+        """The index of ``scheme``, or ``None`` if it is not declared:
+        every declared name is a ``str``, so no value of another type,
+        hashable or not, is one."""
+        return self.scheme_index.get(scheme) if isinstance(scheme, str) else None
 
     def schemes_for(self, op: OpKind) -> tuple[str, ...]:
         """Schemes supporting ``op``, in canonical (declaration) order."""
@@ -401,12 +417,12 @@ class CostProfile(_Value):
     def conv_cost_cents(self, src: str, dst: str) -> tuple[float, float]:
         """(compute, network) cents for re-sharing a value from ``src`` to
         ``dst``. Zero when the schemes coincide."""
-        try:
-            i, j = self.scheme_index[src], self.scheme_index[dst]
-        except KeyError as e:
+        i, j = self._index_of(src), self._index_of(dst)
+        if i is None or j is None:
             raise InfeasibleAssignment(
-                f"scheme {e.args[0]!r} is not declared by profile {self.name!r}"
-            ) from None
+                f"scheme {(src if i is None else dst)!r} is not declared by "
+                f"profile {self.name!r}"
+            )
         exact = self._exact
         return tuple(map(exact.cents, exact.parts(exact.cx[i][j])))
 
@@ -427,11 +443,19 @@ def _check_scale(name: str, scale) -> None:
         raise ParseError(f"profile {name!r} scale must be positive and finite")
 
 
+def _check_pair(name: str, what: str, x) -> tuple:
+    """``x``; raise :class:`ParseError` naming ``what`` unless it is a
+    pair (a ``tuple`` of two)."""
+    if not (isinstance(x, tuple) and len(x) == 2):
+        raise ParseError(f"profile {name!r}: {what} {x!r} is not a pair")
+    return x
+
+
 def _check_price(name: str, what: str, price) -> None:
-    """Raise :class:`ParseError` unless both halves of the ``(compute,
-    network)`` ``price`` are :func:`_is_finite`, then :class:`NegativeCost`
-    if either is negative."""
-    p, n = price
+    """Raise :class:`ParseError` unless ``price`` is a ``(compute,
+    network)`` pair whose halves are :func:`_is_finite`, then
+    :class:`NegativeCost` if either is negative."""
+    p, n = _check_pair(name, what, price)
     if not (_is_finite(p) and _is_finite(n)):
         raise ParseError(f"profile {name!r}: {what} is not a finite number")
     if p < 0 or n < 0:
@@ -669,7 +693,7 @@ def check_feasible(
         scheme = assignment.get(node.id)
         if scheme is None:
             violations.append(Violation(node.id, "no scheme assigned"))
-        elif scheme not in profile.scheme_index:
+        elif profile._index_of(scheme) is None:
             violations.append(
                 Violation(node.id, f"scheme {scheme!r} not in profile")
             )

@@ -10,6 +10,10 @@ Every strategy works on scheme indices over a
 plain Python, and scores assignments with its one fold,
 :meth:`~mpcost.cost_model.Compiled.sums`.
 
+From its pass to its result, a strategy's outcome is one flat run,
+``(label, sums, row, iterations, limit_exceeded)`` (see
+:func:`candidates`), and ``_result(compiled, *run)`` reports it.
+
 Determinism: every strategy breaks ties the same way, schemes in the
 profile's declaration order first, then ascending node id. Totals are
 exact sums of ints, so totals from different strategies (including the
@@ -89,7 +93,7 @@ def _require_support(compiled: Compiled, scheme: str) -> int:
     that is, be one of the circuit's universal schemes. The error names
     the first node it does not support."""
     circuit, profile = compiled.circuit, compiled.profile
-    s = profile.scheme_index.get(scheme)
+    s = profile._index_of(scheme)
     if s is None:
         raise UnsupportedScheme(
             f"scheme {scheme!r} is not declared by profile {profile.name!r}"
@@ -103,22 +107,18 @@ def _require_support(compiled: Compiled, scheme: str) -> int:
     return s
 
 
-def _result(
-    compiled: Compiled, idx: list[int], heuristic: str, sums=None, **extra
-) -> OptimizeResult:
-    """The result of ``idx``, with ``sums`` as in
-    :meth:`~mpcost.cost_model.Compiled.report`: ``None`` folds ``idx``
+def _result(compiled: Compiled, label: str, sums, row: list[int],
+            iterations: int = 1, limit_exceeded: bool = False) -> OptimizeResult:
+    """The result of a run, as ``_result(compiled, *run)``. ``sums`` is as
+    in :meth:`~mpcost.cost_model.Compiled.report`: ``None`` folds ``row``
     once, for the totals alone."""
-    return OptimizeResult(
-        compiled.assignment(idx), compiled.report(idx, sums), heuristic, **extra
-    )
+    return OptimizeResult(compiled.assignment(row), compiled.report(row, sums),
+                          label, iterations, limit_exceeded)
 
 
 # Each public strategy compiles, runs its pass (scheme indices over a
-# given ``Compiled``) and reports. ``candidates`` runs the heuristic passes
-# on one compiled form as they are read; ``mpcost compare`` reads them all
-# and runs ``exact_pass`` on that same form, and ``best_of`` reads them
-# until its leader is at the floor no row can beat.
+# given ``Compiled``) and reports its run. ``mpcost compare`` reads every
+# run of ``candidates`` and adds ``exact_pass``'s on the same form.
 
 
 def fixed_sharing(
@@ -132,8 +132,8 @@ def fixed_sharing(
     """
     compiled = Compiled(circuit, profile)
     s = _require_support(compiled, scheme)
-    return _result(compiled, [s] * len(circuit.nodes), f"fixed:{scheme}",
-                   compiled.uniform_sums(s))
+    return _result(compiled, f"fixed:{scheme}", compiled.uniform_sums(s),
+                   [s] * len(circuit.nodes))
 
 
 def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
@@ -157,7 +157,7 @@ def bottom_up(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     what scoring every supported scheme in full gives.
     """
     compiled = Compiled(circuit, profile)
-    return _result(compiled, bottom_up_pass(compiled), "bottom-up")
+    return _result(compiled, "bottom-up", None, bottom_up_pass(compiled))
 
 
 def bottom_up_pass(compiled: Compiled) -> list[int]:
@@ -210,7 +210,7 @@ def top_down(circuit: Circuit, profile: CostProfile) -> OptimizeResult:
     cost is not below the least score so far goes unscored.
     """
     compiled = Compiled(circuit, profile)
-    return _result(compiled, top_down_pass(compiled), "top-down")
+    return _result(compiled, "top-down", None, top_down_pass(compiled))
 
 
 def top_down_pass(compiled: Compiled) -> list[int]:
@@ -287,16 +287,15 @@ def hill_climbing(
     """
     compiled = Compiled(circuit, profile)
     s = _require_support(compiled, init_scheme)
-    idx, extra = hill_pass(compiled, s, limits or _DEFAULT_LIMITS)
-    return _result(compiled, idx, "hill-climbing", **extra)
+    return _result(compiled, "hill-climbing", None,
+                   *hill_pass(compiled, s, limits or _DEFAULT_LIMITS))
 
 
 def hill_pass(
     compiled: Compiled, init: int, limits: SolverLimits
-) -> tuple[list[int], dict]:
-    """Scheme indices of :func:`hill_climbing` from every node on scheme
-    ``init``, and the result's ``iterations`` and ``limit_exceeded`` as
-    keyword arguments of :class:`OptimizeResult`."""
+) -> tuple[list[int], int, bool]:
+    """``(row, iterations, limit_exceeded)``, the last three fields of
+    :func:`hill_climbing`'s run from every node on scheme ``init``."""
     n = len(compiled.circuit.nodes)
     max_passes = limits.max_passes
     if max_passes is None:
@@ -365,7 +364,7 @@ def hill_pass(
         if sweeps >= max_passes:
             limit_exceeded = True
             break
-    return idx, {"iterations": sweeps, "limit_exceeded": limit_exceeded}
+    return idx, sweeps, limit_exceeded
 
 
 # --- exact solver ------------------------------------------------------------
@@ -399,8 +398,8 @@ def exhaustive_optimal(
     :class:`SearchSpaceTooLarge`. The report reuses the pass's sums.
     """
     compiled = Compiled(circuit, profile)
-    sums, idx = exact_pass(compiled, limits or _DEFAULT_LIMITS)
-    return _result(compiled, idx, "exhaustive", sums)
+    return _result(compiled, "exhaustive",
+                   *exact_pass(compiled, limits or _DEFAULT_LIMITS))
 
 
 def exact_pass(
@@ -527,52 +526,44 @@ def exact_pass(
 
 def candidates(
     compiled: Compiled, limits: SolverLimits
-) -> Iterator[tuple[str, tuple[tuple[int, int], list[int], dict]]]:
-    """Every heuristic's result on ``compiled`` as ``(label, (sums, scheme
-    indices, OptimizeResult keyword arguments))`` pairs, in tie-break
-    order: a ``fixed:<scheme>`` run for each scheme that supports every
-    operation in the circuit, ``bottom-up``, ``top-down`` and
-    ``hill-climbing`` from :func:`default_scheme`.
+) -> Iterator[tuple[str, tuple[int, int], list[int], int, bool]]:
+    """Every heuristic's run on ``compiled``, in tie-break order: a
+    ``fixed:<scheme>`` run for each scheme that supports every operation
+    in the circuit, ``bottom-up``, ``top-down`` and ``hill-climbing``
+    from :func:`default_scheme`. A run is the flat record ``(label, sums,
+    row, iterations, limit_exceeded)``: the row's exact
+    :meth:`~mpcost.cost_model.Compiled.sums`, its scheme indices, and
+    hill climbing's sweeps and cut-off (``1, False`` for the others).
+    ``_result(compiled, *run)`` is what that strategy's function returns.
 
-    It is a generator, and a pass runs only when its pair is asked for:
-    :func:`best_of` stops reading once no later pair can win, and
-    ``mpcost compare`` takes ``dict()`` of it, every candidate.
-
-    ``sums`` are each row's exact
-    :meth:`~mpcost.cost_model.Compiled.sums`, and each distinct row is
-    folded once: a fixed row by
-    :meth:`~mpcost.cost_model.Compiled.uniform_sums`, any other row only
-    when no earlier candidate holds it (:func:`row_sums`).
+    It is a generator, and a pass runs only when its run is asked for:
+    :func:`best_of` stops reading once no later run can win, and
+    ``mpcost compare`` reads every run. Each distinct row is folded once,
+    a fixed row by :meth:`~mpcost.cost_model.Compiled.uniform_sums`; any
+    other takes the sums of the first earlier run with an equal row.
     """
     _, fixed, start = compiled.profile._uniform(compiled.circuit.ops_present())
     n = len(compiled.circuit.nodes)
-    scored = {}
+    runs = []
     # Universal schemes support every node's op, so no per-node check.
     for label, s in fixed:
-        scored[label] = run = (compiled.uniform_sums(s), [s] * n, {})
-        yield label, run
+        runs.append((label, compiled.uniform_sums(s), [s] * n, 1, False))
+        yield runs[-1]
     for label in ("bottom-up", "top-down", "hill-climbing"):
-        if label == "bottom-up":
-            idx, extra = bottom_up_pass(compiled), {}
-        elif label == "top-down":
-            idx, extra = top_down_pass(compiled), {}
+        if label == "hill-climbing":
+            row, iterations, limit_exceeded = hill_pass(compiled, start, limits)
         else:
-            idx, extra = hill_pass(compiled, start, limits)
-        scored[label] = run = (row_sums(compiled, idx, scored), idx, extra)
-        yield label, run
-
-
-def row_sums(
-    compiled: Compiled, idx: list[int], scored: dict
-) -> tuple[int, int]:
-    """:meth:`~mpcost.cost_model.Compiled.sums` of ``idx``: those of the
-    first candidate in ``scored`` (label -> ``(sums, row, extra)``, the
-    candidates :func:`candidates` has yielded so far) whose row equals
-    ``idx``, else one fold."""
-    for sums, row, _ in scored.values():
-        if row == idx:
-            return sums
-    return compiled.sums(idx)
+            run_pass = bottom_up_pass if label == "bottom-up" else top_down_pass
+            row, iterations, limit_exceeded = run_pass(compiled), 1, False
+        # A plain loop: a generator expression here slowed best_of by 2-3%.
+        for run in runs:
+            if run[2] == row:
+                sums = run[1]
+                break
+        else:
+            sums = compiled.sums(row)
+        runs.append((label, sums, row, iterations, limit_exceeded))
+        yield runs[-1]
 
 
 def best_of(
@@ -582,11 +573,11 @@ def best_of(
 ) -> OptimizeResult:
     """Run the heuristics and keep the cheapest result.
 
-    The candidates are those of :func:`candidates`, on one compiled form.
-    The first candidate with the least exact total wins, and its result
-    (including its ``heuristic`` label) is what that strategy's own
-    function returns. Its report reuses the winner's sums, so no row is
-    summed twice. ``exhaustive_optimal`` is not a candidate.
+    The candidates are the runs of :func:`candidates`, on one compiled
+    form. The first run with the least exact total wins, and its
+    ``_result(compiled, *run)``, ``heuristic`` label included, is what
+    that strategy's own function returns; its report reuses the run's
+    sums, so no row is summed twice. ``exhaustive_optimal`` is not one.
 
     The run stops as soon as the leader's exact total equals the floor,
     the sum of each node's least op price (``least`` of
@@ -602,11 +593,10 @@ def best_of(
     for op, count in circuit.op_counts:
         floor += count * least[op]
     winner = None
-    for label, run in candidates(compiled, limits or _DEFAULT_LIMITS):
-        tc, tn = run[0]
+    for run in candidates(compiled, limits or _DEFAULT_LIMITS):
+        tc, tn = run[1]
         if winner is None or tc + tn < best:
-            winner, best = (label, run), tc + tn
+            winner, best = run, tc + tn
             if best == floor:
                 break
-    label, (sums, idx, extra) = winner
-    return _result(compiled, idx, label, sums, **extra)
+    return _result(compiled, *winner)

@@ -97,7 +97,12 @@ def test_cycle_detected_on_manual_construction():
     ((Node(0, OpKind.IN, ()), Node(1, OpKind.OUT, (2,)),
       Node(2, OpKind.IN, ())), "does not precede"),
     (((0, OpKind.IN, (), None, None),), "expected a Node, got tuple"),
-], ids=["string-op", "bool-id", "forward-reference", "plain-tuple"])
+    ([Node(0, OpKind.IN, ()), Node(1, OpKind.OUT, (0,))],
+     "nodes must be a tuple of Nodes, got list"),
+    ((n for n in (Node(0, OpKind.IN, ()), Node(1, OpKind.OUT, (0,)))),
+     "nodes must be a tuple of Nodes, got generator"),
+], ids=["string-op", "bool-id", "forward-reference", "plain-tuple", "list",
+        "generator"])
 def test_direct_construction_checks_every_rule(nodes, match):
     with pytest.raises(MpcostError, match=match):
         Circuit(nodes)

@@ -464,6 +464,27 @@ def test_eval_rejects_an_input_key_that_does_not_mean_one_node(
     assert err.startswith(f"error: inputs key {key!r} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("outs, label, ids", [
+    ([("out", [2], None, "r"), ("out", [3], None, "r"), ("out", [4]),
+      ("out", [2], None, "7")], "r", [5, 6]),
+    ([("out", [2]), ("out", [3], None, "5")], "5", [5, 6]),
+    ([("out", [2], None, "s"), ("out", [3], None, "s"), ("out", [4], None, "s")],
+     "s", [5, 6, 7]),
+], ids=["shared-name", "name-is-another-id", "three-share-a-name"])
+def test_eval_rejects_out_nodes_that_share_an_output_label(
+        capsys, tmp_path, outs, label, ids):
+    path = tmp_path / "circuit.json"
+    save_circuit(build([("in", [], None, "a"), ("in", [], None, "b"),
+                        ("add", [0, 1]), ("mul", [0, 1]), ("sub", [0, 1])] + outs),
+                 path)
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text('{"a": 5, "b": 3}')
+    code, out, err = run(capsys, "eval", str(path), str(inputs))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: out nodes {ids} share the output label {label!r}\n"
+
+
 def test_eval_takes_a_name_that_is_its_own_nodes_id(capsys, tmp_path):
     path = tmp_path / "adder.json"
     save_circuit(build([("in", [], None, "0"), ("in", [], None, "b"),

@@ -25,8 +25,10 @@ from mpcost import (
     check_feasible,
     derive_profile,
     exhaustive_optimal,
+    fixed_sharing,
     gen_chain,
     gen_random,
+    hill_climbing,
     load_builtin,
     profile_from_json,
     profile_to_json,
@@ -43,6 +45,7 @@ from mpcost.errors import (
     NegativeInput,
     NoUniversalScheme,
     ParseError,
+    UnsupportedScheme,
 )
 from mpcost.profiles import BUILTIN_PROFILES
 
@@ -494,6 +497,49 @@ def test_check_feasible_flags_keys_that_are_not_node_ids(adder, inter_m3_medium)
         total_cost(adder, bool_keyed, inter_m3_medium)
 
 
+def _flags_node_2(adder, profile, bad):
+    violations = check_feasible(adder, {0: "yao", 1: "yao", 2: bad, 3: "yao"},
+                                profile)
+    return [(v.node, v.reason) for v in violations] == [
+        (2, f"scheme {bad!r} not in profile")]
+
+
+def _raises(error, call):
+    with pytest.raises(error, match="scheme .* not"):
+        call()
+    return True
+
+
+@pytest.mark.parametrize("bad", [["yao"], {"yao": 1}, {"yao"}],
+                         ids=["list", "dict", "set"])
+@pytest.mark.parametrize("entry", [
+    lambda adder, p, bad: p.supports(OpKind.ADD, bad) is False,
+    lambda adder, p, bad: p.supports(OpKind.IN, bad) is False,
+    lambda adder, p, bad: _raises(InfeasibleAssignment,
+                                  lambda: p.op_cost_cents(OpKind.ADD, bad)),
+    lambda adder, p, bad: _raises(InfeasibleAssignment,
+                                  lambda: p.conv_cost_cents(bad, "yao")),
+    lambda adder, p, bad: _raises(InfeasibleAssignment,
+                                  lambda: p.conv_cost_cents("yao", bad)),
+    _flags_node_2,
+    lambda adder, p, bad: _raises(InfeasibleAssignment, lambda: total_cost(
+        adder, {0: "yao", 1: "yao", 2: bad, 3: "yao"}, p)),
+    lambda adder, p, bad: _raises(UnsupportedScheme,
+                                  lambda: fixed_sharing(adder, p, bad)),
+    lambda adder, p, bad: _raises(UnsupportedScheme,
+                                  lambda: hill_climbing(adder, p, bad)),
+], ids=["supports", "supports-in", "op_cost_cents", "conv_cost_cents-src",
+        "conv_cost_cents-dst", "check_feasible", "total_cost", "fixed_sharing",
+        "hill_climbing"])
+def test_an_unhashable_scheme_name_gets_the_documented_error(
+        adder, inter_m3_medium, entry, bad):
+    """A scheme name that is not hashable is an undeclared scheme, not a
+    bare ``TypeError``: ``supports`` is ``False``, a price lookup and
+    ``total_cost`` raise :class:`InfeasibleAssignment`, ``check_feasible``
+    flags the node, and a strategy raises :class:`UnsupportedScheme`."""
+    assert entry(adder, inter_m3_medium, bad)
+
+
 # --- assignment JSON ------------------------------------------------------------
 
 
@@ -602,15 +648,48 @@ def test_profile_rejects_bools_posing_as_numbers():
     ("p", ("a", None)),
     (7, ("a", "y")),
     (None, ("a", "y")),
+    ("p", ["a", "y"]),
 ])
 def test_profile_rejects_names_a_file_cannot_hold(name, schemes):
     """The constructor rejects every profile that ``profile_to_json`` would
-    write and ``profile_from_json`` would not read back."""
+    write and ``profile_from_json`` would not read back, or that would not
+    compare equal to what it reads back (a list of schemes)."""
     a, y = schemes
     op_costs = {(op, y): (1.0, 0.0) for op in COMPUTE_OPS}
     with pytest.raises(ParseError):
         CostProfile(name, 1.0, schemes, op_costs,
                     {(a, y): (0.5, 0.5), (y, a): (0.5, 0.5)})
+
+
+_GOOD_OPS = {(op, "y"): (1.0, 0.0) for op in COMPUTE_OPS}
+_GOOD_CONVERSIONS = {("a", "y"): (0.5, 0.5), ("y", "a"): (0.5, 0.5)}
+
+
+@pytest.mark.parametrize("op_costs, conversions, match", [
+    ([], _GOOD_CONVERSIONS, "op_costs must be a dict"),
+    (_GOOD_OPS, list(_GOOD_CONVERSIONS.items()), "conversions must be a dict"),
+    ({**_GOOD_OPS, (OpKind.ADD, "a"): (1.0,)}, _GOOD_CONVERSIONS,
+     r"cost for \(add, a\) \(1.0,\) is not a pair"),
+    ({**_GOOD_OPS, (OpKind.ADD, "a"): None}, _GOOD_CONVERSIONS,
+     r"cost for \(add, a\) None is not a pair"),
+    ({**_GOOD_OPS, (OpKind.ADD, "a"): [1.0, 0.0]}, _GOOD_CONVERSIONS,
+     r"cost for \(add, a\) \[1.0, 0.0\] is not a pair"),
+    ({**_GOOD_OPS, "add": (1.0, 0.0)}, _GOOD_CONVERSIONS,
+     "op_costs key 'add' is not a pair"),
+    ({**_GOOD_OPS, 7: (1.0, 0.0)}, _GOOD_CONVERSIONS, "op_costs key 7 is not a pair"),
+    (_GOOD_OPS, {**_GOOD_CONVERSIONS, ("a", "y"): (0.5, 0.5, 0.5)},
+     "conversion cost a->y .* is not a pair"),
+    (_GOOD_OPS, {**_GOOD_CONVERSIONS, "a->y": (0.5, 0.5)},
+     "conversions key 'a->y' is not a pair"),
+], ids=["op-costs-list", "conversions-list", "short-price", "none-price",
+        "list-price", "string-op-key", "int-op-key", "long-conversion-price",
+        "string-conversion-key"])
+def test_profile_rejects_malformed_tables_with_parse_errors(
+        op_costs, conversions, match):
+    """A malformed price table raises :class:`ParseError` naming the
+    field, not an ``AttributeError``, ``ValueError`` or ``TypeError``."""
+    with pytest.raises(ParseError, match=match):
+        CostProfile("p", 1.0, ("a", "y"), op_costs, conversions)
 
 
 def test_profile_json_round_trip_is_canonical():

@@ -970,25 +970,16 @@ def counted_folds(monkeypatch):
 def test_best_of_folds_each_candidate_once(monkeypatch, inter_m3_medium):
     circuit = gen_matmul(MatMulSpec(n=5))
     folded = counted_folds(monkeypatch)
-    looked_up = []
-    row_sums = optimizer.row_sums
-
-    def counted_row_sums(compiled, idx, scored):
-        looked_up.append(list(idx))
-        return row_sums(compiled, idx, scored)
-
-    monkeypatch.setattr(optimizer, "row_sums", counted_row_sums)
-    scored = dict(optimizer.candidates(Compiled(circuit, inter_m3_medium),
-                                       SolverLimits()))
-    # Each non-fixed row goes through row_sums once. Bottom-up, top-down
-    # and hill climbing all land on the fixed arithmetic row, so they take
-    # its uniform fold's sums, and no hill sweep is folded, though hill
-    # climbing moved on more than one sweep.
-    arithmetic = scored["fixed:arithmetic"][1]
-    assert looked_up == [arithmetic] * 3
-    assert all(scored[label][1] == arithmetic
-               for label in ("bottom-up", "top-down", "hill-climbing"))
-    assert scored["hill-climbing"][2]["iterations"] > 2
+    runs = {run[0]: run for run in optimizer.candidates(
+        Compiled(circuit, inter_m3_medium), SolverLimits())}
+    # Bottom-up, top-down and hill climbing all land on the fixed
+    # arithmetic row, so they take its uniform fold's sums, and no hill
+    # sweep is folded, though hill climbing moved on more than one sweep.
+    _, arithmetic_sums, arithmetic, _, _ = runs["fixed:arithmetic"]
+    for label in ("bottom-up", "top-down", "hill-climbing"):
+        assert runs[label][2] == arithmetic
+        assert runs[label][1] is arithmetic_sums
+    assert runs["hill-climbing"][3] > 2
     assert folded == []
     # best_of folds nothing more: the winner's report reuses its
     # candidate's sums.
@@ -1047,7 +1038,7 @@ def test_compare_folds_no_more_than_its_passes(capsys, monkeypatch, tmp_path,
             < best_of(circuit, inter_m3_medium).report.total)
     folded = counted_folds(monkeypatch)
     compiled = Compiled(circuit, inter_m3_medium)
-    dict(optimizer.candidates(compiled, SolverLimits()))
+    list(optimizer.candidates(compiled, SolverLimits()))
     optimizer.exact_pass(compiled, SolverLimits())
     passes = folded[:]
     folded.clear()
@@ -1125,21 +1116,21 @@ def reference_candidates(compiled, limits):
             for name in profile.universal_schemes(circuit.ops_present())}
     rows["bottom-up"] = reference_bottom_up(compiled)
     rows["top-down"] = reference_top_down(compiled)
-    scored = {label: (compiled.sums(row), row, {}) for label, row in rows.items()}
+    runs = [(label, compiled.sums(row), row, 1, False) for label, row in rows.items()]
     init = optimizer.default_scheme(circuit, profile)
     assignment, iterations, limit_exceeded, _ = reference_hill_climb(
         circuit, profile, init, limits.max_passes)
     row = compiled.indices(assignment)
-    scored["hill-climbing"] = (compiled.sums(row), row, {
-        "iterations": iterations, "limit_exceeded": limit_exceeded})
-    return scored
+    runs.append(("hill-climbing", compiled.sums(row), row, iterations,
+                 limit_exceeded))
+    return runs
 
 
-def shown(scored):
-    """Every field of a candidate list."""
+def shown(runs):
+    """Every field of a list of runs, each a 5-tuple."""
     return [
-        (label, list(row), list(sums), extra)
-        for label, (sums, row, extra) in scored.items()
+        (label, list(sums), list(row), iterations, limit_exceeded)
+        for label, sums, row, iterations, limit_exceeded in runs
     ]
 
 
@@ -1148,7 +1139,7 @@ def check_candidates(circuit, profile, max_passes=None):
     that are not universal on ``circuit``, which have no fixed candidate."""
     compiled = Compiled(circuit, profile)
     limits = SolverLimits(max_passes=max_passes)
-    assert shown(dict(optimizer.candidates(compiled, limits))) == shown(
+    assert shown(optimizer.candidates(compiled, limits)) == shown(
         reference_candidates(compiled, limits))
     universal = profile.universal_schemes(circuit.ops_present())
     return [s for s in profile.schemes if s not in universal]
@@ -1205,7 +1196,7 @@ def test_candidates_match_the_reference_on_the_case_studies(
     circuit, profile = make(), all_profiles[name]
     for max_passes in (None, 1, 2):  # partial sweeps revisit one-choice nodes
         check_candidates(circuit, profile, max_passes)
-    rows = [row for _, (_, row, _) in optimizer.candidates(
+    rows = [run[2] for run in optimizer.candidates(
         Compiled(circuit, profile), SolverLimits())]
     distinct = len({tuple(row) for row in rows})
     assert (distinct < len(rows)) is coincide
@@ -1263,11 +1254,9 @@ def check_best_of_is_the_first_least_candidate(circuit, profile, max_passes=None
     the first least candidate of every pass run; returns the winner."""
     limits = SolverLimits(max_passes=max_passes)
     compiled = Compiled(circuit, profile)
-    scored = dict(optimizer.candidates(compiled, limits))
-    totals = [sum(sums) for sums, _, _ in scored.values()]
-    label = list(scored)[totals.index(min(totals))]
-    sums, idx, extra = scored[label]
-    want = optimizer._result(compiled, idx, label, sums, **extra)
+    runs = list(optimizer.candidates(compiled, limits))
+    totals = [sum(run[1]) for run in runs]
+    want = optimizer._result(compiled, *runs[totals.index(min(totals))])
     got = best_of(circuit, profile, limits)
     assert repr(got) == repr(want)
     assert got.assignment == want.assignment
@@ -1404,8 +1393,8 @@ def test_uniform_memo_equals_the_uncached_facts_for_every_op_set(name):
             assert profile._uniform(ops) == expected
             assert profile._uniform(ops) is profile._uniform(ops)
             assert optimizer.default_scheme(circuit, profile) == default
-            labels = list(dict(optimizer.candidates(Compiled(circuit, profile),
-                                                    SolverLimits())))
+            labels = [run[0] for run in optimizer.candidates(
+                Compiled(circuit, profile), SolverLimits())]
             assert labels[:-3] == [label for label, _ in fixed]
         assert len(profile._uniform_memo) == 2 ** len(COMPUTE_OPS)
 
@@ -1554,7 +1543,7 @@ def test_threads_sharing_a_cold_circuit_and_profile_agree():
 
     def outcome(circuit, profile):
         compiled = Compiled(circuit, profile)
-        rows = [row for _, (_, row, _) in optimizer.candidates(
+        rows = [run[2] for run in optimizer.candidates(
             compiled, SolverLimits())]
         return repr(best_of(circuit, profile)), compiled.choices, rows
 
